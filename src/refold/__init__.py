@@ -12,7 +12,6 @@ from .logic import (
     Program,
     Var,
     connected,
-    connected_power_set,
     parse_program,
     render_program,
     variant_equal,
@@ -62,7 +61,6 @@ __all__ = [
     "brute_force_solve",
     "build_search_space",
     "connected",
-    "connected_power_set",
     "decode",
     "encode",
     "extract_candidates",

@@ -6,6 +6,7 @@ compared under identical limits."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -383,16 +384,21 @@ class SynthesisLimits:
 
 
 def _sequence_to_program(task: SynthesisTask, ops: list, bk: Program) -> Program:
+    """One task clause threading the state A -> V1 -> ... -> B through the
+    operations. A call of arity a is written (V_k, a-2 fresh vars, V_k+1),
+    so calls of wider defined predicates keep their declared arity."""
     registry = bk.registry.copy()
     registry.declare(task.name, 2, "task")
-    variables = [Var("A")] + [Var(f"V{k}") for k in range(1, len(ops))] + [Var("B")]
-    if not ops:
-        variables = [Var("A"), Var("A")]
-    body = tuple(
-        Atom(op, (variables[k], variables[k + 1])) for k, op in enumerate(ops)
-    )
-    head = Atom(task.name, (variables[0], variables[-1]))
-    return Program((Clause(head, body),), registry)
+    fresh = (Var(f"V{k}") for k in itertools.count(1))
+    state = Var("A")
+    body = []
+    for k, op in enumerate(ops):
+        middle = tuple(next(fresh) for _ in range(registry.arity(op) - 2))
+        nxt = Var("B") if k == len(ops) - 1 else next(fresh)
+        body.append(Atom(op, (state,) + middle + (nxt,)))
+        state = nxt
+    head = Atom(task.name, (Var("A"), state))
+    return Program((Clause(head, tuple(body)),), registry)
 
 
 def synthesize(task: SynthesisTask, bk: Program, limits: SynthesisLimits):

@@ -295,7 +295,7 @@ def build_search_space(
             seen_sigs: set = set()
             for base in current[idx]:
                 opts, truncated = _fold_one(
-                    idx, base, cands, level, folding_cap - len(opts_here), all_cands
+                    idx, base, cands, level, folding_cap - len(opts_here), pred_to_id
                 )
                 if truncated:
                     st.truncated_clauses += 1
@@ -335,9 +335,10 @@ def _fold_one(
     cands: list,
     level: int,
     cap: int,
-    all_cands: list,
+    pred_to_id: dict,
 ) -> tuple:
-    """Fold one base option with the level's candidates; leftovers stay raw."""
+    """Fold one base option with the level's candidates; leftovers stay raw.
+    `pred_to_id` maps every invented predicate so far to its candidate id."""
     if cap <= 0:
         return [], True
     body = base.literals
@@ -351,16 +352,12 @@ def _fold_one(
     indexed = [(m[0], m[1]) for m in matches]
     subsets = _disjoint_subsets(indexed, cap=cap + 1)
     truncated = len(subsets) > cap
-    id_of = {}
-    for m in matches:
-        id_of.setdefault((m[0], m[1]), m[2])
-    pred_of = {c.pred: c.id for c in all_cands}
     options = []
     for sub in subsets[:cap]:
         folded = apply_match_set(Clause(Atom("h"), body), sub)
         lits = folded.body
         required = frozenset(
-            pred_of[l.pred] for l in lits if l.pred in pred_of
+            pred_to_id[l.pred] for l in lits if l.pred in pred_to_id
         )
         options.append(
             FoldingOption(

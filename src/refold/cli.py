@@ -63,8 +63,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-body", type=int, default=3)
     p.add_argument("--max-levels", type=int, default=None)
     p.add_argument("--timeout-seconds", type=float, default=60.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--predicate-cap",
         action="store_true",
@@ -121,17 +119,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_refactor(args) -> int:
     if args.timeout_seconds < 1:
         raise InputError("timeout must be >= 1 second")
+    try:
+        cfg = RefactorConfig(
+            min_body=args.min_body,
+            max_body=args.max_body,
+            max_levels=args.max_levels,
+            budget=SolverBudget(wall_time=args.timeout_seconds),
+            enforce_predicate_cap=args.predicate_cap,
+            model_dump_path=args.model_dump,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     program = _read_program(args.input)
-    cfg = RefactorConfig(
-        min_body=args.min_body,
-        max_body=args.max_body,
-        max_levels=args.max_levels,
-        budget=SolverBudget(
-            wall_time=args.timeout_seconds, seed=args.seed, workers=args.workers
-        ),
-        enforce_predicate_cap=args.predicate_cap,
-        model_dump_path=args.model_dump,
-    )
     out, report = refactor(program, cfg)
     _write(args.output, render_program(out))
     if args.report:
@@ -207,9 +206,7 @@ def _cmd_bench(args) -> int:
                     max_levels=2,
                     folding_cap=20,
                     red_group_cap=300,
-                    budget=SolverBudget(
-                        wall_time=args.refactor_seconds, seed=args.seed
-                    ),
+                    budget=SolverBudget(wall_time=args.refactor_seconds),
                 ),
             )
             conditions.append((label, refactored))

@@ -1,20 +1,18 @@
 """Pseudo-Boolean encoding of support-clause selection, and decoding of
 solver assignments back into programs.
 
-Variables:
+Variables (only the families the objective charges):
   SC(cand)              candidate support clause is selected
-  FOLD(cl, lvl, n)      folding option n of clause cl is constructible
-  LEVEL(cl, lvl)        clause cl takes its folding from level lvl
-  PICK(cl, lvl, n)      folding option n is the one emitted for clause cl
-  RED(group)            at least two foldings sharing this sub-body are
-                        constructible
+  PICK(cl, lvl, n)      folding option n of level lvl is the one emitted
+                        for clause cl
+  RED(group)            a sub-body class occurs at least twice among the
+                        input clauses and the selected candidates
 
 Constraints (all normalised to sum(coef * var) >= rhs):
-  - exactly one LEVEL and exactly one PICK per clause
-  - PICK implies its FOLD and its LEVEL
-  - FOLD <-> conjunction of its required SC vars
+  - exactly one PICK per clause
+  - PICK implies every SC its folding option requires
   - SC(k) -> SC(dep) for every dependency
-  - RED(g) <-> (sum of member FOLD vars > 1)
+  - RED(g) <-> (input occurrences + selected member SC vars > 1)
 
 The objective charges size(option) on PICK, size(candidate) on SC, and 1
 on RED, so the optimum value equals the emitted program's literal count
@@ -31,7 +29,7 @@ from .transform import UnfoldedProgram
 from .candidates import LevelledSearchSpace
 
 DEFAULT_RED_GROUP_CAP = 2000
-DEFAULT_RED_SUBBODY_MAX = 3
+RED_SUBBODY_MAX = 3
 
 
 class ModelError(Exception):
@@ -57,11 +55,9 @@ class CopModel:
     objective: dict  # var index -> nonnegative integer weight
     # decoding / oracle metadata
     sc_vars: dict = field(default_factory=dict)  # cand id -> var
-    fold_vars: dict = field(default_factory=dict)  # (cl, lvl, n) -> var
-    level_vars: dict = field(default_factory=dict)  # (cl, lvl) -> var
     pick_vars: dict = field(default_factory=dict)  # (cl, lvl, n) -> var
     red_vars: dict = field(default_factory=dict)  # group id -> var
-    fold_required: dict = field(default_factory=dict)  # fold var -> tuple of sc vars
+    pick_required: dict = field(default_factory=dict)  # pick var -> tuple of sc vars
     sc_deps: dict = field(default_factory=dict)  # sc var -> tuple of sc vars
     red_members: dict = field(default_factory=dict)  # red var -> tuple of sc vars
     red_base: dict = field(default_factory=dict)  # red var -> constant member count
@@ -71,9 +67,6 @@ class CopModel:
     @property
     def num_vars(self) -> int:
         return len(self.vars)
-
-    def core_var_count(self) -> int:
-        return len(self.sc_vars) + len(self.fold_vars) + len(self.level_vars)
 
 
 @dataclass
@@ -97,7 +90,6 @@ class EncodeOptions:
     enforce_predicate_cap: bool = False
     original_predicate_count: Optional[int] = None
     red_group_cap: int = DEFAULT_RED_GROUP_CAP
-    red_subbody_max: int = DEFAULT_RED_SUBBODY_MAX
     max_variables: int = 200_000
     max_constraints: int = 500_000
 
@@ -129,38 +121,18 @@ def encode(
             add([(1, dv), (-1, sv)], 0, "sc-dep")
 
     for cl in sorted(space.foldings):
-        levels = sorted(space.foldings[cl])
-        lvl_vars = []
         picks_here = []
-        for lvl in levels:
-            lvar = new_var(("LEVEL", cl, lvl))
-            m.level_vars[(cl, lvl)] = lvar
-            lvl_vars.append(lvar)
+        for lvl in sorted(space.foldings[cl]):
             for n, opt in enumerate(space.foldings[cl][lvl]):
-                fvar = new_var(("FOLD", cl, lvl, n))
-                m.fold_vars[(cl, lvl, n)] = fvar
-                req = tuple(m.sc_vars[cid] for cid in sorted(opt.required))
-                m.fold_required[fvar] = req
-                if req:
-                    # f <-> AND(req)
-                    for sv in req:
-                        add([(1, sv), (-1, fvar)], 0, "fold-needs-sc")
-                    add(
-                        [(1, fvar)] + [(-1, sv) for sv in req],
-                        1 - len(req),
-                        "fold-forced",
-                    )
-                else:
-                    add([(1, fvar)], 1, "raw-always")
                 pvar = new_var(("PICK", cl, lvl, n))
                 m.pick_vars[(cl, lvl, n)] = pvar
                 m.objective[pvar] = opt.size
-                add([(1, fvar), (-1, pvar)], 0, "pick-needs-fold")
-                add([(1, lvar), (-1, pvar)], 0, "pick-needs-level")
+                req = tuple(m.sc_vars[cid] for cid in sorted(opt.required))
+                m.pick_required[pvar] = req
+                for sv in req:
+                    add([(1, sv), (-1, pvar)], 0, "pick-needs-sc")
                 picks_here.append((pvar, opt.size, lvl, n))
-        # exactly one level, exactly one pick
-        add([(1, v) for v in lvl_vars], 1, "level-lo")
-        add([(-1, v) for v in lvl_vars], -1, "level-hi")
+        # exactly one pick
         add([(1, p) for p, _, _, _ in picks_here], 1, "pick-lo")
         add([(-1, p) for p, _, _, _ in picks_here], -1, "pick-hi")
         m.clause_picks[cl] = picks_here
@@ -201,9 +173,7 @@ def _encode_redundancy(m: CopModel, space, opts, new_var, add):
     def subbody_keys(literals):
         if len(literals) < 2:
             return ()
-        subs = connected_subsets(
-            literals, 2, min(opts.red_subbody_max, len(literals))
-        )
+        subs = connected_subsets(literals, 2, min(RED_SUBBODY_MAX, len(literals)))
         seen = set()
         out = []
         for sub in subs:

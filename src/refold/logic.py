@@ -502,6 +502,9 @@ def variant_equal(c1: Clause, c2: Clause) -> bool:
     return extend(fwd, bwd, list(c1.body), frozenset())
 
 
+VARIANT_KEY_CAP = 6
+
+
 def variant_key(body: Iterable[Atom], head: Optional[Atom] = None) -> str:
     """Exact canonical key for variant equality of small bodies.
 
@@ -510,8 +513,10 @@ def variant_key(body: Iterable[Atom], head: Optional[Atom] = None) -> str:
     Exponential in the body length; intended for candidate-sized bodies.
     """
     lits = tuple(body)
-    if len(lits) > 6:
-        raise LogicError(f"variant_key limited to 6 literals, got {len(lits)}")
+    if len(lits) > VARIANT_KEY_CAP:
+        raise LogicError(
+            f"variant_key limited to {VARIANT_KEY_CAP} literals, got {len(lits)}"
+        )
     best = None
     for perm in itertools.permutations(lits):
         clause = Clause(head if head is not None else Atom("k"), perm)
@@ -568,17 +573,10 @@ def connected(c: Clause) -> bool:
 POWER_SET_CAP = 12
 
 
-def connected_power_set(c: Clause, max_size: Optional[int] = None) -> list:
-    """All nonempty connected subsets of c's body literals, as tuples in
-    original body order. Connectivity is over body literals only.
-
-    Bodies longer than POWER_SET_CAP require max_size (candidate bodies
-    never need more than the configured size window anyway).
-    """
-    return connected_subsets(c.body, 1, max_size)
-
-
 def connected_subsets(body: tuple, min_size: int, max_size: Optional[int]) -> list:
+    """Connected subsets of the body literals with min_size..max_size
+    literals, as tuples in original body order. Connectivity is over body
+    literals only. Bodies longer than POWER_SET_CAP require max_size."""
     n = len(body)
     if max_size is None:
         if n > POWER_SET_CAP:

@@ -7,14 +7,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .logic import Program, connected_subsets, variant_key
+from .logic import VARIANT_KEY_CAP, Program, connected_subsets, variant_key
 from .transform import (
     apply_match_set,
     find_body_matches,
     syntactic_equiv,
     unfold,
 )
-from .candidates import build_search_space, make_candidate_clause
+from .candidates import _count_usage, build_search_space, make_candidate_clause
 from .copmodel import EncodeOptions, decode, encode, render_model
 from .solver import SolveTrace, SolverBudget, solve
 
@@ -43,8 +43,11 @@ class RefactorConfig:
     hyp_clauses: int = 5
 
     def __post_init__(self):
-        if not 1 <= self.min_body <= self.max_body:
-            raise ValueError("need 1 <= min_body <= max_body")
+        # candidate bodies are keyed by variant_key, which caps their length
+        if not 1 <= self.min_body <= self.max_body <= VARIANT_KEY_CAP:
+            raise ValueError(
+                f"need 1 <= min_body <= max_body <= {VARIANT_KEY_CAP}"
+            )
 
 
 @dataclass
@@ -198,31 +201,14 @@ def _shared_subbody_classes(clauses: list, max_size: int) -> list:
             key = variant_key(sub)
             classes.setdefault(key, sub)
     ranked = []
+    groups = [[c.body] for c in clauses]
     for key, sub in classes.items():
-        occ = 0
         probe = make_candidate_clause(sub, "probe")
-        for c in clauses:
-            matches = find_body_matches(c.body, probe.body, probe.head)
-            occ += _max_disjoint(matches)
+        occ = _count_usage(sub, probe.head, groups)
         if occ >= 2:
             ranked.append((-len(sub), -occ, key, sub))
     ranked.sort()
     return ranked
-
-
-def _max_disjoint(matches: list) -> int:
-    best = 0
-
-    def rec(start: int, used: frozenset, count: int):
-        nonlocal best
-        best = max(best, count)
-        for i in range(start, len(matches)):
-            idxs, _ = matches[i]
-            if not idxs & used:
-                rec(i + 1, used | idxs, count + 1)
-
-    rec(0, frozenset(), 0)
-    return best
 
 
 def remove_redundancy_baseline(p: Program, max_subbody: int = 3) -> Program:

@@ -1,10 +1,9 @@
 """Anytime exact branch-and-bound for the pseudo-Boolean refactoring
 models, plus an exhaustive oracle for small instances.
 
-The search is deterministic for a fixed model (the seed only labels the
-run; branching is static). A greedy primal pass seeds the incumbent so
-good solutions appear early, then depth-first branch and bound with unit
-propagation closes the gap.
+The search is deterministic for a fixed model (branching is static). A
+greedy primal pass seeds the incumbent so good solutions appear early,
+then depth-first branch and bound with unit propagation closes the gap.
 """
 
 from __future__ import annotations
@@ -28,14 +27,10 @@ class InstanceTooLarge(SolverError):
 class SolverBudget:
     wall_time: float = 60.0
     max_decisions: Optional[int] = None
-    seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.wall_time <= 0:
             raise ValueError("wall_time must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -57,51 +52,28 @@ class SolveTrace:
 # ---------------------------------------------------------------------------
 # Derived assignments from a support-clause selection
 
-def _clause_options(model: CopModel):
-    """Per clause: picks sorted by (weight, level, n) with the fold var and
-    required-SC bitmask."""
-    sc_bit = {v: 1 << k for k, v in enumerate(sorted(model.sc_vars.values()))}
-    table = {}
-    for cl, picks in model.clause_picks.items():
-        rows = []
-        for pvar, w, lvl, n in picks:
-            fvar = model.fold_vars[(cl, lvl, n)]
-            req = 0
-            for sv in model.fold_required[fvar]:
-                req |= sc_bit[sv]
-            rows.append((w, lvl, n, pvar, fvar, req))
-        rows.sort()
-        table[cl] = rows
-    return table, sc_bit
-
-
 def assignment_from_selection(model: CopModel, chosen_sc: set) -> Optional[Assignment]:
-    """Complete a support-clause selection into a full assignment: folds
-    follow from the selection, each clause takes its cheapest
-    constructible folding, redundancy vars follow from the folds."""
+    """Complete a support-clause selection into a full assignment: each
+    clause takes its cheapest folding whose required support clauses are
+    all selected, redundancy vars follow from the selection."""
     values = [False] * model.num_vars
-    mask = 0
-    sc_bit = {v: 1 << k for k, v in enumerate(sorted(model.sc_vars.values()))}
     for v in chosen_sc:
         values[v] = True
-        mask |= sc_bit[v]
     for sv, deps in model.sc_deps.items():
         if values[sv] and not all(values[d] for d in deps):
             return None
     if model.sc_cap is not None and len(chosen_sc) > model.sc_cap:
         return None
-    for fvar, req in model.fold_required.items():
-        values[fvar] = all(values[sv] for sv in req)
-    for cl, picks in model.clause_picks.items():
+    for picks in model.clause_picks.values():
         best = None
-        for pvar, w, lvl, n in picks:
-            fvar = model.fold_vars[(cl, lvl, n)]
-            if values[fvar] and (best is None or w < best[0]):
-                best = (w, pvar, lvl)
+        for pvar, w, _, _ in picks:
+            if (best is None or w < best[0]) and all(
+                values[sv] for sv in model.pick_required[pvar]
+            ):
+                best = (w, pvar)
         if best is None:
             return None
         values[best[1]] = True
-        values[model.level_vars[(cl, best[2])]] = True
     for rvar, members in model.red_members.items():
         occ = model.red_base.get(rvar, 0) + sum(1 for f in members if values[f])
         values[rvar] = occ > 1
@@ -110,17 +82,17 @@ def assignment_from_selection(model: CopModel, chosen_sc: set) -> Optional[Assig
                       objective_value=obj, status="feasible")
 
 
-def _greedy_selection(model: CopModel, deadline: Optional[float] = None) -> list:
+def _greedy_selection(model: CopModel, deadline: Optional[float] = None):
     """Greedy add/drop over support clauses, guided by the exact objective.
-    Returns a list of (selection, assignment) improvements in order."""
+    Yields each (selection, assignment) improvement as soon as it is found."""
     sc_vars = sorted(model.sc_vars.values())
     # order additions by potential savings: weight ascending is a cheap proxy
     ordered = sorted(sc_vars, key=lambda v: (model.objective.get(v, 0), v))
     chosen: set = set()
     base = assignment_from_selection(model, chosen)
     if base is None:
-        return []
-    improvements = [(set(chosen), base)]
+        return
+    yield set(chosen), base
     best = base.objective_value
     improved = True
     rounds = 0
@@ -129,7 +101,7 @@ def _greedy_selection(model: CopModel, deadline: Optional[float] = None) -> list
         rounds += 1
         for v in ordered:
             if deadline is not None and time.monotonic() > deadline:
-                return improvements
+                return
             trial = set(chosen)
             if v in trial:
                 trial.discard(v)
@@ -149,9 +121,8 @@ def _greedy_selection(model: CopModel, deadline: Optional[float] = None) -> list
             if a is not None and a.objective_value < best:
                 chosen = trial
                 best = a.objective_value
-                improvements.append((set(chosen), a))
+                yield set(chosen), a
                 improved = True
-    return improvements
 
 
 # ---------------------------------------------------------------------------

@@ -73,18 +73,22 @@ def subst_atom(a: Atom, s: dict) -> Atom:
     return Atom(a.pred, tuple(subst_term(t, s) for t in a.args))
 
 
+def occurs(v: Var, t: Term) -> bool:
+    if isinstance(t, Compound):
+        return any(occurs(v, a) for a in t.args)
+    return t == v
+
+
 def unify(t1: Term, t2: Term, s: dict) -> Optional[dict]:
+    """Most general unifier extending s, or None. With the occurs check,
+    so X never binds to a term containing X."""
     t1, t2 = subst_term(t1, s), subst_term(t2, s)
     if t1 == t2:
         return s
     if isinstance(t1, Var):
-        s2 = dict(s)
-        s2[t1] = t2
-        return s2
+        return None if occurs(t1, t2) else {**s, t1: t2}
     if isinstance(t2, Var):
-        s2 = dict(s)
-        s2[t2] = t1
-        return s2
+        return None if occurs(t2, t1) else {**s, t2: t1}
     if isinstance(t1, Compound) and isinstance(t2, Compound):
         if t1.functor != t2.functor or len(t1.args) != len(t2.args):
             return None

@@ -22,7 +22,7 @@ from refold.bench import (
     string_primitives,
     synthesize,
 )
-from refold.logic import parse_program
+from refold.logic import parse_program, render_program, variant_equal
 
 
 class TestLegoSemantics:
@@ -205,6 +205,27 @@ class TestSynthesize:
             for inp, out in task.examples:
                 final = interp.run(ops, inp)
                 assert final is not None and final.heights == out.heights
+
+    def test_wide_defined_calls_round_trip(self):
+        # a defined predicate of arity 3 is called with all three arguments,
+        # so the rendered solution parses back without an arity clash
+        bk = parse_program(
+            "#primitive place_brick/2.\n#primitive right/2.\n#support step/3.\n"
+            "step(A,B,C) :- place_brick(A,B), right(B,C)."
+        )
+        task = SynthesisTask(
+            "two_steps", ((blank_board(3), LegoWorld((1, 1, 0), 2)),), "lego"
+        )
+        solution, _ = synthesize(task, bk, self.LIMITS)
+        body = solution.clauses[0].body
+        assert [l.pred for l in body] == ["step", "step"]
+        assert [l.arity for l in body] == [3, 3]
+        # the state threads from the head's first argument to its last
+        assert body[0].args[0] == solution.clauses[0].head.args[0]
+        assert body[0].args[-1] == body[1].args[0]
+        assert body[1].args[-1] == solution.clauses[0].head.args[-1]
+        again = parse_program(render_program(solution))
+        assert variant_equal(again.clauses[0], solution.clauses[0])
 
     def test_deterministic_node_counts(self):
         task = gen_lego_tasks(3, 1, seed=8, max_height=2)[0]

@@ -25,6 +25,14 @@ NO_GAIN_KB = """\
 t(A,B) :- p(A,B).
 """
 
+# s(Y,Y) unifies with s(f(X),X) only through the cyclic binding X = f(X)
+CYCLIC_UNIFIER_KB = """\
+#primitive p/1.
+#task t/1.
+s(f(X),X) :- p(X).
+t(Y) :- s(Y,Y).
+"""
+
 
 @pytest.fixture
 def kb_path(tmp_path):
@@ -100,6 +108,24 @@ class TestRefactorCommand:
         path.write_text("this is not ) a program")
         code = cli.main(["refactor", str(path)])
         assert code == cli.EXIT_INPUT_ERROR
+
+    def test_cyclic_unifier_is_not_an_internal_error(self, tmp_path):
+        path = tmp_path / "cyclic.pl"
+        path.write_text(CYCLIC_UNIFIER_KB)
+        out = tmp_path / "out.pl"
+        code = cli.main(
+            ["refactor", str(path), "-o", str(out), "--timeout-seconds", "2"]
+        )
+        assert code in (cli.EXIT_OK, cli.EXIT_NO_GAIN)
+        assert cli.main(["verify", str(path), str(out)]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize(
+        "flags", [["--max-body", "7"], ["--min-body", "0"], ["--min-body", "3", "--max-body", "2"]]
+    )
+    def test_out_of_range_body_window_is_an_input_error(self, kb_path, capsys, flags):
+        code = cli.main(["refactor", str(kb_path), "--timeout-seconds", "2"] + flags)
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "max_body" in capsys.readouterr().err
 
     def test_internal_error_exit_code(self, kb_path, capsys, monkeypatch):
         def boom(program, cfg):

@@ -40,21 +40,32 @@ def encoded(prog, **kw):
 class TestEncode:
     def test_variable_families_present(self):
         space, u, model = encoded(chain_program(4))
-        assert model.sc_vars and model.fold_vars and model.level_vars
-        assert model.pick_vars
-        # one level var per (clause, level) with options
+        assert model.sc_vars and model.pick_vars and model.red_vars
+        # only the families the objective charges: SC, PICK and RED
+        assert {tag[0] for tag in model.vars} == {"SC", "PICK", "RED"}
+        # one PICK var per folding option, at every level with options
         for cl, per_level in space.foldings.items():
-            for lvl in per_level:
-                assert (cl, lvl) in model.level_vars
+            for lvl, opts in per_level.items():
+                for n in range(len(opts)):
+                    assert (cl, lvl, n) in model.pick_vars
+
+    def test_constraints_reference_only_objective_families(self):
+        _, _, model = encoded(chain_program(4))
+        for c in model.constraints:
+            assert all(model.vars[v][0] in ("SC", "PICK", "RED") for _, v in c.terms)
 
     def test_raw_option_has_no_requirements(self):
         space, u, model = encoded(chain_program(4))
-        for (cl, lvl, n), fvar in model.fold_vars.items():
+        for (cl, lvl, n), pvar in model.pick_vars.items():
             opt = space.foldings[cl][lvl][n]
-            req = model.fold_required[fvar]
-            assert len(req) == len(opt.required)
+            req = model.pick_required[pvar]
+            assert req == tuple(model.sc_vars[cid] for cid in sorted(opt.required))
             if lvl == 0:
                 assert req == ()
+            # each required SC var is tied to the PICK by pick - sc >= 0
+            for sv in req:
+                tie = LinearConstraint(((1, sv), (-1, pvar)), 0, "pick-needs-sc")
+                assert tie in model.constraints
 
     def test_constraints_are_normalized(self):
         _, _, model = encoded(chain_program(4))

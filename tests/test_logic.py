@@ -12,7 +12,7 @@ from refold.logic import (
     Var,
     canonicalize_clause,
     connected,
-    connected_power_set,
+    connected_subsets,
     parse_program,
     render_program,
     variant_equal,
@@ -202,16 +202,16 @@ class TestConnectedPowerSet:
     def test_chain_of_three(self):
         # a(X,Y), b(Y,Z), c(Z): only {a, c} is not connected
         c = cl("h(X,Y) :- a(X,Y), b(Y,Z), c(Z).")
-        subsets = connected_power_set(c)
+        subsets = connected_subsets(c.body, 1, None)
         assert len(subsets) == 6
 
     def test_single_literal_body(self):
-        assert len(connected_power_set(cl("h(X) :- p(X)."))) == 1
+        assert len(connected_subsets(cl("h(X) :- p(X).").body, 1, None)) == 1
 
     def test_pairwise_disjoint_literals(self):
         c = cl("h(X) :- p(X), p(Y), p(Z).")
         # brute-force oracle: only the three singletons are connected
-        subsets = connected_power_set(c)
+        subsets = connected_subsets(c.body, 1, None)
         assert len(subsets) == 3
         assert all(len(s) == 1 for s in subsets)
 
@@ -219,18 +219,18 @@ class TestConnectedPowerSet:
         body = ", ".join(f"q(X{i},X{i + 1})" for i in range(13))
         c = cl(f"h(X0) :- {body}.")
         with pytest.raises(LogicError):
-            connected_power_set(c)
-        bounded = connected_power_set(c, max_size=2)
+            connected_subsets(c.body, 1, None)
+        bounded = connected_subsets(c.body, 1, 2)
         assert all(len(s) <= 2 for s in bounded)
 
     def test_every_subset_connected_with_fresh_head(self):
         from refold.candidates import make_candidate_clause
 
         c = cl("h(X,Y) :- a(X,Y), b(Y,Z), r(Z,W).")
-        for subset in connected_power_set(c):
+        for subset in connected_subsets(c.body, 1, None):
             wrapped = make_candidate_clause(subset, "fresh")
             assert connected(wrapped)
 
     def test_upper_bound(self):
         c = cl("h(X,Y) :- a(X,Y), b(Y,Z), r(Z,Y).")
-        assert len(connected_power_set(c)) <= 2 ** 3 - 1
+        assert len(connected_subsets(c.body, 1, None)) <= 2 ** 3 - 1

@@ -1,7 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import refold.solver as solver_mod
 from refold.copmodel import CopModel, LinearConstraint, check_assignment
 from refold.solver import (
     InstanceTooLarge,
@@ -59,8 +61,8 @@ class TestSolveOnEncodings:
 
     def test_deterministic_across_runs(self):
         _, _, model = encoded(chain_program(4))
-        a1, _ = solve(model, SolverBudget(wall_time=10.0, seed=0))
-        a2, _ = solve(model, SolverBudget(wall_time=10.0, seed=0))
+        a1, _ = solve(model, SolverBudget(wall_time=10.0))
+        a2, _ = solve(model, SolverBudget(wall_time=10.0))
         assert a1.values == a2.values
         assert a1.objective_value == a2.objective_value
 
@@ -72,6 +74,33 @@ class TestSolveOnEncodings:
         assert len(set(objectives)) == len(objectives)
         times = [t for t, _ in trace.history]
         assert times == sorted(times)
+
+    def test_greedy_incumbents_stamped_when_found(self, monkeypatch):
+        # a clock that advances one second per greedy evaluation: each
+        # incumbent's stamp must count only the evaluations made before it
+        # was found, not all of greedy's
+        _, _, model = encoded(chain_program(5))
+        clock = [0.0]
+        evaluations = []
+        found_after = {}
+        original = solver_mod.assignment_from_selection
+
+        def timed(m, chosen):
+            clock[0] += 1.0
+            a = original(m, chosen)
+            evaluations.append(a)
+            if a is not None and a.objective_value not in found_after:
+                found_after[a.objective_value] = clock[0]
+            return a
+
+        monkeypatch.setattr(solver_mod, "assignment_from_selection", timed)
+        monkeypatch.setattr(solver_mod, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        _, trace = solve(model, SolverBudget(wall_time=1000.0))
+        assert len(evaluations) > 2
+        assert trace.history[0][0] == 1.0
+        for t, obj in trace.history:
+            if obj in found_after:  # found by greedy, not by branch and bound
+                assert t == found_after[obj]
 
 
 class TestSolveOnRandomModels:
@@ -167,5 +196,3 @@ class TestBudget:
     def test_invalid_budgets_rejected(self):
         with pytest.raises(ValueError):
             SolverBudget(wall_time=0)
-        with pytest.raises(ValueError):
-            SolverBudget(workers=0)
