@@ -13,7 +13,13 @@ from .logic import (
     first_occurrence_vars,
     variant_key,
 )
-from .transform import UnfoldedProgram, _disjoint_subsets, apply_match_set, find_body_matches
+from .transform import (
+    UnfoldedProgram,
+    _disjoint_subsets,
+    apply_match_set,
+    find_body_matches,
+    pred_multiset,
+)
 
 DEFAULT_FOLDING_CAP = 500
 
@@ -141,11 +147,19 @@ def _count_usage(body: tuple, head: Atom, clause_groups: list) -> int:
     bodies), the largest number of disjoint matches over any alternative.
     Counting occurrences rather than clauses keeps the profitability prune
     an upper bound on what folding can save, so pruning never discards a
-    candidate that some optimal refactoring needs."""
+    candidate that some optimal refactoring needs.
+
+    A group holds (alternative body, its pred_multiset) pairs; the matcher
+    runs only on bodies whose multiset contains the pattern's."""
+    need = pred_multiset(body)
     n = 0
     for group in clause_groups:
         n += max(
-            (_max_disjoint_count(find_body_matches(b, body, head)) for b in group),
+            (
+                _max_disjoint_count(find_body_matches(b, body, head))
+                for b, have in group
+                if need <= have
+            ),
             default=0,
         )
     return n
@@ -183,6 +197,7 @@ def extract_candidates(
                 order.append(key)
     if usage_groups is None:
         usage_groups = [[c.body if isinstance(c, Clause) else tuple(c)] for c in clauses]
+    keyed_groups = [[(b, pred_multiset(b)) for b in group] for group in usage_groups]
     out = []
     for ordinal, key in enumerate(order):
         subset = by_class[key]
@@ -191,7 +206,7 @@ def extract_candidates(
         deps = frozenset()
         if level > 1 and pred_to_id is not None:
             deps = frozenset(pred_to_id[l.pred] for l in subset if l.pred in pred_to_id)
-        usage = _count_usage(subset, clause.head, usage_groups)
+        usage = _count_usage(subset, clause.head, keyed_groups)
         out.append(
             CandidateSupportClause(
                 id=cid,
@@ -288,6 +303,7 @@ def build_search_space(
         for c in cands:
             all_cands.append(c)
             pred_to_id[c.pred] = c.id
+        cand_keys = [pred_multiset(c.clause.body) for c in cands]
         new_current: dict = {}
         any_options = False
         for idx in sorted(current):
@@ -295,7 +311,13 @@ def build_search_space(
             seen_sigs: set = set()
             for base in current[idx]:
                 opts, truncated = _fold_one(
-                    idx, base, cands, level, folding_cap - len(opts_here), pred_to_id
+                    idx,
+                    base,
+                    cands,
+                    cand_keys,
+                    level,
+                    folding_cap - len(opts_here),
+                    pred_to_id,
                 )
                 if truncated:
                     st.truncated_clauses += 1
@@ -333,17 +355,23 @@ def _fold_one(
     clause_index: int,
     base: FoldingOption,
     cands: list,
+    cand_keys: list,
     level: int,
     cap: int,
     pred_to_id: dict,
 ) -> tuple:
     """Fold one base option with the level's candidates; leftovers stay raw.
+    `cand_keys[k]` is pred_multiset of cands[k]'s body; the matcher runs
+    only on candidates whose multiset the base body's contains.
     `pred_to_id` maps every invented predicate so far to its candidate id."""
     if cap <= 0:
         return [], True
     body = base.literals
+    have = pred_multiset(body)
     matches = []
-    for cand in cands:
+    for cand, need in zip(cands, cand_keys):
+        if not need <= have:
+            continue
         for idxs, head in find_body_matches(body, cand.clause.body, cand.clause.head):
             matches.append((idxs, head, cand.id))
     if not matches:

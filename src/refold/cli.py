@@ -16,7 +16,7 @@ from .bench import (
     run_benchmark,
     string_primitives,
 )
-from .logic import ParseError, parse_program, render_program
+from .logic import LogicError, parse_program, render_program
 from .pipeline import (
     RefactorConfig,
     VerificationError,
@@ -46,7 +46,7 @@ def _read_program(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_program(text)
-    except ParseError as exc:
+    except LogicError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 

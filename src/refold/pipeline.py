@@ -11,6 +11,7 @@ from .logic import VARIANT_KEY_CAP, Program, connected_subsets, variant_key
 from .transform import (
     apply_match_set,
     find_body_matches,
+    pred_multiset,
     syntactic_equiv,
     unfold,
 )
@@ -38,8 +39,7 @@ class RefactorConfig:
     folding_cap: int = 500
     red_group_cap: int = 2000
     model_dump_path: Optional[str] = None
-    # hypothesis-space statistic parameters (body length, clause count)
-    hyp_body_len: int = 3
+    # clause count of the hypothesis-space statistic
     hyp_clauses: int = 5
 
     def __post_init__(self):
@@ -119,6 +119,16 @@ def hypothesis_space_size(p_count: int, l: int, m: int) -> float:
     return sum(math.log(n - k) - math.log(k + 1) for k in range(m))
 
 
+def _hyp_log_size(p: Program, clauses: int) -> float:
+    """hypothesis_space_size over p's predicates, with bodies up to p's
+    longest body; 0.0 for a program without predicates."""
+    preds = len(p.predicates())
+    if not preds:
+        return 0.0
+    longest = max((len(c.body) for c in p.clauses), default=0)
+    return hypothesis_space_size(preds, max(1, longest), clauses)
+
+
 def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
     """Returns (refactored Program, RefactorReport). The output is always
     machine-verified to be syntactically equivalent to the input."""
@@ -126,11 +136,7 @@ def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
     report = RefactorReport()
     report.original_literals = p.size
     report.original_predicates = len(p.predicates())
-    report.hyp_log_size_before = (
-        hypothesis_space_size(max(1, report.original_predicates), cfg.hyp_body_len, cfg.hyp_clauses)
-        if report.original_predicates
-        else 0.0
-    )
+    report.hyp_log_size_before = _hyp_log_size(p, cfg.hyp_clauses)
     if not p.clauses:
         report.refactored_literals = 0
         report.equivalence_verified = True
@@ -180,19 +186,18 @@ def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
     report.invented_predicates = len(
         set(out.registry.by_role("support")) - set(p.registry.entries)
     )
-    report.hyp_log_size_after = hypothesis_space_size(
-        max(1, report.refactored_predicates), cfg.hyp_body_len, cfg.hyp_clauses
-    )
+    report.hyp_log_size_after = _hyp_log_size(out, cfg.hyp_clauses)
     return out, report
 
 
 # ---------------------------------------------------------------------------
 # Greedy deduplication baseline
 
-def _shared_subbody_classes(clauses: list, max_size: int) -> list:
+def _shared_subbody_classes(clauses: list, keys: list, max_size: int) -> list:
     """Variant classes of connected sub-bodies with >= 2 disjoint
-    occurrences program-wide. Returns (size, -occurrences, key, body)
-    sorted for greedy folding."""
+    occurrences program-wide; `keys[k]` is pred_multiset of clauses[k]'s
+    body. Returns (size, -occurrences, key, body) sorted for greedy
+    folding."""
     classes: dict = {}
     for c in clauses:
         if len(c.body) < 2:
@@ -201,7 +206,7 @@ def _shared_subbody_classes(clauses: list, max_size: int) -> list:
             key = variant_key(sub)
             classes.setdefault(key, sub)
     ranked = []
-    groups = [[c.body] for c in clauses]
+    groups = [[(c.body, have)] for c, have in zip(clauses, keys)]
     for key, sub in classes.items():
         probe = make_candidate_clause(sub, "probe")
         occ = _count_usage(sub, probe.head, groups)
@@ -219,17 +224,22 @@ def remove_redundancy_baseline(p: Program, max_subbody: int = 3) -> Program:
     registry = u.registry.copy()
     counter = 0
     while counter < 1000:
-        ranked = _shared_subbody_classes(clauses, max_subbody)
+        keys = [pred_multiset(c.body) for c in clauses]
+        ranked = _shared_subbody_classes(clauses, keys, max_subbody)
         if not ranked:
             break
         _, _, _, sub = ranked[0]
         support = make_candidate_clause(sub, f"red_{counter}")
         counter += 1
         registry.declare(support.head.pred, support.head.arity, "support")
+        need = pred_multiset(support.body)
         new_clauses = []
-        for c in clauses:
-            matches = find_body_matches(c.body, support.body, support.head)
-            chosen = _greedy_disjoint(matches)
+        for c, have in zip(clauses, keys):
+            chosen = []
+            if need <= have:
+                chosen = _greedy_disjoint(
+                    find_body_matches(c.body, support.body, support.head)
+                )
             if chosen:
                 new_clauses.append(apply_match_set(c, chosen))
             else:

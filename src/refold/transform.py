@@ -114,8 +114,10 @@ _fresh_counter = itertools.count()
 
 
 def rename_apart(c: Clause) -> Clause:
+    """c with fresh variables. The names contain "~", which the tokenizer
+    rejects, so no variable of a parsed program can share one."""
     n = next(_fresh_counter)
-    mapping = {v: Var(f"_R{n}_{v.name}") for v in dict.fromkeys(c.variables())}
+    mapping = {v: Var(f"_R{n}~{v.name}") for v in dict.fromkeys(c.variables())}
     return rename_clause(c, mapping)
 
 
@@ -229,6 +231,20 @@ def unfold(p: Program, cap: int = DEFAULT_UNFOLD_CAP) -> UnfoldedProgram:
 
 # ---------------------------------------------------------------------------
 # Fold
+
+def pred_multiset(lits) -> frozenset:
+    """The multiset of (pred, arity) pairs of `lits`, as the set of
+    (pred, arity, k) for k up to each pair's count, so that multiset
+    containment is set inclusion. find_body_matches(body, pattern, head)
+    is empty unless pred_multiset(pattern) <= pred_multiset(body): each
+    pattern literal needs its own body literal of the same predicate and
+    arity."""
+    counts: dict = {}
+    for lit in lits:
+        key = (lit.pred, lit.arity)
+        counts[key] = counts.get(key, 0) + 1
+    return frozenset((p, a, k) for (p, a), n in counts.items() for k in range(1, n + 1))
+
 
 def find_body_matches(body: tuple, pattern: tuple, pattern_head: Atom) -> list:
     """All sub-multiset matches of `pattern` (a support-clause body) in

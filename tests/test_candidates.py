@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refold.candidates import (
+    CandidateSupportClause,
+    FoldingOption,
+    _count_usage,
+    _fold_one,
+    _max_disjoint_count,
     build_search_space,
     extract_candidates,
     has_singleton_variable,
@@ -9,8 +15,17 @@ from refold.candidates import (
     prune_singletons,
     prune_unprofitable,
 )
-from refold.logic import Atom, Clause, Const, Var, parse_program, variant_equal
-from refold.transform import find_body_matches, unfold
+from refold.logic import (
+    Atom,
+    Clause,
+    Compound,
+    Const,
+    Var,
+    connected_subsets,
+    parse_program,
+    variant_equal,
+)
+from refold.transform import find_body_matches, pred_multiset, unfold
 
 
 def body_of(src: str) -> tuple:
@@ -69,6 +84,83 @@ class TestExtraction:
         prog = parse_program(SHARED_CHAIN)
         cands = extract_candidates(list(prog.clauses), i=2, j=3, level=1, id_start=7)
         assert [c.id for c in cands] == list(range(7, 7 + len(cands)))
+
+
+# p/1 beside p/2: the gate must key on arity as well as on the predicate
+_GATE_PREDS = (("p", 1), ("p", 2), ("q", 2))
+_GATE_TERMS = st.sampled_from(
+    [Var("A"), Var("B"), Var("C"), Const("a"), Const("b"),
+     Compound("f", (Var("A"),)), Compound("f", (Const("a"),))]
+)
+_GATE_LITERALS = st.sampled_from(_GATE_PREDS).flatmap(
+    lambda pa: st.tuples(*[_GATE_TERMS] * pa[1]).map(lambda args: Atom(pa[0], args))
+)
+
+
+def _gate_bodies(max_size: int):
+    return st.lists(_GATE_LITERALS, min_size=1, max_size=max_size).map(tuple)
+
+
+class TestMatcherGate:
+    def test_constant_bridged_occurrence_is_counted(self):
+        # t's body has no connected 2-literal sub-body (its link is the
+        # constant c), yet the pattern from s matches it with Y = c
+        prog = parse_program(
+            "#primitive p/2.\n#primitive q/2.\n#task s/2.\n#task t/2.\n"
+            "s(A,B) :- p(A,Y), q(Y,B).\n"
+            "t(A,B) :- p(A,c), q(c,B)."
+        )
+        assert connected_subsets(prog.clauses[1].body, 2, 2) == []
+        [cand] = extract_candidates(list(prog.clauses), i=2, j=2, level=1)
+        assert cand.usage == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(pattern=_gate_bodies(3), body=_gate_bodies(4))
+    def test_no_match_outside_the_gate(self, pattern, body):
+        head = make_candidate_clause(pattern, "inv").head
+        if not pred_multiset(pattern) <= pred_multiset(body):
+            assert find_body_matches(body, pattern, head) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        patterns=st.lists(_gate_bodies(3), min_size=1, max_size=3),
+        groups=st.lists(st.lists(_gate_bodies(4), min_size=1, max_size=2),
+                        min_size=1, max_size=3),
+    )
+    def test_gated_results_equal_ungated_reference(self, patterns, groups):
+        cands = [
+            CandidateSupportClause(
+                id=k,
+                clause=make_candidate_clause(pat, f"inv_1_{k}"),
+                level=1,
+                body_size=len(pat),
+                dependencies=frozenset(),
+                usage=0,
+            )
+            for k, pat in enumerate(patterns)
+        ]
+        keyed = [[(b, pred_multiset(b)) for b in g] for g in groups]
+        for c in cands:
+            reference = sum(
+                max(
+                    _max_disjoint_count(
+                        find_body_matches(b, c.clause.body, c.clause.head)
+                    )
+                    for b in g
+                )
+                for g in groups
+            )
+            assert _count_usage(c.clause.body, c.clause.head, keyed) == reference
+        keys = [pred_multiset(c.clause.body) for c in cands]
+        # an empty key is contained in every body's: the gate never closes
+        open_keys = [frozenset()] * len(cands)
+        pred_to_id = {c.pred: c.id for c in cands}
+        for g in groups:
+            for b in g:
+                base = FoldingOption(0, 0, b, frozenset())
+                gated = _fold_one(0, base, cands, keys, 1, 20, pred_to_id)
+                ungated = _fold_one(0, base, cands, open_keys, 1, 20, pred_to_id)
+                assert gated == ungated
 
 
 class TestPruning:

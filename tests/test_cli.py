@@ -109,6 +109,21 @@ class TestRefactorCommand:
         code = cli.main(["refactor", str(path)])
         assert code == cli.EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("t(Y) :- p(Y).\n", "neither declared nor defined"),
+            ("#primitive p/2.\nt(Y) :- p(Y,Y), p(Y).\n", "arity"),
+        ],
+        ids=["undeclared-predicate", "arity-clash"],
+    )
+    def test_semantic_input_errors(self, tmp_path, capsys, source, message):
+        path = tmp_path / "bad.pl"
+        path.write_text(source)
+        code = cli.main(["refactor", str(path)])
+        assert code == cli.EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
+
     def test_cyclic_unifier_is_not_an_internal_error(self, tmp_path):
         path = tmp_path / "cyclic.pl"
         path.write_text(CYCLIC_UNIFIER_KB)

@@ -16,6 +16,17 @@ from refold.transform import syntactic_equiv
 
 from tests.test_copmodel import chain_program
 
+# three towers sharing the vertical 3-stack make inventing it pay off
+PILLAR_WALL_POST = (
+    "#primitive place/4.\n#primitive right/2.\n#primitive left/2.\n"
+    "#task pillar/4.\n#task wall/3.\n#task post/3.\n"
+    "pillar(X,Y,E,E5) :- place(hor,X,E,E1), right(X,Z), place(b,Z,E1,E2), "
+    "place(b,Z,E2,E3), place(b,Z,E3,E4), left(Z,Y), place(hor,X,E4,E5).\n"
+    "wall(X,E,E3) :- place(b,X,E,E1), place(b,X,E1,E2), place(b,X,E2,E3).\n"
+    "post(X,E,E4) :- place(b,X,E,E1), place(b,X,E1,E2), place(b,X,E2,E3), "
+    "place(hor,X,E3,E4)."
+)
+
 
 class TestRefactor:
     def test_shared_chain_shrinks(self):
@@ -45,22 +56,20 @@ class TestRefactor:
     def test_worked_example_compresses_on_repetition(
         self, pillar_program
     ):
-        # three towers sharing the vertical 3-stack make inventing it pay off
-        src = (
-            "#primitive place/4.\n#primitive right/2.\n#primitive left/2.\n"
-            "#task pillar/4.\n#task wall/3.\n#task post/3.\n"
-            "pillar(X,Y,E,E5) :- place(hor,X,E,E1), right(X,Z), place(b,Z,E1,E2), "
-            "place(b,Z,E2,E3), place(b,Z,E3,E4), left(Z,Y), place(hor,X,E4,E5).\n"
-            "wall(X,E,E3) :- place(b,X,E,E1), place(b,X,E1,E2), place(b,X,E2,E3).\n"
-            "post(X,E,E4) :- place(b,X,E,E1), place(b,X,E1,E2), place(b,X,E2,E3), "
-            "place(hor,X,E3,E4)."
-        )
-        prog = parse_program(src)
+        prog = parse_program(PILLAR_WALL_POST)
         out, report = refactor(prog, RefactorConfig(budget=SolverBudget(wall_time=20)))
         assert syntactic_equiv(prog, out)
         assert out.size < prog.size
         invented = set(out.registry.by_role("support")) - set(prog.registry.entries)
         assert invented
+
+    def test_hypothesis_space_shrinks_with_shorter_bodies(self):
+        # inventing the 3-stack adds a predicate but cuts the longest body
+        # from 7 literals to 5, so the hypothesis space shrinks
+        prog = parse_program(PILLAR_WALL_POST)
+        out, report = refactor(prog, RefactorConfig(budget=SolverBudget(wall_time=20)))
+        assert report.refactored_predicates > report.original_predicates
+        assert report.hyp_log_size_after < report.hyp_log_size_before
 
     def test_report_counts_consistent(self):
         prog = chain_program(4)
@@ -69,8 +78,16 @@ class TestRefactor:
         assert report.unfolded_literals == prog.size  # already primitive-only
         assert report.refactored_literals == out.size
         assert report.candidate_count > 0
+        # bodies up to the measured program's longest one, 5 clauses
+        assert report.hyp_log_size_before == pytest.approx(
+            hypothesis_space_size(
+                report.original_predicates, max(len(c.body) for c in prog.clauses), 5
+            )
+        )
         assert report.hyp_log_size_after == pytest.approx(
-            hypothesis_space_size(report.refactored_predicates, 3, 5)
+            hypothesis_space_size(
+                report.refactored_predicates, max(len(c.body) for c in out.clauses), 5
+            )
         )
 
     def test_records_and_text_render(self):

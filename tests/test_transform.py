@@ -1,6 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from refold.logic import Atom, Const, parse_program, variant_equal
+from refold.logic import (
+    Atom,
+    Clause,
+    Const,
+    ParseError,
+    Var,
+    _tokenize,
+    parse_program,
+    variant_equal,
+)
 from refold.transform import (
     CycleError,
     MissingDefinitionError,
@@ -8,6 +18,7 @@ from refold.transform import (
     UnfoldExplosionError,
     fold_clause,
     multiset_variant_equal,
+    rename_apart,
     restricted_consequences,
     syntactic_equiv,
     unfold,
@@ -90,6 +101,23 @@ class TestUnfold:
         )
         u = unfold(prog)
         assert len(u.clauses) == 2
+
+
+class TestRenameApart:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        names=st.lists(
+            st.from_regex(r"[A-Z_][A-Za-z0-9_]{0,6}", fullmatch=True),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_fresh_names_cannot_be_tokenized(self, names):
+        # names a user can write, including ones shaped like fresh names
+        clause = Clause(Atom("h", tuple(Var(n) for n in names + ["_R0_A"])))
+        for v in rename_apart(clause).variables():
+            with pytest.raises(ParseError):
+                _tokenize(v.name)
 
 
 class TestFold:
