@@ -25,7 +25,7 @@ from .pipeline import (
     remove_redundancy_baseline,
 )
 from .solver import SolverBudget
-from .transform import syntactic_equiv
+from .transform import TransformError, syntactic_equiv
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -230,7 +230,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except InputError as exc:
+    except (InputError, TransformError) as exc:
+        # a TransformError is unfolding rejecting an input program: recursive
+        # or undefined support predicates, a task predicate in a body, or an
+        # unfolding over its cap
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except VerificationError as exc:

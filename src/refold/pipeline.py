@@ -100,6 +100,7 @@ class RefactorReport:
             ("stop_reason", self.stop_reason),
             ("solver_status", self.solver_status),
             ("objective_value", self.objective_value),
+            ("decisions", self.trace.decisions if self.trace is not None else 0),
             ("equivalence_verified", self.equivalence_verified),
             ("no_gain_fallback", self.no_gain_fallback),
             ("hyp_log_size_before", f"{self.hyp_log_size_before:.4f}"),

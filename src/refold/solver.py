@@ -37,6 +37,7 @@ class SolverBudget:
 class SolveTrace:
     history: list = field(default_factory=list)  # (elapsed_seconds, objective)
     proof_status: str = "unknown"
+    decisions: int = 0  # branch-and-bound branches tried
 
     def record(self, elapsed: float, objective: int):
         if self.history and objective >= self.history[-1][1]:
@@ -129,29 +130,49 @@ def _greedy_selection(model: CopModel, deadline: Optional[float] = None):
 # Branch and bound
 
 class _Search:
+    """Depth-first branch and bound with counter-based pseudo-Boolean
+    propagation (Chai & Kuehlmann, DAC 2003). Each constraint keeps its
+    slack: the largest value its left side can still reach, minus its rhs.
+    Assigning a var lowers only the slacks of the constraints it occurs
+    in, and queues those whose slack fell below their largest |coef|:
+    only they can force a term."""
+
     def __init__(self, model: CopModel, budget: SolverBudget):
         self.model = model
         self.budget = budget
         self.n = model.num_vars
         self.values = [-1] * self.n
         self.weights = [model.objective.get(i, 0) for i in range(self.n)]
-        self.constraints = model.constraints
-        self.watch = [[] for _ in range(self.n)]
-        self.max_lhs = []
-        for ci, c in enumerate(self.constraints):
-            mx = 0
+        # falls[val][var]: (ci, drop) for each constraint whose slack drops
+        # when var takes val -- by coef if coef > 0 and val is 0, by -coef
+        # if coef < 0 and val is 1; equal pairs share one tuple
+        self.falls = ([[] for _ in range(self.n)], [[] for _ in range(self.n)])
+        self.terms = [c.terms for c in model.constraints]
+        self.slack = []
+        self.max_coef = []
+        for ci, c in enumerate(model.constraints):
+            drops: dict = {}
             for coef, v in c.terms:
-                self.watch[v].append(ci)
-                if coef > 0:
-                    mx += coef
-            self.max_lhs.append(mx)
-        self.trail: list = []  # (var, [(ci, delta)])
+                if coef:
+                    drop = drops.setdefault(abs(coef), (ci, abs(coef)))
+                    self.falls[coef < 0][v].append(drop)
+            self.slack.append(sum(coef for coef, _ in c.terms if coef > 0) - c.rhs)
+            self.max_coef.append(max(drops, default=0))
+        # the root is not yet a fixpoint: every constraint starts queued
+        self.queue = list(range(len(model.constraints)))
+        self.queued = [True] * len(model.constraints)
+        self.trail: list = []  # assigned vars, in order
+        # (pick var, weight) of each clause in clause order, cheapest first
+        self.clause_costs = [
+            tuple(sorted(((p, w) for p, w, _, _ in model.clause_picks[cl]),
+                         key=lambda r: (r[1], r[0])))
+            for cl in sorted(model.clause_picks)
+        ]
         self.best_cost: Optional[int] = None
         self.best_values: Optional[list] = None
         self.cost = 0
         self.start = time.monotonic()
         self.decisions = 0
-        self.nodes = 0
         self.trace = SolveTrace()
         self.order = self._branch_order()
 
@@ -160,13 +181,7 @@ class _Search:
             self.model.sc_vars.values(),
             key=lambda v: (-self.weights[v], v),
         )
-        picks = []
-        for cl in sorted(self.model.clause_picks):
-            picks.extend(
-                p for p, _, _, _ in sorted(
-                    self.model.clause_picks[cl], key=lambda r: (r[1], r[0])
-                )
-            )
+        picks = [p for costs in self.clause_costs for p, _ in costs]
         rest = [
             v for v in range(self.n)
             if self.model.vars[v][0] not in ("SC", "PICK")
@@ -184,72 +199,82 @@ class _Search:
             and self.decisions >= self.budget.max_decisions
         )
 
-    def assign(self, var: int, val: int) -> bool:
-        """Returns False on conflict."""
-        deltas = []
+    def assign(self, var: int, val: int):
+        """Sets var and queues each constraint whose slack fell below its
+        largest |coef|, a conflict (slack below 0) included."""
         self.values[var] = val
+        self.trail.append(var)
         if val:
             self.cost += self.weights[var]
-        ok = True
-        for ci in self.watch[var]:
-            c = self.constraints[ci]
-            for coef, v in c.terms:
-                if v == var:
-                    delta = coef * val - max(coef, 0)
-                    if delta:
-                        self.max_lhs[ci] += delta
-                        deltas.append((ci, delta))
-                    if self.max_lhs[ci] < c.rhs:
-                        ok = False
-        self.trail.append((var, deltas))
-        return ok
+        slack, max_coef, queued = self.slack, self.max_coef, self.queued
+        for ci, drop in self.falls[val][var]:
+            slack[ci] -= drop
+            if slack[ci] < max_coef[ci] and not queued[ci]:
+                queued[ci] = True
+                self.queue.append(ci)
+
+    def clear_queue(self):
+        for ci in self.queue:
+            self.queued[ci] = False
+        self.queue.clear()
 
     def undo_to(self, mark: int):
-        while len(self.trail) > mark:
-            var, deltas = self.trail.pop()
-            if self.values[var]:
+        # every mark is taken at a propagation fixpoint, so whatever a
+        # conflict left queued can go
+        self.clear_queue()
+        trail, values, slack = self.trail, self.values, self.slack
+        while len(trail) > mark:
+            var = trail.pop()
+            val = values[var]
+            if val:
                 self.cost -= self.weights[var]
-            self.values[var] = -1
-            for ci, delta in deltas:
-                self.max_lhs[ci] -= delta
+            values[var] = -1
+            for ci, drop in self.falls[val][var]:
+                slack[ci] += drop
 
     def propagate(self) -> bool:
-        """Fixpoint forcing; False on conflict."""
-        changed = True
-        while changed:
-            changed = False
-            for ci, c in enumerate(self.constraints):
-                slack = self.max_lhs[ci] - c.rhs
-                if slack < 0:
-                    return False
-                for coef, v in c.terms:
-                    if self.values[v] != -1:
-                        continue
-                    if coef > 0 and slack - coef < 0:
-                        if not self.assign(v, 1):
-                            return False
-                        changed = True
-                    elif coef < 0 and slack + coef < 0:
-                        if not self.assign(v, 0):
-                            return False
-                        changed = True
+        """Forces the terms of queued constraints to a fixpoint; False on
+        conflict, which the caller undoes. A term is forced when its |coef|
+        exceeds the slack; forcing it leaves that slack as it is."""
+        queue, queued, values, slack = self.queue, self.queued, self.values, self.slack
+        while queue:
+            ci = queue.pop()
+            queued[ci] = False
+            s = slack[ci]
+            if s < 0:
+                return False
+            if s >= self.max_coef[ci]:
+                continue
+            for coef, v in self.terms[ci]:
+                if values[v] == -1 and (s < coef or s < -coef):
+                    self.assign(v, int(coef > 0))
         return True
 
-    def lower_bound(self) -> int:
-        lb = self.cost
-        for cl, picks in self.model.clause_picks.items():
-            has_true = False
-            mn = None
-            for pvar, w, _, _ in picks:
-                v = self.values[pvar]
-                if v == 1:
-                    has_true = True
-                    break
-                if v == -1 and (mn is None or w < mn):
-                    mn = w
-            if not has_true and mn is not None:
-                lb += mn
-        return lb
+    def beats_incumbent(self) -> bool:
+        """Whether the node's bound -- committed cost plus each undecided
+        clause's cheapest open pick -- stays below the incumbent. Stops
+        adding as soon as the bound reaches it. Each clause has exactly one
+        pick, so at a fixpoint a true pick leaves every other pick false:
+        a clause's first pick that is not false, cheapest first, is either
+        its true pick or its cheapest open one."""
+        best = self.best_cost
+        if best is None:
+            return True
+        bound = self.cost
+        if bound >= best:
+            return False
+        values = self.values
+        for picks in self.clause_costs:
+            for pvar, w in picks:
+                v = values[pvar]
+                if v == 0:
+                    continue
+                if v == -1:
+                    bound += w
+                    if bound >= best:
+                        return False
+                break
+        return True
 
     def record_incumbent(self):
         if self.best_cost is None or self.cost < self.best_cost:
@@ -279,42 +304,34 @@ class _Search:
             return "infeasible" if self.best_cost is None else "optimal"
         # stack entries: (order hint, var, tried values list, trail mark)
         stack = []
-        completed = False
         while True:
             if self.out_of_budget():
                 return "timeout"
             k = self.next_unassigned(stack[-1][0] if stack else 0)
             if k == len(self.order):
                 self.record_incumbent()
-                completed = True
             else:
                 var = self.order[k]
                 mark = len(self.trail)
                 self.decisions += 1
-                val = 1  # true branch first
-                ok = self.assign(var, val) and self.propagate()
-                bound_ok = ok and (
-                    self.best_cost is None or self.lower_bound() < self.best_cost
-                )
-                stack.append((k, var, [val], mark))
-                if bound_ok:
+                self.assign(var, 1)  # true branch first
+                ok = self.propagate()
+                stack.append((k, var, [1], mark))
+                if ok and self.beats_incumbent():
                     continue
-                completed = False
             # backtrack / flip
             while True:
                 if not stack:
                     self.undo_to(mark0)
                     return "optimal" if self.best_cost is not None else "infeasible"
-                kk, var, tried, mark = stack[-1]
+                _, var, tried, mark = stack[-1]
                 self.undo_to(mark)
                 if len(tried) == 1:
                     val = 1 - tried[0]
                     tried.append(val)
                     self.decisions += 1
-                    ok = self.assign(var, val) and self.propagate()
-                    if ok and (
-                        self.best_cost is None or self.lower_bound() < self.best_cost
-                    ):
+                    self.assign(var, val)
+                    if self.propagate() and self.beats_incumbent():
                         break
                     self.undo_to(mark)
                     stack.pop()
@@ -332,6 +349,7 @@ def solve(model: CopModel, budget: SolverBudget) -> tuple:
         if check_assignment(model, a.values):
             search.seed_incumbent(a)
     status = search.run()
+    search.trace.decisions = search.decisions
     if search.best_cost is None:
         search.trace.proof_status = "infeasible"
         return Assignment(values={}, objective_value=0, status="infeasible"), search.trace

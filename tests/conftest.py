@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from refold.logic import parse_program
@@ -35,3 +37,21 @@ def pillar_program():
 def folded_program():
     """The same program written with the vertical-stack support clause."""
     return parse_program(FOLDED_SOURCE)
+
+
+def random_chain_program(rng: random.Random, n_prims: int, n_clauses: int, body_len):
+    """Task clauses t<c>(V0,Vn) :- p<i>(V0,V1), ..., p<j>(Vn-1,Vn) over
+    binary primitives drawn by `rng`; `body_len()` gives each clause's
+    length n."""
+    lines = [f"#primitive p{i}/2." for i in range(n_prims)]
+    lines += [f"#task t{c}/2." for c in range(n_clauses)]
+    for c in range(n_clauses):
+        blen = body_len()
+        lits = [f"p{rng.randrange(n_prims)}(V{k},V{k + 1})" for k in range(blen)]
+        lines.append(f"t{c}(V0,V{blen}) :- {', '.join(lits)}.")
+    return parse_program("\n".join(lines))
+
+
+def dense_program():
+    """Criterion 5's instance: 30 clauses of 6 literals over 4 primitives."""
+    return random_chain_program(random.Random(5), 4, 30, lambda: 6)

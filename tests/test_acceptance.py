@@ -26,7 +26,12 @@ from refold.solver import (
 )
 from refold.transform import fold_clause, syntactic_equiv, unfold
 
-from tests.conftest import FOLDED_SOURCE, PILLAR_SOURCE
+from tests.conftest import (
+    FOLDED_SOURCE,
+    PILLAR_SOURCE,
+    dense_program,
+    random_chain_program,
+)
 from tests.test_copmodel import chain_program
 from tests.test_solver import exhaustive_optimum, random_model
 
@@ -43,16 +48,9 @@ def _report(capsys, criterion: int, label: str, ok: bool, detail: str = ""):
 def random_program(rng: random.Random):
     """2-20 task clauses with 1-8 literal chain bodies over 3-8 binary
     primitives."""
-    n_prims = rng.randint(3, 8)
-    n_clauses = rng.randint(2, 20)
-    lines = [f"#primitive p{i}/2." for i in range(n_prims)]
-    for c in range(n_clauses):
-        lines.append(f"#task t{c}/2.")
-    for c in range(n_clauses):
-        blen = rng.randint(1, 8)
-        lits = [f"p{rng.randrange(n_prims)}(V{k},V{k + 1})" for k in range(blen)]
-        lines.append(f"t{c}(V0,V{blen}) :- {', '.join(lits)}.")
-    return parse_program("\n".join(lines))
+    return random_chain_program(
+        rng, rng.randint(3, 8), rng.randint(2, 20), lambda: rng.randint(1, 8)
+    )
 
 
 def test_criterion_1_equivalence_preservation(capsys):
@@ -165,16 +163,7 @@ def test_criterion_4_pruning_soundness(capsys):
 
 
 def test_criterion_5_anytime_behavior(capsys):
-    rng = random.Random(5)
-    n_preds, n_clauses, blen = 4, 30, 6
-    lines = [f"#primitive p{i}/2." for i in range(n_preds)]
-    for c in range(n_clauses):
-        lines.append(f"#task t{c}/2.")
-    for c in range(n_clauses):
-        lits = [f"p{rng.randrange(n_preds)}(V{k},V{k + 1})" for k in range(blen)]
-        lines.append(f"t{c}(V0,V{blen}) :- {', '.join(lits)}.")
-    prog = parse_program("\n".join(lines))
-    u = unfold(prog)
+    u = unfold(dense_program())
     space = build_search_space(u, i=2, j=3, prune=False)
     assert len(space.candidates) >= 200
     model = encode(space, u, None)

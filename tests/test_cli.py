@@ -124,6 +124,30 @@ class TestRefactorCommand:
         assert code == cli.EXIT_INPUT_ERROR
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                "#primitive p/1.\n#task t/1.\n"
+                "t(X) :- s(X).\ns(X) :- r(X).\nr(X) :- s(X).\n",
+                "recursive support predicates",
+            ),
+            (
+                "#primitive p/1.\n#task t/1.\n#support s/1.\nt(X) :- s(X).\n",
+                "has no clauses",
+            ),
+        ],
+        ids=["recursive-support", "support-without-clauses"],
+    )
+    @pytest.mark.parametrize("command", ["refactor", "verify"])
+    def test_unfolding_input_errors(self, tmp_path, capsys, source, message, command):
+        path = tmp_path / "bad.pl"
+        path.write_text(source)
+        args = [str(path)] if command == "refactor" else [str(path), str(path)]
+        code = cli.main([command] + args)
+        assert code == cli.EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
+
     def test_cyclic_unifier_is_not_an_internal_error(self, tmp_path):
         path = tmp_path / "cyclic.pl"
         path.write_text(CYCLIC_UNIFIER_KB)

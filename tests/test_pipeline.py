@@ -95,8 +95,10 @@ class TestRefactor:
         _, report = refactor(prog)
         records = dict(report.to_records())
         assert records["original_literals"] == prog.size
+        assert records["decisions"] == report.trace.decisions
         text = report.to_text()
         assert "original_literals" in text and "solver_status" in text
+        assert f"decisions: {report.trace.decisions}" in text
 
 
 class TestBaseline:

@@ -14,6 +14,7 @@ from refold.solver import (
     solve,
 )
 
+from tests.conftest import random_chain_program
 from tests.test_copmodel import chain_program, encoded
 
 
@@ -46,6 +47,159 @@ def exhaustive_optimum(m: CopModel):
         if best is None or obj < best:
             best = obj
     return best
+
+
+def rescan_fixpoint(model: CopModel, values: list):
+    """Reference unit propagation: rescan every constraint until nothing
+    changes. A term is forced when its |coef| exceeds the slack of its
+    constraint. Returns the forced values, or None on conflict."""
+    values = list(values)
+    changed = True
+    while changed:
+        changed = False
+        for c in model.constraints:
+            slack = reachable_lhs(c, values) - c.rhs
+            if slack < 0:
+                return None
+            for coef, v in c.terms:
+                if values[v] == -1 and abs(coef) > slack:
+                    values[v] = 1 if coef > 0 else 0
+                    changed = True
+    return values
+
+
+def reachable_lhs(c: LinearConstraint, values: list) -> int:
+    """The largest left side `c` can still reach under partial `values`."""
+    return sum(
+        coef * values[v] if values[v] != -1 else max(coef, 0) for coef, v in c.terms
+    )
+
+
+class _RescanSearch(solver_mod._Search):
+    """The search with the reference fixpoint for propagation and the full
+    bound, summed over every clause, for pruning."""
+
+    def propagate(self) -> bool:
+        forced = rescan_fixpoint(self.model, self.values)
+        if forced is not None:
+            for v, val in enumerate(forced):
+                if self.values[v] == -1 and val != -1:
+                    self.assign(v, val)
+        self.clear_queue()
+        return forced is not None
+
+    def beats_incumbent(self) -> bool:
+        if self.best_cost is None:
+            return True
+        bound = self.cost
+        for picks in self.model.clause_picks.values():
+            states = [(self.values[p], w) for p, w, _, _ in picks]
+            open_weights = [w for val, w in states if val == -1]
+            if open_weights and all(val != 1 for val, _ in states):
+                bound += min(open_weights)
+        return bound < self.best_cost
+
+
+def propagation_models(rng: random.Random) -> list:
+    models = [random_model(rng, n_sc=rng.randint(3, 12)) for _ in range(60)]
+    models += [encoded(chain_program(k))[2] for k in (3, 4, 6)]
+    for _ in range(3):
+        prog = random_chain_program(
+            rng, 3, rng.randint(4, 8), lambda: rng.randint(3, 6)
+        )
+        models.append(encoded(prog)[2])
+    return models
+
+
+class TestQueuePropagation:
+    def test_reaches_the_full_rescan_fixpoint(self):
+        rng = random.Random(2026)
+        for trial, m in enumerate(propagation_models(rng)):
+            search = solver_mod._Search(m, SolverBudget(wall_time=60.0))
+            expect = rescan_fixpoint(m, [-1] * m.num_vars)
+            assert search.propagate() == (expect is not None), f"model {trial}"
+            if expect is None:
+                continue
+            assert search.values == expect, f"model {trial}"
+            stack = []  # (trail mark, values at the mark)
+            for step in range(40):
+                free = [v for v in range(m.num_vars) if search.values[v] == -1]
+                if not free or (stack and rng.random() < 0.25):
+                    if not stack:
+                        break
+                    depth = rng.randrange(len(stack))
+                    mark, saved = stack[depth]
+                    del stack[depth:]
+                    search.undo_to(mark)
+                    assert search.values == saved, f"model {trial} step {step}"
+                else:
+                    var, val = rng.choice(free), rng.randint(0, 1)
+                    trial_values = list(search.values)
+                    trial_values[var] = val
+                    expect = rescan_fixpoint(m, trial_values)
+                    mark, saved = len(search.trail), list(search.values)
+                    search.assign(var, val)
+                    ok = search.propagate()
+                    assert ok == (expect is not None), f"model {trial} step {step}"
+                    if ok:
+                        assert search.values == expect, f"model {trial} step {step}"
+                        stack.append((mark, saved))
+                    else:
+                        search.undo_to(mark)
+                        assert search.values == saved, f"model {trial} step {step}"
+                # the counters and the cost follow the assignment exactly
+                assert search.slack == [
+                    reachable_lhs(c, search.values) - c.rhs for c in m.constraints
+                ]
+                assert search.cost == sum(
+                    w for v, w in m.objective.items() if search.values[v] == 1
+                )
+                assert not search.queue
+
+    def test_undo_empties_what_a_conflict_left_queued(self):
+        # x0 = 0 lowers the slack of both constraints; the second conflicts
+        m = CopModel(
+            vars=[("SC", 0), ("SC", 1)],
+            constraints=[
+                LinearConstraint(((1, 0), (1, 1)), 1),
+                LinearConstraint(((1, 0),), 1),
+            ],
+            objective={0: 1, 1: 1},
+        )
+        search = solver_mod._Search(m, SolverBudget(wall_time=60.0))
+        search.queue.clear()  # leave the root unpropagated: x0 stays open
+        search.queued = [False, False]
+        search.assign(0, 0)
+        assert not search.propagate()
+        search.undo_to(0)
+        assert not search.queue and not any(search.queued)
+        assert search.slack == [1, 0]
+
+    def test_solve_matches_full_rescan_search(self, monkeypatch):
+        rng = random.Random(77)
+        for trial, m in enumerate(propagation_models(rng)):
+            budget = SolverBudget(wall_time=600.0, max_decisions=150)
+            got, trace = solve(m, budget)
+            with monkeypatch.context() as patched:
+                patched.setattr(solver_mod, "_Search", _RescanSearch)
+                ref, ref_trace = solve(m, budget)
+            assert [o for _, o in trace.history] == [
+                o for _, o in ref_trace.history
+            ], f"model {trial}"
+            assert trace.decisions == ref_trace.decisions, f"model {trial}"
+            assert got.status == ref.status, f"model {trial}"
+            assert got.values == ref.values, f"model {trial}"
+
+    def test_decisions_counted(self):
+        rng = random.Random(7)
+        prog = random_chain_program(rng, 3, 10, lambda: rng.randint(5, 8))
+        _, _, model = encoded(prog)
+        _, trace = solve(model, SolverBudget(wall_time=60.0))
+        assert trace.proof_status == "optimal"
+        assert trace.decisions > 10
+        _, capped = solve(model, SolverBudget(wall_time=60.0, max_decisions=10))
+        assert capped.proof_status == "timeout"
+        assert 10 <= capped.decisions < trace.decisions
 
 
 class TestSolveOnEncodings:
