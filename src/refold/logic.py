@@ -458,9 +458,11 @@ def _match_atoms(a1: Atom, a2: Atom, fwd: dict, bwd: dict) -> bool:
 
 
 def _atom_skeleton(a: Atom):
+    # every shape is a tuple headed by a string, so skeletons of one
+    # predicate sort even when a variable and a compound share a position
     def shape(t: Term):
         if isinstance(t, Var):
-            return "V"
+            return ("V",)
         if isinstance(t, Const):
             return ("c", t.name)
         return ("f", t.functor, tuple(shape(x) for x in t.args))
@@ -505,22 +507,65 @@ def variant_equal(c1: Clause, c2: Clause) -> bool:
 VARIANT_KEY_CAP = 6
 
 
+def _escape(text: str) -> str:
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+def _layout(name: str, args: tuple, names: list) -> str:
+    """The rendering of name(args), or of name alone without args, as a
+    format string with "{}" for each variable occurrence; the variables'
+    names are appended to `names` in order."""
+    if not args:
+        return _escape(name)
+    parts = []
+    for t in args:
+        if isinstance(t, Var):
+            names.append(t.name)
+            parts.append("{}")
+        elif isinstance(t, Compound):
+            parts.append(_layout(t.functor, t.args, names))
+        else:
+            parts.append(_escape(t.name))
+    return _escape(name) + "(" + ",".join(parts) + ")"
+
+
 def variant_key(body: Iterable[Atom], head: Optional[Atom] = None) -> str:
     """Exact canonical key for variant equality of small bodies.
 
     Minimises the canonical rendering over all literal orderings, so two
     bodies get the same key iff they are variant-equal (as multisets).
-    Exponential in the body length; intended for candidate-sized bodies.
+    Each ordering is rendered straight to the string that
+    render_clause(canonicalize_clause(...)) gives for it. Exponential in
+    the body length; intended for candidate-sized bodies.
     """
     lits = tuple(body)
     if len(lits) > VARIANT_KEY_CAP:
         raise LogicError(
             f"variant_key limited to {VARIANT_KEY_CAP} literals, got {len(lits)}"
         )
+    head = head if head is not None else Atom("k")
+    head_vars: list = []
+    head_layout = _layout(head.pred, head.args, head_vars)
+    layouts = []
+    for a in lits:
+        names: list = []
+        layouts.append((_layout(a.pred, a.args, names), names))
+    canonical = list(itertools.islice(_canonical_names(), len(set(
+        itertools.chain(head_vars, *(names for _, names in layouts))
+    ))))
+    # the head comes first, so its variables take the same names in every
+    # ordering
+    rename = dict(zip(dict.fromkeys(head_vars), canonical))
+    prefix = head_layout.format(*[rename[v] for v in head_vars])
+    if not lits:
+        return prefix + "."
     best = None
-    for perm in itertools.permutations(lits):
-        clause = Clause(head if head is not None else Atom("k"), perm)
-        s = render_clause(canonicalize_clause(clause))
+    for perm in itertools.permutations(layouts):
+        order = dict.fromkeys(itertools.chain(head_vars, *(names for _, names in perm)))
+        rename = dict(zip(order, canonical))
+        s = (prefix + " :- "
+             + ", ".join(f.format(*[rename[v] for v in names]) for f, names in perm)
+             + ".")
         if best is None or s < best:
             best = s
     return best
@@ -529,37 +574,37 @@ def variant_key(body: Iterable[Atom], head: Optional[Atom] = None) -> str:
 # ---------------------------------------------------------------------------
 # Connectivity
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def n_components(self) -> int:
-        return len({self.find(i) for i in range(len(self.parent))})
-
-
-def _literals_connected(lits: list) -> bool:
-    if len(lits) <= 1:
-        return True
-    uf = _UnionFind(len(lits))
-    var_owner: dict = {}
+def _adjacency(lits) -> list:
+    """Per literal, the bitmask of the literals it shares a variable with
+    (itself included, when it has a variable)."""
+    owners: dict = {}
     for i, lit in enumerate(lits):
-        for v in lit.var_set():
-            if v in var_owner:
-                uf.union(i, var_owner[v])
-            else:
-                var_owner[v] = i
-    return uf.n_components() == 1
+        for v in lit.variables():
+            owners[v] = owners.get(v, 0) | 1 << i
+    adj = []
+    for lit in lits:
+        mask = 0
+        for v in lit.variables():
+            mask |= owners[v]
+        adj.append(mask)
+    return adj
+
+
+def _reaches_all(adj: list, idxs) -> bool:
+    """True iff the literals idxs form one component of the graph adj."""
+    mask = 0
+    for i in idxs:
+        mask |= 1 << i
+    reach = 1 << idxs[0]
+    frontier = reach
+    while frontier:
+        grown = reach
+        for i in idxs:
+            if frontier >> i & 1:
+                grown |= adj[i] & mask
+        frontier = grown & ~reach
+        reach = grown
+    return reach == mask
 
 
 def connected(c: Clause) -> bool:
@@ -567,7 +612,8 @@ def connected(c: Clause) -> bool:
     literals forms a single component."""
     if not c.body:
         return True
-    return _literals_connected([c.head, *c.body])
+    lits = [c.head, *c.body]
+    return _reaches_all(_adjacency(lits), range(len(lits)))
 
 
 POWER_SET_CAP = 12
@@ -585,12 +631,12 @@ def connected_subsets(body: tuple, min_size: int, max_size: Optional[int]) -> li
                 f"({POWER_SET_CAP}); pass a subset-size bound instead"
             )
         max_size = n
+    adj = _adjacency(body)
     out = []
     for size in range(max(1, min_size), min(n, max_size) + 1):
         for idxs in itertools.combinations(range(n), size):
-            subset = [body[i] for i in idxs]
-            if _literals_connected(subset):
-                out.append(tuple(subset))
+            if _reaches_all(adj, idxs):
+                out.append(tuple(body[i] for i in idxs))
     return out
 
 

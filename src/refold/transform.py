@@ -174,47 +174,53 @@ def unfold(p: Program, cap: int = DEFAULT_UNFOLD_CAP) -> UnfoldedProgram:
         return out
 
     def expand_clause(c: Clause) -> list:
-        # returns clauses with primitive-only bodies
-        results = [c]
-        while True:
-            idx = None
-            for k, lit in enumerate(results[0].body):
-                role = reg.role(lit.pred)
-                if role == "support":
-                    idx = k
-                    break
-                if role is None:
-                    raise MissingDefinitionError(
-                        f"predicate {lit.pred} in the body of {c.head.pred} is undefined"
-                    )
-                if role == "task":
-                    raise TransformError(
-                        f"task predicate {lit.pred} occurs in a body; unfolding only "
-                        "inlines support predicates"
-                    )
-            if idx is None:
-                return results
+        # returns clauses with primitive-only bodies; each round inlines the
+        # next support literal of every partial clause r, which comes with
+        # the position before which its body holds primitives only
+        done: list = []
+        todo = [(c, 0)]
+        while todo:
             nxt = []
-            for r in results:
-                lit = r.body[idx]
+            for r, start in todo:
+                for idx in range(start, len(r.body)):
+                    lit = r.body[idx]
+                    role = reg.role(lit.pred)
+                    if role == "support":
+                        break
+                    if role is None:
+                        raise MissingDefinitionError(
+                            f"predicate {lit.pred} in the body of {c.head.pred} is undefined"
+                        )
+                    if role == "task":
+                        raise TransformError(
+                            f"task predicate {lit.pred} occurs in a body; unfolding only "
+                            "inlines support predicates"
+                        )
+                else:
+                    done.append(r)
+                    continue
                 for d in expand_pred(lit.pred):
                     d = rename_apart(d)
                     s = unify_atoms(d.head, lit, {})
                     if s is None:
                         continue
-                    body = (
-                        r.body[:idx]
-                        + tuple(subst_atom(b, s) for b in d.body)
-                        + r.body[idx + 1 :]
-                    )
-                    nxt.append(Clause(subst_atom(r.head, s), body))
+                    inlined = tuple(subst_atom(b, s) for b in d.body)
+                    if s.keys() <= set(d.variables()):
+                        u = Clause(r.head, r.body[:idx] + inlined + r.body[idx + 1 :])
+                    else:
+                        # d's head has a constant, a compound or a repeated
+                        # variable where lit has a variable: the unifier
+                        # binds r's own variables, in every literal of r
+                        u = Clause(subst_atom(r.head, s), tuple(
+                            subst_atom(b, s) for b in r.body[:idx] + d.body + r.body[idx + 1 :]
+                        ))
+                    nxt.append((u, idx + len(d.body)))
                 if len(nxt) > cap:
                     raise UnfoldExplosionError(
                         f"unfolding exceeded the cap of {cap} clauses"
                     )
-            results = nxt
-            if not results:
-                return results
+            todo = nxt
+        return done
 
     out_clauses = []
     origin = []
@@ -246,67 +252,108 @@ def pred_multiset(lits) -> frozenset:
     return frozenset((p, a, k) for (p, a), n in counts.items() for k in range(1, n + 1))
 
 
+def _bind(p: Term, t: Term, s: dict) -> bool:
+    """Extend s, a binding of pattern variable names to body terms, so
+    that pattern term p becomes body term t. Body variables are never
+    bound, and a bound pattern variable must equal t."""
+    if isinstance(p, Var):
+        b = s.get(p.name)
+        if b is None:
+            s[p.name] = t
+            return True
+        return b == t
+    if isinstance(p, Compound):
+        return (
+            isinstance(t, Compound)
+            and p.functor == t.functor
+            and len(p.args) == len(t.args)
+            and all(_bind(a, b, s) for a, b in zip(p.args, t.args))
+        )
+    return p == t
+
+
+def _instantiate(t: Term, s: dict, fresh: dict) -> Term:
+    if isinstance(t, Var):
+        return s.get(t.name) or fresh[t.name]
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_instantiate(a, s, fresh) for a in t.args))
+    return t
+
+
 def find_body_matches(body: tuple, pattern: tuple, pattern_head: Atom) -> list:
     """All sub-multiset matches of `pattern` (a support-clause body) in
     `body`, with a consistent substitution of the pattern's variables.
+
+    Matching is one-way: pattern variables bind to body terms and body
+    literals are never instantiated, so the two clauses' variable names
+    need not be disjoint. Each pattern literal tries only the body
+    literals of its own (pred, arity), in body order.
 
     A valid fold match maps every pattern variable absent from
     `pattern_head` to a distinct variable that occurs nowhere in `body`
     outside the matched literals, so that unfolding restores the
     original clause. Returns (frozenset of matched indices, instantiated
-    head) pairs.
+    head) pairs; a head variable absent from the pattern gets a fresh
+    name, as rename_apart gives.
     """
-    # keep the pattern's variables disjoint from the body's so bindings
-    # never chain through shared names
-    renamed = rename_apart(Clause(pattern_head, tuple(pattern)))
-    pattern_head, pattern = renamed.head, renamed.body
-    pattern_vars = set(renamed.variables())
-    head_vars = pattern_head.var_set()
-    internal = [v for v in dict.fromkeys(v for lit in pattern for v in lit.variables())
-                if v not in head_vars]
-    # variable -> set of body literal indices where it occurs
-    occurs: dict = {}
+    buckets: dict = {}
     for i, lit in enumerate(body):
-        for v in lit.var_set():
-            occurs.setdefault(v, set()).add(i)
+        buckets.setdefault((lit.pred, len(lit.args)), []).append(i)
+    tries = []
+    for lit in pattern:
+        idxs = buckets.get((lit.pred, len(lit.args)))
+        if idxs is None:
+            return []
+        tries.append(idxs)
+    head_vars = {v.name for v in pattern_head.variables()}
+    pattern_vars = dict.fromkeys(v.name for lit in pattern for v in lit.variables())
+    internal = [v for v in pattern_vars if v not in head_vars]
+    fresh: dict = {}
+    if not head_vars <= pattern_vars.keys():
+        n = next(_fresh_counter)
+        fresh = {v: Var(f"_R{n}~{v}") for v in head_vars - pattern_vars.keys()}
+    # variable -> bitmask of the body literals where it occurs
+    occurs: dict = {}
+    if internal:
+        for i, lit in enumerate(body):
+            for v in lit.variables():
+                occurs[v] = occurs.get(v, 0) | 1 << i
 
     matches = []
     seen = set()
+    chosen: list = []
 
-    def rec(k: int, used: frozenset, s: dict):
+    def rec(k: int, used: int, s: dict):
         if k == len(pattern):
-            # only pattern variables may be bound; a binding on a body
-            # variable would silently rewrite literals outside this match
-            if any(v not in pattern_vars for v in s):
-                return
             # internal variables must be bound to distinct variables local
             # to the matched literals
-            bound = [subst_term(v, s) for v in internal]
+            bound = [s[v] for v in internal]
             if len(set(bound)) != len(bound):
                 return
-            for v, img in zip(internal, bound):
-                if not isinstance(img, Var):
+            for img in bound:
+                if not isinstance(img, Var) or occurs[img] & ~used:
                     return
-                if not occurs.get(img, set()) <= set(used):
-                    return
-            key = (used, subst_atom(pattern_head, s))
+            head = Atom(pattern_head.pred,
+                        tuple(_instantiate(t, s, fresh) for t in pattern_head.args))
+            key = (frozenset(chosen), head)
             if key not in seen:
                 seen.add(key)
                 matches.append(key)
             return
-        lit = pattern[k]
-        for i, cand in enumerate(body):
-            if i in used:
+        args = pattern[k].args
+        for i in tries[k]:
+            if used >> i & 1:
                 continue
-            s2 = unify_atoms(lit, cand, dict(s))
-            if s2 is None:
-                continue
-            # one-way: the candidate literal must be untouched
-            if subst_atom(cand, s2) != cand:
-                continue
-            rec(k + 1, used | {i}, s2)
+            s2 = dict(s)
+            for p, t in zip(args, body[i].args):
+                if not _bind(p, t, s2):
+                    break
+            else:
+                chosen.append(i)
+                rec(k + 1, used | 1 << i, s2)
+                chosen.pop()
 
-    rec(0, frozenset(), {})
+    rec(0, 0, {})
     return matches
 
 

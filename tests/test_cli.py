@@ -148,6 +148,21 @@ class TestRefactorCommand:
         assert code == cli.EXIT_INPUT_ERROR
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "#primitive p/1.\n#task t/1.\nt(X) :- p(X), p(f(X)).\n",
+            "#primitive z/0.\n#primitive u/1.\n#task t/0.\n"
+            "s(X) :- u(X).\ns(X) :- z, z, u(X).\nt :- s(X), s(X).\n",
+        ],
+        ids=["variable-and-compound-arguments", "definitions-of-different-lengths"],
+    )
+    def test_valid_programs_are_refactored(self, tmp_path, source):
+        path = tmp_path / "kb.pl"
+        path.write_text(source)
+        code = cli.main(["refactor", str(path), "--timeout-seconds", "2"])
+        assert code in (cli.EXIT_OK, cli.EXIT_NO_GAIN)
+
     def test_cyclic_unifier_is_not_an_internal_error(self, tmp_path):
         path = tmp_path / "cyclic.pl"
         path.write_text(CYCLIC_UNIFIER_KB)

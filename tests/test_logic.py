@@ -118,6 +118,11 @@ class TestVariantEqual:
     def test_pure_renaming(self):
         assert variant_equal(cl("h(X) :- q(X,Y)."), cl("h(A) :- q(A,B)."))
 
+    def test_variable_and_compound_in_one_position(self):
+        # the literals' skeletons must sort: ("V",) against ("f", ...)
+        assert variant_equal(cl("h(X) :- p(X), p(f(X))."), cl("h(Y) :- p(f(Y)), p(Y)."))
+        assert not variant_equal(cl("h(X) :- p(X), p(f(X))."), cl("h(Y) :- p(Y), p(g(Y))."))
+
     def test_argument_swap_not_variant(self):
         assert not variant_equal(cl("h(X) :- q(X,Y)."), cl("h(X) :- q(Y,X)."))
 

@@ -48,6 +48,45 @@ class TestUnfold:
         preds = sorted(c.body[0].pred for c in u.clauses)
         assert preds == ["a", "b"]
 
+    def test_definitions_of_different_lengths_inlined_twice(self):
+        # each partial unfolding finds its own next support literal; the
+        # positions differ once definitions of different lengths are inlined
+        prog = parse_program(
+            "#primitive z/0.\n#primitive u/1.\n#task t/0.\n"
+            "s(X) :- u(X).\n"
+            "s(X) :- z, z, u(X).\n"
+            "t :- s(X), s(X)."
+        )
+        got = [repr(c) for c in unfold(prog).clauses]
+        assert got == [
+            "t :- u(X), u(X).",
+            "t :- u(X), z, z, u(X).",
+            "t :- z, z, u(X), u(X).",
+            "t :- z, z, u(X), z, z, u(X).",
+        ]
+
+    def test_head_unifier_applies_to_the_whole_clause(self):
+        # unifying s(X,X) with s(A,B) binds A to B in q(A) as well
+        prog = parse_program(
+            "#primitive p/1.\n#primitive q/1.\n#task t/2.\n"
+            "s(X,X) :- p(X).\n"
+            "t(A,B) :- q(A), s(A,B)."
+        )
+        [u] = unfold(prog).clauses
+        assert variant_equal(u, parse_program(
+            "#primitive p/1.\n#primitive q/1.\n#task t/2.\nt(B,B) :- q(B), p(B)."
+        ).clauses[0])
+
+    def test_long_body_of_support_literals(self):
+        # deeper than Python's recursion limit: unfolding must not recurse
+        # once per support literal
+        prog = parse_program(
+            "#primitive p/1.\n#task t/1.\ns(X) :- p(X).\n"
+            "t(X) :- " + ", ".join(["s(X)"] * 2000) + "."
+        )
+        [u] = unfold(prog).clauses
+        assert [lit.pred for lit in u.body] == ["p"] * 2000
+
     def test_no_support_predicate_left(self):
         prog = parse_program(
             "#primitive a/2.\n#task t/2.\n"
