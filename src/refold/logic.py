@@ -57,10 +57,40 @@ class Compound:
             raise LogicError(f"compound term {self.functor} needs arguments")
 
     def __repr__(self):
-        return f"{self.functor}({','.join(map(repr, self.args))})"
+        return _render(self.functor, self.args)
 
 
 Term = Var | Const | Compound
+
+
+def _escape(text: str) -> str:
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+def _layout(name: str, args: tuple, names: list) -> str:
+    """The rendering of name(args), or of name alone without args, as a
+    format string with "{}" for each variable occurrence; the variables'
+    names are appended to `names` in order."""
+    if not args:
+        return _escape(name)
+    parts = []
+    for t in args:
+        if isinstance(t, Var):
+            names.append(t.name)
+            parts.append("{}")
+        elif isinstance(t, Compound):
+            parts.append(_layout(t.functor, t.args, names))
+        else:
+            parts.append(_escape(t.name))
+    return _escape(name) + "(" + ",".join(parts) + ")"
+
+
+def _render(name: str, args: tuple) -> str:
+    """The text of name(args), or of name alone without args. Atoms and
+    compound terms render through _layout, as variant_key does, so the
+    two cannot drift apart."""
+    names: list = []
+    return _layout(name, args, names).format(*names)
 
 
 def term_vars(t: Term) -> Iterator[Var]:
@@ -88,9 +118,7 @@ class Atom:
         return frozenset(self.variables())
 
     def __repr__(self):
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({','.join(map(repr, self.args))})"
+        return _render(self.pred, self.args)
 
 
 @dataclass(frozen=True)
@@ -505,28 +533,6 @@ def variant_equal(c1: Clause, c2: Clause) -> bool:
 
 
 VARIANT_KEY_CAP = 6
-
-
-def _escape(text: str) -> str:
-    return text.replace("{", "{{").replace("}", "}}")
-
-
-def _layout(name: str, args: tuple, names: list) -> str:
-    """The rendering of name(args), or of name alone without args, as a
-    format string with "{}" for each variable occurrence; the variables'
-    names are appended to `names` in order."""
-    if not args:
-        return _escape(name)
-    parts = []
-    for t in args:
-        if isinstance(t, Var):
-            names.append(t.name)
-            parts.append("{}")
-        elif isinstance(t, Compound):
-            parts.append(_layout(t.functor, t.args, names))
-        else:
-            parts.append(_escape(t.name))
-    return _escape(name) + "(" + ",".join(parts) + ")"
 
 
 def variant_key(body: Iterable[Atom], head: Optional[Atom] = None) -> str:

@@ -204,16 +204,12 @@ def unfold(p: Program, cap: int = DEFAULT_UNFOLD_CAP) -> UnfoldedProgram:
                     s = unify_atoms(d.head, lit, {})
                     if s is None:
                         continue
-                    inlined = tuple(subst_atom(b, s) for b in d.body)
-                    if s.keys() <= set(d.variables()):
-                        u = Clause(r.head, r.body[:idx] + inlined + r.body[idx + 1 :])
-                    else:
-                        # d's head has a constant, a compound or a repeated
-                        # variable where lit has a variable: the unifier
-                        # binds r's own variables, in every literal of r
-                        u = Clause(subst_atom(r.head, s), tuple(
-                            subst_atom(b, s) for b in r.body[:idx] + d.body + r.body[idx + 1 :]
-                        ))
+                    # the unifier may bind r's own variables too (d's head
+                    # has a constant, a compound or a repeated variable
+                    # where lit has a variable), so it applies to all of r
+                    u = Clause(subst_atom(r.head, s), tuple(
+                        subst_atom(b, s) for b in r.body[:idx] + d.body + r.body[idx + 1 :]
+                    ))
                     nxt.append((u, idx + len(d.body)))
                 if len(nxt) > cap:
                     raise UnfoldExplosionError(

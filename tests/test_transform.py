@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,14 +81,20 @@ class TestUnfold:
         ).clauses[0])
 
     def test_long_body_of_support_literals(self):
-        # deeper than Python's recursion limit: unfolding must not recurse
-        # once per support literal
+        # unfolding must not recurse once per support literal: with the
+        # recursion limit 100 frames above the current depth, a body of
+        # 300 support literals still unfolds
         prog = parse_program(
             "#primitive p/1.\n#task t/1.\ns(X) :- p(X).\n"
-            "t(X) :- " + ", ".join(["s(X)"] * 2000) + "."
+            "t(X) :- " + ", ".join(["s(X)"] * 300) + "."
         )
-        [u] = unfold(prog).clauses
-        assert [lit.pred for lit in u.body] == ["p"] * 2000
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            [u] = unfold(prog).clauses
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [lit.pred for lit in u.body] == ["p"] * 300
 
     def test_no_support_predicate_left(self):
         prog = parse_program(
