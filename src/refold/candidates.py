@@ -9,7 +9,7 @@ from typing import Optional
 from .logic import (
     Atom,
     Clause,
-    connected_subsets,
+    connected_index_subsets,
     first_occurrence_vars,
     variant_key,
 )
@@ -18,14 +18,20 @@ from .transform import (
     _disjoint_subsets,
     apply_match_set,
     find_body_matches,
+    pred_counts,
     pred_multiset,
 )
 
 DEFAULT_FOLDING_CAP = 500
+RED_SUBBODY_MAX = 3  # the redundancy penalty counts sub-bodies of 2..3 literals
 
 
 @dataclass(frozen=True)
 class CandidateSupportClause:
+    """`usage` counts foldable occurrences (UsageIndex.usage). When the
+    literal-count bound already fails is_profitable, no match is run and
+    `usage` holds that bound, which is at least the true count."""
+
     id: int
     clause: Clause
     level: int
@@ -58,7 +64,6 @@ class FoldingOption:
 class LevelStats:
     level: int
     extracted: int = 0
-    after_singleton_prune: int = 0
     after_usage_prune: int = 0
     folding_options: int = 0
     truncated_clauses: int = 0
@@ -71,6 +76,8 @@ class LevelledSearchSpace:
     max_level: int
     stats: list = field(default_factory=list)
     stop_reason: str = ""
+    # per raw clause, keyed_subsets for level-1 extraction and redundancy
+    subbodies: list = field(default_factory=list)
 
     def by_id(self, cid: int) -> CandidateSupportClause:
         return self.candidates[cid]
@@ -94,17 +101,13 @@ def make_candidate_clause(subset: tuple, pred: str) -> Clause:
     return Clause(head, subset)
 
 
-def has_singleton_variable(c: Clause) -> bool:
-    counts: dict = {}
-    for v in c.variables():
-        counts[v] = counts.get(v, 0) + 1
-    return any(n == 1 for n in counts.values())
-
-
-def prune_singletons(cands: list) -> list:
-    """Drop candidates with a variable occurring exactly once in the whole
-    clause (head included)."""
-    return [c for c in cands if not has_singleton_variable(c.clause)]
+def keyed_subsets(body: tuple, lo: int, hi: int) -> list:
+    """(index tuple, variant key) of each connected sub-body of `body`
+    with lo..hi literals, in connected_index_subsets order."""
+    return [
+        (idxs, variant_key(body[k] for k in idxs))
+        for idxs in connected_index_subsets(body, lo, hi)
+    ]
 
 
 def is_profitable(size: int, usage: int) -> bool:
@@ -142,27 +145,54 @@ def _max_disjoint_count(matches: list, node_cap: int = 10_000) -> int:
     return len(matches)
 
 
-def _count_usage(body: tuple, head: Atom, clause_groups: list) -> int:
-    """Total foldable occurrences: for each group (a clause's alternative
-    bodies), the largest number of disjoint matches over any alternative.
-    Counting occurrences rather than clauses keeps the profitability prune
-    an upper bound on what folding can save, so pruning never discards a
-    candidate that some optimal refactoring needs.
+class UsageIndex:
+    """Inverted gate index over groups of alternative bodies (a group is
+    one clause's bodies): each (pred, arity, k) key of pred_multiset maps
+    to the bodies holding it, so the only bodies a pattern can match are
+    an intersection of posting sets, found without a scan."""
 
-    A group holds (alternative body, its pred_multiset) pairs; the matcher
-    runs only on bodies whose multiset contains the pattern's."""
-    need = pred_multiset(body)
-    n = 0
-    for group in clause_groups:
-        n += max(
-            (
-                _max_disjoint_count(find_body_matches(b, body, head))
-                for b, have in group
-                if need <= have
-            ),
-            default=0,
+    def __init__(self, groups: list):
+        self.bodies: list = []  # (group, body, pred_counts of body)
+        self.postings: dict = {}  # (pred, arity, k) -> set of body ids
+        for g, group in enumerate(groups):
+            for body in group:
+                for key in pred_multiset(body):
+                    self.postings.setdefault(key, set()).add(len(self.bodies))
+                self.bodies.append((g, body, pred_counts(body)))
+
+    def gated(self, need: dict) -> set:
+        """Ids of the bodies with need[pa] or more literals of each pa."""
+        sets = sorted(
+            (self.postings.get((*pa, n), set()) for pa, n in need.items()), key=len
         )
-    return n
+        return sets[0].intersection(*sets[1:])
+
+    def usage(self, pattern: tuple, head: Atom, worth) -> int:
+        """Foldable occurrences of `pattern`: per group, the most disjoint
+        matches in one of its bodies, summed. Counting occurrences, not
+        clauses, keeps the profitability prune loss-free. A body of L
+        literals, with c of each (pred, arity) pa the pattern has n of,
+        holds at most min(L // len(pattern), c // n) matches. Unless
+        worth(bound) holds for the sum of each group's largest such cap,
+        that bound is returned and nothing is matched."""
+        need = pred_counts(pattern)
+        caps = []
+        best: dict = {}  # group -> largest cap among its gated bodies
+        for bid in self.gated(need):
+            g, body, have = self.bodies[bid]
+            cap = len(body) // len(pattern)
+            cap = min(cap, *(have[pa] // n for pa, n in need.items()))
+            caps.append((g, body, cap))
+            best[g] = max(best.get(g, 0), cap)
+        bound = sum(best.values())
+        if not worth(bound):
+            return bound
+        exact: dict = {}
+        for g, body, cap in caps:
+            if cap > exact.get(g, 0):
+                found = _max_disjoint_count(find_body_matches(body, pattern, head))
+                exact[g] = max(exact.get(g, 0), min(cap, found))
+        return sum(exact.values())
 
 
 def extract_candidates(
@@ -174,42 +204,42 @@ def extract_candidates(
     pred_to_id: Optional[dict] = None,
     id_start: int = 0,
     usage_groups: Optional[list] = None,
+    subbodies: Optional[list] = None,
 ) -> list:
     """One candidate per variant class of connected body subsets of size
     in [i, j], with deterministic ids and usage counts.
 
-    `usage_groups` is a list of clause-body groups; a candidate's usage is
-    the number of groups containing at least one match (defaults to one
-    group per input clause).
+    `usage_groups` is a list of clause-body groups that UsageIndex.usage
+    counts over (defaults to one group per input clause). `subbodies`
+    may give each (filtered) body's keyed_subsets over a window holding
+    [i, j], so that an enumeration made for other uses is not repeated.
     """
     if i < 1 or j < i:
         raise ValueError(f"invalid size window [{i}, {j}]")
-    by_class: dict = {}
-    order: list = []
-    for c in clauses:
-        body = c.body if isinstance(c, Clause) else tuple(c)
-        if allowed_preds is not None:
-            body = tuple(l for l in body if l.pred in allowed_preds)
-        for subset in connected_subsets(body, i, j):
-            key = variant_key(subset)
-            if key not in by_class:
-                by_class[key] = subset
-                order.append(key)
+    bodies = [c.body if isinstance(c, Clause) else tuple(c) for c in clauses]
     if usage_groups is None:
-        usage_groups = [[c.body if isinstance(c, Clause) else tuple(c)] for c in clauses]
-    keyed_groups = [[(b, pred_multiset(b)) for b in group] for group in usage_groups]
+        usage_groups = [[b] for b in bodies]
+    if allowed_preds is not None:
+        bodies = [tuple(l for l in b if l.pred in allowed_preds) for b in bodies]
+    if subbodies is None:
+        subbodies = [keyed_subsets(b, i, j) for b in bodies]
+    by_class: dict = {}
+    for body, keyed in zip(bodies, subbodies):
+        for idxs, key in keyed:
+            if i <= len(idxs) <= j and key not in by_class:
+                by_class[key] = tuple(body[k] for k in idxs)
+    index = UsageIndex(usage_groups)
     out = []
-    for ordinal, key in enumerate(order):
-        subset = by_class[key]
-        cid = id_start + ordinal
+    for ordinal, subset in enumerate(by_class.values()):
         clause = make_candidate_clause(subset, f"inv_{level}_{ordinal}")
         deps = frozenset()
         if level > 1 and pred_to_id is not None:
             deps = frozenset(pred_to_id[l.pred] for l in subset if l.pred in pred_to_id)
-        usage = _count_usage(subset, clause.head, keyed_groups)
+        size = len(subset) + 1
+        usage = index.usage(subset, clause.head, lambda u: is_profitable(size, u))
         out.append(
             CandidateSupportClause(
-                id=cid,
+                id=id_start + ordinal,
                 clause=clause,
                 level=level,
                 body_size=len(subset),
@@ -230,7 +260,11 @@ def build_search_space(
 ) -> LevelledSearchSpace:
     """Alternate extract -> prune -> fold per level, starting from the
     unfolded program. Level 0 holds the raw clauses."""
-    primitives = {l.pred for c in u.clauses for l in c.body}
+    # one enumeration of the raw bodies serves level-1 extraction and the
+    # redundancy penalty
+    subbodies = [
+        keyed_subsets(c.body, min(i, 2), max(j, RED_SUBBODY_MAX)) for c in u.clauses
+    ]
     foldings: dict = {}
     current: dict = {}  # clause_index -> list of FoldingOption at last level
     for idx, c in enumerate(u.clauses):
@@ -255,9 +289,6 @@ def build_search_space(
             stop_reason = "all bodies reduced to one literal"
             break
         level += 1
-        allowed = primitives if level == 1 else {
-            c.pred for c in all_cands if c.level == level - 1
-        }
         source_bodies = []
         usage_groups = []
         for idx in sorted(current):
@@ -265,6 +296,11 @@ def build_search_space(
             usage_groups.append(group)
             source_bodies.extend(group)
         st = LevelStats(level=level)
+        stats.append(st)
+        # level-1 bodies are the raw ones, with nothing to filter out
+        allowed = None if level == 1 else {
+            c.pred for c in all_cands if c.level == level - 1
+        }
         cands = extract_candidates(
             [tuple(b) for b in source_bodies],
             i,
@@ -274,16 +310,12 @@ def build_search_space(
             pred_to_id=pred_to_id if level > 1 else None,
             id_start=len(all_cands),
             usage_groups=usage_groups,
+            subbodies=subbodies if level == 1 else None,
         )
         st.extracted = len(cands)
         if prune:
-            cands = prune_singletons(cands)
-            st.after_singleton_prune = len(cands)
             cands = prune_unprofitable(cands)
-            st.after_usage_prune = len(cands)
-        else:
-            st.after_singleton_prune = len(cands)
-            st.after_usage_prune = len(cands)
+        st.after_usage_prune = len(cands)
         # reassign contiguous ids after pruning
         cands = [
             CandidateSupportClause(
@@ -336,7 +368,6 @@ def build_search_space(
                 st.folding_options += len(opts_here)
             else:
                 new_current[idx] = []
-        stats.append(st)
         if not any_options:
             stop_reason = "no foldings at the new level"
             break
@@ -348,6 +379,7 @@ def build_search_space(
         max_level=level,
         stats=stats,
         stop_reason=stop_reason,
+        subbodies=subbodies,
     )
 
 

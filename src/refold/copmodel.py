@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .logic import Clause, Program, connected_subsets, variant_key
+from .logic import Clause, Program
 from .transform import UnfoldedProgram
-from .candidates import LevelledSearchSpace
+from .candidates import RED_SUBBODY_MAX, LevelledSearchSpace, keyed_subsets
 
 DEFAULT_RED_GROUP_CAP = 2000
-RED_SUBBODY_MAX = 3
 
 
 class ModelError(Exception):
@@ -168,32 +167,21 @@ def _encode_redundancy(m: CopModel, space, opts, new_var, add):
     candidate can only introduce redundancy, never remove it -- which is
     what keeps the profitability prune loss-free. Classes shared among
     input clauses alone contribute a forced constant, kept so objective
-    values stay comparable across different candidate spaces."""
-
-    def subbody_keys(literals):
-        if len(literals) < 2:
-            return ()
-        subs = connected_subsets(literals, 2, min(RED_SUBBODY_MAX, len(literals)))
-        seen = set()
-        out = []
-        for sub in subs:
-            key = variant_key(sub)
-            if key not in seen:
-                seen.add(key)
-                out.append((len(sub), key))
-        return out
-
+    values stay comparable across different candidate spaces. The raw
+    clauses' sub-bodies come from the search space's enumeration."""
     classes: dict = {}  # key -> [size, set of raw clause indices, [sc vars]]
     for cl in sorted(space.foldings):
-        raw = space.foldings[cl][0][0]
-        for size, key in subbody_keys(raw.literals):
-            entry = classes.setdefault(key, [size, set(), []])
-            entry[1].add(cl)
+        for idxs, key in space.subbodies[cl]:
+            if 2 <= len(idxs) <= RED_SUBBODY_MAX:
+                classes.setdefault(key, [len(idxs), set(), []])[1].add(cl)
     for cand in space.candidates:
         svar = m.sc_vars[cand.id]
-        for size, key in subbody_keys(cand.clause.body):
-            entry = classes.setdefault(key, [size, set(), []])
-            entry[2].append(svar)
+        sizes = {
+            key: len(idxs)
+            for idxs, key in keyed_subsets(cand.clause.body, 2, RED_SUBBODY_MAX)
+        }
+        for key, size in sizes.items():
+            classes.setdefault(key, [size, set(), []])[2].append(svar)
     groups = [
         (size, key, len(raw_cls), members)
         for key, (size, raw_cls, members) in classes.items()

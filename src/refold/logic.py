@@ -625,10 +625,11 @@ def connected(c: Clause) -> bool:
 POWER_SET_CAP = 12
 
 
-def connected_subsets(body: tuple, min_size: int, max_size: Optional[int]) -> list:
-    """Connected subsets of the body literals with min_size..max_size
-    literals, as tuples in original body order. Connectivity is over body
-    literals only. Bodies longer than POWER_SET_CAP require max_size."""
+def connected_index_subsets(body: tuple, min_size: int, max_size: Optional[int]) -> list:
+    """Index tuples of the connected subsets of the body literals with
+    min_size..max_size literals, by size and then lexicographically.
+    Connectivity is over body literals only. Bodies longer than
+    POWER_SET_CAP require max_size."""
     n = len(body)
     if max_size is None:
         if n > POWER_SET_CAP:
@@ -638,12 +639,18 @@ def connected_subsets(body: tuple, min_size: int, max_size: Optional[int]) -> li
             )
         max_size = n
     adj = _adjacency(body)
-    out = []
-    for size in range(max(1, min_size), min(n, max_size) + 1):
-        for idxs in itertools.combinations(range(n), size):
-            if _reaches_all(adj, idxs):
-                out.append(tuple(body[i] for i in idxs))
-    return out
+    return [
+        idxs
+        for size in range(max(1, min_size), min(n, max_size) + 1)
+        for idxs in itertools.combinations(range(n), size)
+        if _reaches_all(adj, idxs)
+    ]
+
+
+def connected_subsets(body: tuple, min_size: int, max_size: Optional[int]) -> list:
+    """connected_index_subsets as tuples of literals, in body order."""
+    index_subsets = connected_index_subsets(body, min_size, max_size)
+    return [tuple(body[i] for i in idxs) for idxs in index_subsets]
 
 
 def first_occurrence_vars(lits: Iterable[Atom]) -> list:

@@ -7,16 +7,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .logic import VARIANT_KEY_CAP, Program, connected_subsets, variant_key
+from .logic import VARIANT_KEY_CAP, Program
 from .transform import (
     apply_match_set,
     find_body_matches,
-    pred_multiset,
+    pred_counts,
     syntactic_equiv,
     unfold,
 )
-from .candidates import _count_usage, build_search_space, make_candidate_clause
-from .copmodel import EncodeOptions, decode, encode, render_model
+from .candidates import UsageIndex, build_search_space, keyed_subsets, make_candidate_clause
+from .copmodel import EncodeOptions, ModelError, decode, encode, render_model
 from .solver import SolveTrace, SolverBudget, solve
 
 
@@ -77,7 +77,6 @@ class RefactorReport:
         for st in self.level_stats:
             lines.append(
                 f"level {st.level}: extracted={st.extracted} "
-                f"after_singleton={st.after_singleton_prune} "
                 f"after_usage={st.after_usage_prune} "
                 f"foldings={st.folding_options} truncated={st.truncated_clauses}"
             )
@@ -132,7 +131,9 @@ def _hyp_log_size(p: Program, clauses: int) -> float:
 
 def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
     """Returns (refactored Program, RefactorReport). The output is always
-    machine-verified to be syntactically equivalent to the input."""
+    machine-verified to be syntactically equivalent to the input, or is
+    the input itself: when nothing smaller is found, and when the model
+    exceeds a size cap of EncodeOptions."""
     cfg = cfg or RefactorConfig()
     report = RefactorReport()
     report.original_literals = p.size
@@ -159,7 +160,11 @@ def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
         original_predicate_count=report.original_predicates,
         red_group_cap=cfg.red_group_cap,
     )
-    model = encode(space, u, opts)
+    try:
+        model = encode(space, u, opts)
+    except ModelError as exc:
+        report.stop_reason = f"model cap: {exc}"
+        return _unchanged(p, report)
     if cfg.model_dump_path:
         with open(cfg.model_dump_path, "w", encoding="utf-8") as fh:
             fh.write(render_model(model))
@@ -176,11 +181,7 @@ def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
     report.equivalence_verified = True
 
     if out.size >= p.size and cfg.fallback_on_no_gain:
-        report.no_gain_fallback = True
-        report.refactored_literals = p.size
-        report.refactored_predicates = report.original_predicates
-        report.hyp_log_size_after = report.hyp_log_size_before
-        return p, report
+        return _unchanged(p, report)
 
     report.refactored_literals = out.size
     report.refactored_predicates = len(out.predicates())
@@ -191,26 +192,33 @@ def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
     return out, report
 
 
+def _unchanged(p: Program, report: RefactorReport):
+    """The input as the result, reported as giving no gain."""
+    report.no_gain_fallback = True
+    report.equivalence_verified = True
+    report.refactored_literals = p.size
+    report.refactored_predicates = report.original_predicates
+    report.hyp_log_size_after = report.hyp_log_size_before
+    return p, report
+
+
 # ---------------------------------------------------------------------------
 # Greedy deduplication baseline
 
-def _shared_subbody_classes(clauses: list, keys: list, max_size: int) -> list:
+def _shared_subbody_classes(clauses: list, subbodies: list, index: UsageIndex) -> list:
     """Variant classes of connected sub-bodies with >= 2 disjoint
-    occurrences program-wide; `keys[k]` is pred_multiset of clauses[k]'s
-    body. Returns (size, -occurrences, key, body) sorted for greedy
-    folding."""
+    occurrences program-wide; `subbodies[k]` is keyed_subsets of
+    clauses[k]'s body and `index` indexes one group per clause. Returns
+    (size, -occurrences, key, body) sorted for greedy folding."""
     classes: dict = {}
-    for c in clauses:
-        if len(c.body) < 2:
-            continue
-        for sub in connected_subsets(c.body, 2, min(max_size, len(c.body))):
-            key = variant_key(sub)
-            classes.setdefault(key, sub)
+    for c, keyed in zip(clauses, subbodies):
+        for idxs, key in keyed:
+            if key not in classes:
+                classes[key] = tuple(c.body[k] for k in idxs)
     ranked = []
-    groups = [[(c.body, have)] for c, have in zip(clauses, keys)]
     for key, sub in classes.items():
         probe = make_candidate_clause(sub, "probe")
-        occ = _count_usage(sub, probe.head, groups)
+        occ = index.usage(sub, probe.head, lambda u: u >= 2)
         if occ >= 2:
             ranked.append((-len(sub), -occ, key, sub))
     ranked.sort()
@@ -219,34 +227,29 @@ def _shared_subbody_classes(clauses: list, keys: list, max_size: int) -> list:
 
 def remove_redundancy_baseline(p: Program, max_subbody: int = 3) -> Program:
     """One support clause per repeated sub-body, greedily folded
-    everywhere; no optimization."""
+    everywhere; no optimization. A clause's sub-bodies are enumerated
+    once, and again only after a fold changes it."""
     u = unfold(p)
     clauses = list(u.clauses)
+    subbodies = [keyed_subsets(c.body, 2, max_subbody) for c in clauses]
     registry = u.registry.copy()
     counter = 0
     while counter < 1000:
-        keys = [pred_multiset(c.body) for c in clauses]
-        ranked = _shared_subbody_classes(clauses, keys, max_subbody)
+        index = UsageIndex([[c.body] for c in clauses])
+        ranked = _shared_subbody_classes(clauses, subbodies, index)
         if not ranked:
             break
         _, _, _, sub = ranked[0]
         support = make_candidate_clause(sub, f"red_{counter}")
         counter += 1
         registry.declare(support.head.pred, support.head.arity, "support")
-        need = pred_multiset(support.body)
-        new_clauses = []
-        for c, have in zip(clauses, keys):
-            chosen = []
-            if need <= have:
-                chosen = _greedy_disjoint(
-                    find_body_matches(c.body, support.body, support.head)
-                )
+        for k in sorted(index.gated(pred_counts(sub))):
+            chosen = _greedy_disjoint(find_body_matches(clauses[k].body, sub, support.head))
             if chosen:
-                new_clauses.append(apply_match_set(c, chosen))
-            else:
-                new_clauses.append(c)
-        new_clauses.append(support)
-        clauses = new_clauses
+                clauses[k] = apply_match_set(clauses[k], chosen)
+                subbodies[k] = keyed_subsets(clauses[k].body, 2, max_subbody)
+        clauses.append(support)
+        subbodies.append(keyed_subsets(support.body, 2, max_subbody))
     return Program(tuple(clauses), registry)
 
 

@@ -4,6 +4,7 @@ consequence oracle for tests."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -234,6 +235,11 @@ def unfold(p: Program, cap: int = DEFAULT_UNFOLD_CAP) -> UnfoldedProgram:
 # ---------------------------------------------------------------------------
 # Fold
 
+def pred_counts(lits) -> Counter:
+    """(pred, arity) -> the number of literals of `lits` with that pair."""
+    return Counter((lit.pred, lit.arity) for lit in lits)
+
+
 def pred_multiset(lits) -> frozenset:
     """The multiset of (pred, arity) pairs of `lits`, as the set of
     (pred, arity, k) for k up to each pair's count, so that multiset
@@ -241,11 +247,9 @@ def pred_multiset(lits) -> frozenset:
     is empty unless pred_multiset(pattern) <= pred_multiset(body): each
     pattern literal needs its own body literal of the same predicate and
     arity."""
-    counts: dict = {}
-    for lit in lits:
-        key = (lit.pred, lit.arity)
-        counts[key] = counts.get(key, 0) + 1
-    return frozenset((p, a, k) for (p, a), n in counts.items() for k in range(1, n + 1))
+    return frozenset(
+        (p, a, k) for (p, a), n in pred_counts(lits).items() for k in range(1, n + 1)
+    )
 
 
 def _bind(p: Term, t: Term, s: dict) -> bool:

@@ -1,18 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from refold import candidates
 from refold.candidates import (
     CandidateSupportClause,
     FoldingOption,
-    _count_usage,
+    UsageIndex,
     _fold_one,
     _max_disjoint_count,
     build_search_space,
     extract_candidates,
-    has_singleton_variable,
     is_profitable,
     make_candidate_clause,
-    prune_singletons,
     prune_unprofitable,
 )
 from refold.logic import (
@@ -25,7 +26,9 @@ from refold.logic import (
     parse_program,
     variant_equal,
 )
-from refold.transform import find_body_matches, pred_multiset, unfold
+from refold.transform import find_body_matches, pred_counts, pred_multiset, unfold
+
+from tests.test_acceptance import random_program
 
 
 def body_of(src: str) -> tuple:
@@ -101,6 +104,19 @@ def _gate_bodies(max_size: int):
     return st.lists(_GATE_LITERALS, min_size=1, max_size=max_size).map(tuple)
 
 
+def _gate_groups(max_body: int):
+    return st.lists(st.lists(_gate_bodies(max_body), min_size=1, max_size=3),
+                    min_size=1, max_size=3)
+
+
+def _reference_usage(pattern: tuple, head: Atom, groups: list) -> int:
+    """Ungated, unbounded: every body of every group goes to the matcher."""
+    return sum(
+        max(_max_disjoint_count(find_body_matches(b, pattern, head)) for b in g)
+        for g in groups
+    )
+
+
 class TestMatcherGate:
     def test_constant_bridged_occurrence_is_counted(self):
         # t's body has no connected 2-literal sub-body (its link is the
@@ -122,11 +138,7 @@ class TestMatcherGate:
             assert find_body_matches(body, pattern, head) == []
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        patterns=st.lists(_gate_bodies(3), min_size=1, max_size=3),
-        groups=st.lists(st.lists(_gate_bodies(4), min_size=1, max_size=2),
-                        min_size=1, max_size=3),
-    )
+    @given(patterns=st.lists(_gate_bodies(3), min_size=1, max_size=3), groups=_gate_groups(4))
     def test_gated_results_equal_ungated_reference(self, patterns, groups):
         cands = [
             CandidateSupportClause(
@@ -139,18 +151,10 @@ class TestMatcherGate:
             )
             for k, pat in enumerate(patterns)
         ]
-        keyed = [[(b, pred_multiset(b)) for b in g] for g in groups]
+        index = UsageIndex(groups)
         for c in cands:
-            reference = sum(
-                max(
-                    _max_disjoint_count(
-                        find_body_matches(b, c.clause.body, c.clause.head)
-                    )
-                    for b in g
-                )
-                for g in groups
-            )
-            assert _count_usage(c.clause.body, c.clause.head, keyed) == reference
+            reference = _reference_usage(c.clause.body, c.clause.head, groups)
+            assert index.usage(c.clause.body, c.clause.head, lambda u: True) == reference
         keys = [pred_multiset(c.clause.body) for c in cands]
         # an empty key is contained in every body's: the gate never closes
         open_keys = [frozenset()] * len(cands)
@@ -163,25 +167,55 @@ class TestMatcherGate:
                 assert gated == ungated
 
 
+class TestUsageIndex:
+    """The posting intersection and the literal-count bound against the
+    scan and the matcher they stand in for."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pattern=_gate_bodies(3), groups=_gate_groups(5))
+    def test_postings_equal_multiset_scan(self, pattern, groups):
+        bodies = [b for g in groups for b in g]
+        scan = {k for k, b in enumerate(bodies) if pred_multiset(pattern) <= pred_multiset(b)}
+        assert UsageIndex(groups).gated(pred_counts(pattern)) == scan
+
+    @settings(max_examples=300, deadline=None)
+    @given(pattern=_gate_bodies(3), groups=_gate_groups(6))
+    def test_bound_never_below_exact_usage(self, pattern, groups):
+        head = make_candidate_clause(pattern, "inv").head
+        bound = UsageIndex(groups).usage(pattern, head, lambda u: False)
+        assert bound >= _reference_usage(pattern, head, groups)
+
+    def test_group_counts_its_best_body(self):
+        # the first body of the group holds one occurrence, the second two
+        a, b = Atom("p", (Var("A"),)), Atom("p", (Var("B"),))
+        index = UsageIndex([[(a,), (a, b)], [(b,)]])
+        head = make_candidate_clause((a,), "inv").head
+        assert index.usage((a,), head, lambda u: True) == 3
+
+    def test_usage_stays_within_the_bound_when_the_disjoint_search_gives_up(self):
+        # 56 ordered pairs of 8 literals: the disjoint search passes its
+        # node cap and answers len(matches); 8 literals hold 4 pairs
+        body = tuple(Atom("p", (Var(f"X{k}"),)) for k in range(8))
+        pattern = (Atom("p", (Var("A"),)), Atom("p", (Var("B"),)))
+        head = make_candidate_clause(pattern, "inv").head
+        assert _max_disjoint_count(find_body_matches(body, pattern, head)) == 56
+        assert UsageIndex([[body]]).usage(pattern, head, lambda u: True) == 4
+
+    def test_bound_returned_without_matching(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(candidates, "find_body_matches",
+                            lambda *a: calls.append(a) or find_body_matches(*a))
+        prog = parse_program(SHARED_CHAIN)
+        index = UsageIndex([[c.body] for c in prog.clauses])
+        pattern = prog.clauses[0].body
+        head = make_candidate_clause(pattern, "inv").head
+        assert index.usage(pattern, head, lambda u: False) == 2
+        assert calls == []
+        assert index.usage(pattern, head, lambda u: True) == 2
+        assert len(calls) == 2
+
+
 class TestPruning:
-    def test_hidden_tail_variable_is_singleton(self):
-        # a column-builder whose final state variable is dropped from the head
-        body = body_of(
-            "#primitive place/4.\nh(X) :- place(b,X,E,E1), place(b,X,E1,E2)."
-        )
-        clause = Clause(Atom("sup", (Var("X"), Var("E"))), body)
-        assert has_singleton_variable(clause)
-
-    def test_full_head_has_no_singletons(self):
-        body = body_of(
-            "#primitive place/4.\nh(X) :- place(b,X,E,E1), place(b,X,E1,E2)."
-        )
-        assert not has_singleton_variable(make_candidate_clause(body, "inv"))
-
-    def test_constant_only_literal_counts_no_variables(self):
-        clause = Clause(Atom("sup", ()), (Atom("p", (Const("a"),)),))
-        assert not has_singleton_variable(clause)
-
     def test_profitability_threshold(self):
         # size 3 (2-literal body): saves usage*(size-1), costs usage + size
         assert is_profitable(3, 5)
@@ -199,7 +233,6 @@ class TestPruning:
     def test_prune_functions_filter(self):
         prog = parse_program(SHARED_CHAIN)
         cands = extract_candidates(list(prog.clauses), i=2, j=3, level=1)
-        assert prune_singletons(cands) == cands  # full heads: nothing to drop
         kept = prune_unprofitable(cands)
         assert all(is_profitable(c.size, c.usage) for c in kept)
         assert len(kept) < len(cands)
@@ -286,6 +319,25 @@ class TestSearchSpace:
             assert c.dependencies
             closure = space.candidate_closure(frozenset([c.id]))
             assert c.dependencies <= closure
+
+    def test_every_extracted_level_is_reported(self, monkeypatch):
+        # criterion 1's first 150 programs and config; a level whose
+        # candidates are all pruned keeps its LevelStats
+        returned = []
+
+        def counting(*args, **kwargs):
+            cands = extract_candidates(*args, **kwargs)
+            returned.append(len(cands))
+            return cands
+
+        monkeypatch.setattr(candidates, "extract_candidates", counting)
+        rng = random.Random(20260826)
+        stats = []
+        for _ in range(150):
+            u = unfold(random_program(rng))
+            stats += build_search_space(u, 2, 3, max_levels=1, folding_cap=20).stats
+        assert sum(st.extracted for st in stats) == sum(returned)
+        assert any(st.extracted and not st.after_usage_prune for st in stats)
 
     def test_no_candidates_stops_cleanly(self):
         prog = parse_program("#primitive p/2.\n#task t/2.\nt(A,B) :- p(A,B).")

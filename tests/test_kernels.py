@@ -2,12 +2,23 @@
 matcher, bitmask connectivity and directly rendered variant keys, each
 against a reference copy of the straightforward implementation it
 replaced (unify-based matching, union-find connectivity, rendering a
-canonicalized clause per ordering)."""
+canonicalized clause per ordering); and candidate extraction with the
+usage index, the literal-count bound and the shared sub-body
+enumeration, against a reference copy of extraction that scans every
+body, matches every candidate and enumerates sub-bodies at each use."""
 
 import itertools
+import random
 
 from hypothesis import given, settings, strategies as st
 
+from refold import candidates, copmodel
+from refold.candidates import (
+    CandidateSupportClause,
+    _max_disjoint_count,
+    build_search_space,
+    make_candidate_clause,
+)
 from refold.logic import (
     Atom,
     Clause,
@@ -27,11 +38,16 @@ from refold.transform import (
     apply_match_set,
     find_body_matches,
     fold_clause,
+    pred_multiset,
     rename_apart,
     subst_atom,
     subst_term,
+    unfold,
     unify_atoms,
 )
+
+from tests.conftest import dense_program
+from tests.test_acceptance import random_program
 
 # ---------------------------------------------------------------------------
 # Reference implementations
@@ -123,6 +139,94 @@ def reference_fold(c: Clause, s: Clause) -> list:
         if not any(variant_equal(folded, r) for r in results):
             results.append(folded)
     return results
+
+
+def reference_count_usage(body: tuple, head: Atom, clause_groups: list) -> int:
+    need = pred_multiset(body)
+    n = 0
+    for group in clause_groups:
+        n += max(
+            (
+                _max_disjoint_count(find_body_matches(b, body, head))
+                for b, have in group
+                if need <= have
+            ),
+            default=0,
+        )
+    return n
+
+
+def reference_extract_candidates(clauses, i, j, level, allowed_preds=None, pred_to_id=None,
+                                 id_start=0, usage_groups=None, subbodies=None):
+    """Takes, and ignores, the precomputed `subbodies` of the new code."""
+    if i < 1 or j < i:
+        raise ValueError(f"invalid size window [{i}, {j}]")
+    by_class: dict = {}
+    order: list = []
+    for c in clauses:
+        body = c.body if isinstance(c, Clause) else tuple(c)
+        if allowed_preds is not None:
+            body = tuple(l for l in body if l.pred in allowed_preds)
+        for subset in connected_subsets(body, i, j):
+            key = variant_key(subset)
+            if key not in by_class:
+                by_class[key] = subset
+                order.append(key)
+    if usage_groups is None:
+        usage_groups = [[c.body if isinstance(c, Clause) else tuple(c)] for c in clauses]
+    keyed_groups = [[(b, pred_multiset(b)) for b in group] for group in usage_groups]
+    out = []
+    for ordinal, key in enumerate(order):
+        subset = by_class[key]
+        clause = make_candidate_clause(subset, f"inv_{level}_{ordinal}")
+        deps = frozenset()
+        if level > 1 and pred_to_id is not None:
+            deps = frozenset(pred_to_id[l.pred] for l in subset if l.pred in pred_to_id)
+        out.append(CandidateSupportClause(
+            id=id_start + ordinal, clause=clause, level=level, body_size=len(subset),
+            dependencies=deps, usage=reference_count_usage(subset, clause.head, keyed_groups),
+        ))
+    return out
+
+
+def reference_encode_redundancy(m, space, opts, new_var, add):
+    def subbody_keys(literals):
+        if len(literals) < 2:
+            return ()
+        subs = connected_subsets(literals, 2, min(3, len(literals)))
+        seen = set()
+        out = []
+        for sub in subs:
+            key = variant_key(sub)
+            if key not in seen:
+                seen.add(key)
+                out.append((len(sub), key))
+        return out
+
+    classes: dict = {}
+    for cl in sorted(space.foldings):
+        raw = space.foldings[cl][0][0]
+        for size, key in subbody_keys(raw.literals):
+            classes.setdefault(key, [size, set(), []])[1].add(cl)
+    for cand in space.candidates:
+        svar = m.sc_vars[cand.id]
+        for size, key in subbody_keys(cand.clause.body):
+            classes.setdefault(key, [size, set(), []])[2].append(svar)
+    groups = [
+        (size, key, len(raw_cls), members)
+        for key, (size, raw_cls, members) in classes.items()
+        if len(raw_cls) + len(members) >= 2
+    ]
+    groups.sort(key=lambda g: (-g[0], g[1]))
+    for gid, (size, key, base, members) in enumerate(groups[: opts.red_group_cap]):
+        rvar = new_var(("RED", gid))
+        m.red_vars[gid] = rvar
+        m.red_members[rvar] = tuple(members)
+        m.red_base[rvar] = base
+        m.objective[rvar] = 1
+        k = base + len(members)
+        add([(k - 1, rvar)] + [(-1, f) for f in members], base - 1, "red-force")
+        add([(1, f) for f in members] + [(-2, rvar)], -base, "red-honest")
 
 
 def _unfresh(t):
@@ -255,3 +359,49 @@ class TestVariantKey:
         body = tuple(Atom("p", (Var(f"V{k}"), Var(f"W{k}"))) for k in range(3))
         wide = (Atom("w", tuple(Var(f"V{k}") for k in range(28))),) + body
         assert variant_key(wide) == reference_variant_key(wide)
+
+
+# ---------------------------------------------------------------------------
+# Extraction and the redundancy encoding against their reference copies
+
+# two levels of candidates over literals with constants; the two clauses
+# ending in place(d,...) differ from the other three, so both levels prune
+_TWO_LEVELS = "\n".join(
+    ["#primitive place/4.", "#primitive right/2."]
+    + [f"#task t{k}/3." for k in range(5)]
+    + [
+        f"t{k}(X,E,E4) :- place(b,X,E,E1), right(X,Y), place(hor,Y,E1,E2), "
+        f"place(b,X,E2,E3), place({'c' if k < 3 else 'd'},X,E3,E4)."
+        for k in range(5)
+    ]
+)
+
+
+def _space_and_model(program, space_args: dict):
+    u = unfold(program)
+    space = build_search_space(u, 2, 3, **space_args)
+    model = copmodel.encode(space, u)
+    kept = [(c.id, c.clause, c.level, c.usage) for c in space.candidates]
+    return kept, space.foldings, (model.vars, model.constraints, model.objective), space
+
+
+def _reference_cases():
+    rng = random.Random(20260826)  # criterion 1's programs and config
+    criterion_1 = {"max_levels": 1, "folding_cap": 20}
+    cases = [(f"criterion-1-{k}", random_program(rng), criterion_1) for k in range(40)]
+    cases.append(("dense", dense_program(), {}))
+    cases.append(("two-levels", parse_program(_TWO_LEVELS), {}))
+    return cases
+
+
+def test_extraction_and_model_equal_reference(monkeypatch):
+    levels = set()
+    for name, program, space_args in _reference_cases():
+        with monkeypatch.context() as patched:
+            patched.setattr(candidates, "extract_candidates", reference_extract_candidates)
+            patched.setattr(copmodel, "_encode_redundancy", reference_encode_redundancy)
+            want = _space_and_model(program, space_args)
+        got = _space_and_model(program, space_args)
+        assert got[:3] == want[:3], name
+        levels.add(got[3].max_level)
+    assert levels >= {1, 2}

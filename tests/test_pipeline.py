@@ -1,10 +1,13 @@
+import functools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refold.logic import parse_program
+from refold import cli, pipeline
+from refold.copmodel import EncodeOptions
+from refold.logic import parse_program, render_program
 from refold.pipeline import (
     RefactorConfig,
     hypothesis_space_size,
@@ -46,6 +49,22 @@ class TestRefactor:
         assert out is prog
         assert report.equivalence_verified
         assert report.refactored_literals == prog.size
+
+    @pytest.mark.parametrize("cap", ["max_variables", "max_constraints"])
+    def test_model_over_a_cap_returns_the_input(self, monkeypatch, tmp_path, cap):
+        monkeypatch.setattr(
+            pipeline, "EncodeOptions", functools.partial(EncodeOptions, **{cap: 1})
+        )
+        prog = chain_program(5)
+        out, report = refactor(prog)
+        assert out is prog
+        assert report.no_gain_fallback
+        assert report.stop_reason.startswith("model cap:") and "(cap 1)" in report.stop_reason
+        path = tmp_path / "kb.pl"
+        path.write_text(render_program(prog))
+        code = cli.main(["refactor", str(path), "-o", str(tmp_path / "out.pl")])
+        assert code == cli.EXIT_NO_GAIN
+        assert parse_program((tmp_path / "out.pl").read_text()).size == prog.size
 
     def test_empty_program(self):
         prog = parse_program("#primitive p/2.\n#task t/2.")
