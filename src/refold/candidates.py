@@ -82,18 +82,6 @@ class LevelledSearchSpace:
     def by_id(self, cid: int) -> CandidateSupportClause:
         return self.candidates[cid]
 
-    def candidate_closure(self, ids: frozenset) -> frozenset:
-        """ids plus all transitive dependencies."""
-        out = set()
-        stack = list(ids)
-        while stack:
-            cid = stack.pop()
-            if cid in out:
-                continue
-            out.add(cid)
-            stack.extend(self.by_id(cid).dependencies)
-        return frozenset(out)
-
 
 def make_candidate_clause(subset: tuple, pred: str) -> Clause:
     """Invented head over the subset's variables in first-occurrence order."""
@@ -202,12 +190,11 @@ def extract_candidates(
     level: int,
     allowed_preds: Optional[set] = None,
     pred_to_id: Optional[dict] = None,
-    id_start: int = 0,
     usage_groups: Optional[list] = None,
     subbodies: Optional[list] = None,
 ) -> list:
     """One candidate per variant class of connected body subsets of size
-    in [i, j], with deterministic ids and usage counts.
+    in [i, j], with ids 0, 1, ... and usage counts.
 
     `usage_groups` is a list of clause-body groups that UsageIndex.usage
     counts over (defaults to one group per input clause). `subbodies`
@@ -239,7 +226,7 @@ def extract_candidates(
         usage = index.usage(subset, clause.head, lambda u: is_profitable(size, u))
         out.append(
             CandidateSupportClause(
-                id=id_start + ordinal,
+                id=ordinal,
                 clause=clause,
                 level=level,
                 body_size=len(subset),
@@ -308,7 +295,6 @@ def build_search_space(
             level,
             allowed_preds=allowed,
             pred_to_id=pred_to_id if level > 1 else None,
-            id_start=len(all_cands),
             usage_groups=usage_groups,
             subbodies=subbodies if level == 1 else None,
         )

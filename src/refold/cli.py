@@ -59,10 +59,11 @@ def _write(path, text: str):
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--min-body", type=int, default=2)
-    p.add_argument("--max-body", type=int, default=3)
-    p.add_argument("--max-levels", type=int, default=None)
-    p.add_argument("--timeout-seconds", type=float, default=60.0)
+    # unset flags keep RefactorConfig's and SolverBudget's defaults
+    p.add_argument("--min-body", type=int)
+    p.add_argument("--max-body", type=int)
+    p.add_argument("--max-levels", type=int)
+    p.add_argument("--timeout-seconds", type=float)
     p.add_argument(
         "--predicate-cap",
         action="store_true",
@@ -117,16 +118,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_refactor(args) -> int:
-    if args.timeout_seconds < 1:
-        raise InputError("timeout must be >= 1 second")
+    given = {
+        name: getattr(args, name)
+        for name in ("min_body", "max_body", "max_levels")
+        if getattr(args, name) is not None
+    }
     try:
+        if args.timeout_seconds is not None:
+            if args.timeout_seconds < 1:
+                raise InputError("timeout must be >= 1 second")
+            given["budget"] = SolverBudget(wall_time=args.timeout_seconds)
         cfg = RefactorConfig(
-            min_body=args.min_body,
-            max_body=args.max_body,
-            max_levels=args.max_levels,
-            budget=SolverBudget(wall_time=args.timeout_seconds),
             enforce_predicate_cap=args.predicate_cap,
             model_dump_path=args.model_dump,
+            **given,
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc

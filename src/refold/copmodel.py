@@ -29,6 +29,9 @@ from .transform import UnfoldedProgram
 from .candidates import RED_SUBBODY_MAX, LevelledSearchSpace, keyed_subsets
 
 DEFAULT_RED_GROUP_CAP = 2000
+# a model over either size makes refactor() return its input
+MAX_VARIABLES = 200_000
+MAX_CONSTRAINTS = 500_000
 
 
 class ModelError(Exception):
@@ -84,21 +87,16 @@ def objective_value(model: CopModel, values) -> int:
     return sum(w for v, w in model.objective.items() if values[v])
 
 
-@dataclass
-class EncodeOptions:
-    enforce_predicate_cap: bool = False
-    original_predicate_count: Optional[int] = None
-    red_group_cap: int = DEFAULT_RED_GROUP_CAP
-    max_variables: int = 200_000
-    max_constraints: int = 500_000
-
-
 def encode(
     space: LevelledSearchSpace,
     unfolded: UnfoldedProgram,
-    opts: Optional[EncodeOptions] = None,
+    red_group_cap: int = DEFAULT_RED_GROUP_CAP,
+    original_predicates: Optional[int] = None,
 ) -> CopModel:
-    opts = opts or EncodeOptions()
+    """The model of `space`, with at most `red_group_cap` RED groups.
+    Given `original_predicates`, the input's predicate count, the output
+    may use no more predicates than that. Raises ModelError for a model
+    over MAX_VARIABLES or MAX_CONSTRAINTS."""
     m = CopModel(vars=[], constraints=[], objective={})
 
     def new_var(tag) -> int:
@@ -136,30 +134,28 @@ def encode(
         add([(-1, p) for p, _, _, _ in picks_here], -1, "pick-hi")
         m.clause_picks[cl] = picks_here
 
-    _encode_redundancy(m, space, opts, new_var, add)
+    _encode_redundancy(m, space, red_group_cap, new_var, add)
 
-    if opts.enforce_predicate_cap:
-        if opts.original_predicate_count is None:
-            raise ModelError("predicate cap requested without the original count")
+    if original_predicates is not None:
         base = len(
             {l.pred for c in unfolded.clauses for l in c.body}
             | {c.head.pred for c in unfolded.clauses}
         )
-        cap = max(0, opts.original_predicate_count - base)
+        cap = max(0, original_predicates - base)
         m.sc_cap = cap
         if m.sc_vars:
             add([(-1, v) for v in m.sc_vars.values()], -cap, "pred-cap")
 
-    if m.num_vars > opts.max_variables:
-        raise ModelError(f"model has {m.num_vars} variables (cap {opts.max_variables})")
-    if len(m.constraints) > opts.max_constraints:
+    if m.num_vars > MAX_VARIABLES:
+        raise ModelError(f"model has {m.num_vars} variables (cap {MAX_VARIABLES})")
+    if len(m.constraints) > MAX_CONSTRAINTS:
         raise ModelError(
-            f"model has {len(m.constraints)} constraints (cap {opts.max_constraints})"
+            f"model has {len(m.constraints)} constraints (cap {MAX_CONSTRAINTS})"
         )
     return m
 
 
-def _encode_redundancy(m: CopModel, space, opts, new_var, add):
+def _encode_redundancy(m: CopModel, space, red_group_cap: int, new_var, add):
     """One RED var per variant class of connected sub-bodies (size >= 2)
     occurring in two or more clauses, where the clauses counted are the
     input clauses (a constant contribution) and the selected candidates'
@@ -188,7 +184,7 @@ def _encode_redundancy(m: CopModel, space, opts, new_var, add):
         if len(raw_cls) + len(members) >= 2
     ]
     groups.sort(key=lambda g: (-g[0], g[1]))
-    for gid, (size, key, base, members) in enumerate(groups[: opts.red_group_cap]):
+    for gid, (size, key, base, members) in enumerate(groups[:red_group_cap]):
         rvar = new_var(("RED", gid))
         m.red_vars[gid] = rvar
         m.red_members[rvar] = tuple(members)

@@ -198,9 +198,6 @@ class Program:
                 seen.setdefault(lit.pred, None)
         return list(seen)
 
-    def clauses_for(self, pred: str) -> list:
-        return [c for c in self.clauses if c.head.pred == pred]
-
 
 # ---------------------------------------------------------------------------
 # Parsing

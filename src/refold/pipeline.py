@@ -15,8 +15,15 @@ from .transform import (
     syntactic_equiv,
     unfold,
 )
-from .candidates import UsageIndex, build_search_space, keyed_subsets, make_candidate_clause
-from .copmodel import EncodeOptions, ModelError, decode, encode, render_model
+from .candidates import (
+    DEFAULT_FOLDING_CAP,
+    RED_SUBBODY_MAX,
+    UsageIndex,
+    build_search_space,
+    keyed_subsets,
+    make_candidate_clause,
+)
+from .copmodel import DEFAULT_RED_GROUP_CAP, ModelError, decode, encode, render_model
 from .solver import SolveTrace, SolverBudget, solve
 
 
@@ -28,6 +35,9 @@ class VerificationError(RefactorError):
     pass
 
 
+HYP_CLAUSES = 5  # clause count of the hypothesis-space statistic
+
+
 @dataclass
 class RefactorConfig:
     min_body: int = 2
@@ -35,12 +45,9 @@ class RefactorConfig:
     max_levels: Optional[int] = None
     budget: SolverBudget = field(default_factory=SolverBudget)
     enforce_predicate_cap: bool = False
-    fallback_on_no_gain: bool = True
-    folding_cap: int = 500
-    red_group_cap: int = 2000
+    folding_cap: int = DEFAULT_FOLDING_CAP
+    red_group_cap: int = DEFAULT_RED_GROUP_CAP
     model_dump_path: Optional[str] = None
-    # clause count of the hypothesis-space statistic
-    hyp_clauses: int = 5
 
     def __post_init__(self):
         # candidate bodies are keyed by variant_key, which caps their length
@@ -133,12 +140,12 @@ def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
     """Returns (refactored Program, RefactorReport). The output is always
     machine-verified to be syntactically equivalent to the input, or is
     the input itself: when nothing smaller is found, and when the model
-    exceeds a size cap of EncodeOptions."""
+    exceeds copmodel's MAX_VARIABLES or MAX_CONSTRAINTS."""
     cfg = cfg or RefactorConfig()
     report = RefactorReport()
     report.original_literals = p.size
     report.original_predicates = len(p.predicates())
-    report.hyp_log_size_before = _hyp_log_size(p, cfg.hyp_clauses)
+    report.hyp_log_size_before = _hyp_log_size(p, HYP_CLAUSES)
     if not p.clauses:
         report.refactored_literals = 0
         report.equivalence_verified = True
@@ -155,13 +162,15 @@ def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
     report.level_stats = space.stats
     report.stop_reason = space.stop_reason
 
-    opts = EncodeOptions(
-        enforce_predicate_cap=cfg.enforce_predicate_cap,
-        original_predicate_count=report.original_predicates,
-        red_group_cap=cfg.red_group_cap,
-    )
     try:
-        model = encode(space, u, opts)
+        model = encode(
+            space,
+            u,
+            red_group_cap=cfg.red_group_cap,
+            original_predicates=(
+                report.original_predicates if cfg.enforce_predicate_cap else None
+            ),
+        )
     except ModelError as exc:
         report.stop_reason = f"model cap: {exc}"
         return _unchanged(p, report)
@@ -180,7 +189,7 @@ def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
         )
     report.equivalence_verified = True
 
-    if out.size >= p.size and cfg.fallback_on_no_gain:
+    if out.size >= p.size:
         return _unchanged(p, report)
 
     report.refactored_literals = out.size
@@ -188,7 +197,7 @@ def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
     report.invented_predicates = len(
         set(out.registry.by_role("support")) - set(p.registry.entries)
     )
-    report.hyp_log_size_after = _hyp_log_size(out, cfg.hyp_clauses)
+    report.hyp_log_size_after = _hyp_log_size(out, HYP_CLAUSES)
     return out, report
 
 
@@ -225,13 +234,13 @@ def _shared_subbody_classes(clauses: list, subbodies: list, index: UsageIndex) -
     return ranked
 
 
-def remove_redundancy_baseline(p: Program, max_subbody: int = 3) -> Program:
-    """One support clause per repeated sub-body, greedily folded
-    everywhere; no optimization. A clause's sub-bodies are enumerated
+def remove_redundancy_baseline(p: Program) -> Program:
+    """One support clause per repeated sub-body of 2..RED_SUBBODY_MAX
+    literals, greedily folded everywhere; no optimization. A clause's sub-bodies are enumerated
     once, and again only after a fold changes it."""
     u = unfold(p)
     clauses = list(u.clauses)
-    subbodies = [keyed_subsets(c.body, 2, max_subbody) for c in clauses]
+    subbodies = [keyed_subsets(c.body, 2, RED_SUBBODY_MAX) for c in clauses]
     registry = u.registry.copy()
     counter = 0
     while counter < 1000:
@@ -247,9 +256,9 @@ def remove_redundancy_baseline(p: Program, max_subbody: int = 3) -> Program:
             chosen = _greedy_disjoint(find_body_matches(clauses[k].body, sub, support.head))
             if chosen:
                 clauses[k] = apply_match_set(clauses[k], chosen)
-                subbodies[k] = keyed_subsets(clauses[k].body, 2, max_subbody)
+                subbodies[k] = keyed_subsets(clauses[k].body, 2, RED_SUBBODY_MAX)
         clauses.append(support)
-        subbodies.append(keyed_subsets(support.body, 2, max_subbody))
+        subbodies.append(keyed_subsets(support.body, 2, RED_SUBBODY_MAX))
     return Program(tuple(clauses), registry)
 
 

@@ -85,8 +85,8 @@ class TestExtraction:
 
     def test_ids_are_contiguous_from_start(self):
         prog = parse_program(SHARED_CHAIN)
-        cands = extract_candidates(list(prog.clauses), i=2, j=3, level=1, id_start=7)
-        assert [c.id for c in cands] == list(range(7, 7 + len(cands)))
+        cands = extract_candidates(list(prog.clauses), i=2, j=3, level=1)
+        assert [c.id for c in cands] == list(range(len(cands)))
 
 
 # p/1 beside p/2: the gate must key on arity as well as on the predicate
@@ -317,8 +317,6 @@ class TestSearchSpace:
         for c in lvl2:
             assert {l.pred for l in c.clause.body} <= lvl1_preds
             assert c.dependencies
-            closure = space.candidate_closure(frozenset([c.id]))
-            assert c.dependencies <= closure
 
     def test_every_extracted_level_is_reported(self, monkeypatch):
         # criterion 1's first 150 programs and config; a level whose

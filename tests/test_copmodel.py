@@ -1,10 +1,10 @@
 import pytest
 
+from refold import copmodel
 from refold.candidates import build_search_space
 from refold.copmodel import (
     Assignment,
     CopModel,
-    EncodeOptions,
     LinearConstraint,
     ModelError,
     check_assignment,
@@ -34,7 +34,7 @@ def chain_program(copies: int, length: int = 3):
 def encoded(prog, **kw):
     u = unfold(prog)
     space = build_search_space(u, i=2, j=3)
-    return space, u, encode(space, u, EncodeOptions(**kw) if kw else None)
+    return space, u, encode(space, u, **kw)
 
 
 class TestEncode:
@@ -104,20 +104,17 @@ class TestEncode:
 
     def test_predicate_cap(self):
         prog = chain_program(4)
-        space, u, model = encoded(
-            prog,
-            enforce_predicate_cap=True,
-            original_predicate_count=len(prog.registry.entries),
-        )
+        space, u, model = encoded(prog, original_predicates=len(prog.registry.entries))
         assert model.sc_cap is not None
         # selecting more candidates than the cap is rejected
         if len(model.sc_vars) > model.sc_cap:
             over = set(list(model.sc_vars.values())[: model.sc_cap + 1])
             assert assignment_from_selection(model, over) is None
 
-    def test_size_limits_enforced(self):
+    def test_size_limits_enforced(self, monkeypatch):
+        monkeypatch.setattr(copmodel, "MAX_VARIABLES", 3)
         with pytest.raises(ModelError):
-            encoded(chain_program(4), max_variables=3)
+            encoded(chain_program(4))
 
 
 def single_chain_program():

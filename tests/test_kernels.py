@@ -157,7 +157,7 @@ def reference_count_usage(body: tuple, head: Atom, clause_groups: list) -> int:
 
 
 def reference_extract_candidates(clauses, i, j, level, allowed_preds=None, pred_to_id=None,
-                                 id_start=0, usage_groups=None, subbodies=None):
+                                 usage_groups=None, subbodies=None):
     """Takes, and ignores, the precomputed `subbodies` of the new code."""
     if i < 1 or j < i:
         raise ValueError(f"invalid size window [{i}, {j}]")
@@ -183,13 +183,13 @@ def reference_extract_candidates(clauses, i, j, level, allowed_preds=None, pred_
         if level > 1 and pred_to_id is not None:
             deps = frozenset(pred_to_id[l.pred] for l in subset if l.pred in pred_to_id)
         out.append(CandidateSupportClause(
-            id=id_start + ordinal, clause=clause, level=level, body_size=len(subset),
+            id=ordinal, clause=clause, level=level, body_size=len(subset),
             dependencies=deps, usage=reference_count_usage(subset, clause.head, keyed_groups),
         ))
     return out
 
 
-def reference_encode_redundancy(m, space, opts, new_var, add):
+def reference_encode_redundancy(m, space, red_group_cap, new_var, add):
     def subbody_keys(literals):
         if len(literals) < 2:
             return ()
@@ -218,7 +218,7 @@ def reference_encode_redundancy(m, space, opts, new_var, add):
         if len(raw_cls) + len(members) >= 2
     ]
     groups.sort(key=lambda g: (-g[0], g[1]))
-    for gid, (size, key, base, members) in enumerate(groups[: opts.red_group_cap]):
+    for gid, (size, key, base, members) in enumerate(groups[:red_group_cap]):
         rvar = new_var(("RED", gid))
         m.red_vars[gid] = rvar
         m.red_members[rvar] = tuple(members)

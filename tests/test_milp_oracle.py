@@ -8,7 +8,7 @@ import random
 import pytest
 
 from refold.candidates import build_search_space
-from refold.copmodel import EncodeOptions, encode
+from refold.copmodel import encode
 from refold.pipeline import RefactorConfig
 from refold.solver import BRUTE_FORCE_SC_CAP, SolverBudget, solve
 from refold.transform import unfold
@@ -51,7 +51,7 @@ def pipeline_model(prog, cfg: RefactorConfig):
     space = build_search_space(
         u, cfg.min_body, cfg.max_body, cfg.max_levels, folding_cap=cfg.folding_cap
     )
-    return encode(space, u, EncodeOptions(red_group_cap=cfg.red_group_cap))
+    return encode(space, u, red_group_cap=cfg.red_group_cap)
 
 
 def check_against_highs(model, max_decisions: int) -> str:

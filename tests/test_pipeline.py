@@ -1,12 +1,10 @@
-import functools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refold import cli, pipeline
-from refold.copmodel import EncodeOptions
+from refold import cli, copmodel
 from refold.logic import parse_program, render_program
 from refold.pipeline import (
     RefactorConfig,
@@ -52,9 +50,7 @@ class TestRefactor:
 
     @pytest.mark.parametrize("cap", ["max_variables", "max_constraints"])
     def test_model_over_a_cap_returns_the_input(self, monkeypatch, tmp_path, cap):
-        monkeypatch.setattr(
-            pipeline, "EncodeOptions", functools.partial(EncodeOptions, **{cap: 1})
-        )
+        monkeypatch.setattr(copmodel, cap.upper(), 1)
         prog = chain_program(5)
         out, report = refactor(prog)
         assert out is prog
