@@ -159,6 +159,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if args.body_len < 1 or args.clauses < 1:
+        raise InputError("--body-len and --clauses must be >= 1")
     program = _read_program(args.input)
     preds = program.predicates()
     lines = [
@@ -177,6 +179,23 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    wanted = [c.strip() for c in args.conditions.split(",") if c.strip()]
+    if not wanted:
+        raise InputError("at least one condition is required")
+    for label in wanted:
+        if label not in ("original", "baseline", "refactored"):
+            raise InputError(f"unknown condition: {label}")
+    if args.domain == "lego" and args.width < 2:
+        raise InputError("--width must be >= 2")
+    try:
+        cfg = RefactorConfig(
+            max_levels=2,
+            folding_cap=20,
+            red_group_cap=300,
+            budget=SolverBudget(wall_time=args.refactor_seconds),
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     limits = SynthesisLimits(
         max_depth=args.max_depth,
         max_nodes=args.max_nodes,
@@ -197,26 +216,15 @@ def _cmd_bench(args) -> int:
             args.target_tasks, seed=args.seed + 1, prefix="tg"
         )
     bk, _ = accumulate_background(bg, base, limits)
-    wanted = [c.strip() for c in args.conditions.split(",") if c.strip()]
     conditions = []
     for label in wanted:
         if label == "original":
             conditions.append((label, bk))
         elif label == "baseline":
             conditions.append((label, remove_redundancy_baseline(bk)))
-        elif label == "refactored":
-            refactored, _ = refactor(
-                bk,
-                RefactorConfig(
-                    max_levels=2,
-                    folding_cap=20,
-                    red_group_cap=300,
-                    budget=SolverBudget(wall_time=args.refactor_seconds),
-                ),
-            )
-            conditions.append((label, refactored))
         else:
-            raise InputError(f"unknown condition: {label}")
+            refactored, _ = refactor(bk, cfg)
+            conditions.append((label, refactored))
     result = run_benchmark(conditions, targets, limits)
     _write(args.output, result.render())
     return EXIT_OK
@@ -237,8 +245,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (InputError, TransformError) as exc:
         # a TransformError is unfolding rejecting an input program: recursive
-        # or undefined support predicates, a task predicate in a body, or an
-        # unfolding over its cap
+        # or undefined support predicates, a task predicate in a body, a
+        # support predicate in a primitive clause, or an unfolding over its cap
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except VerificationError as exc:

@@ -203,12 +203,13 @@ def decode(
     space: LevelledSearchSpace,
     unfolded: UnfoldedProgram,
 ) -> Program:
-    """Selected foldings (one per clause) plus selected candidates' clauses."""
+    """The primitive-headed clauses, selected foldings (one per clause)
+    and selected candidates' clauses."""
     if a.status == "infeasible":
         raise ModelError("cannot decode an infeasible assignment")
     if not check_assignment(model, a.values):
         raise ModelError("assignment violates the model constraints (solver bug)")
-    clauses = []
+    clauses = list(unfolded.primitive_clauses)
     for cl in sorted(space.foldings):
         chosen = None
         for pvar, _, lvl, n in model.clause_picks[cl]:

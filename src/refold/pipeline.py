@@ -55,6 +55,12 @@ class RefactorConfig:
             raise ValueError(
                 f"need 1 <= min_body <= max_body <= {VARIANT_KEY_CAP}"
             )
+        if self.max_levels is not None and self.max_levels < 0:
+            raise ValueError("need max_levels >= 0")
+        if self.folding_cap < 1:
+            raise ValueError("need folding_cap >= 1")
+        if self.red_group_cap < 0:
+            raise ValueError("need red_group_cap >= 0")
 
 
 @dataclass
@@ -236,8 +242,9 @@ def _shared_subbody_classes(clauses: list, subbodies: list, index: UsageIndex) -
 
 def remove_redundancy_baseline(p: Program) -> Program:
     """One support clause per repeated sub-body of 2..RED_SUBBODY_MAX
-    literals, greedily folded everywhere; no optimization. A clause's sub-bodies are enumerated
-    once, and again only after a fold changes it."""
+    literals, greedily folded everywhere; no optimization. A clause's
+    sub-bodies are enumerated once, and again only after a fold changes
+    it."""
     u = unfold(p)
     clauses = list(u.clauses)
     subbodies = [keyed_subsets(c.body, 2, RED_SUBBODY_MAX) for c in clauses]
@@ -259,7 +266,7 @@ def remove_redundancy_baseline(p: Program) -> Program:
                 subbodies[k] = keyed_subsets(clauses[k].body, 2, RED_SUBBODY_MAX)
         clauses.append(support)
         subbodies.append(keyed_subsets(support.body, 2, RED_SUBBODY_MAX))
-    return Program(tuple(clauses), registry)
+    return Program(u.primitive_clauses + tuple(clauses), registry)
 
 
 def _greedy_disjoint(matches: list) -> list:

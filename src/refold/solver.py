@@ -8,6 +8,7 @@ then depth-first branch and bound with unit propagation closes the gap.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,8 +30,9 @@ class SolverBudget:
     max_decisions: Optional[int] = None
 
     def __post_init__(self):
-        if self.wall_time <= 0:
-            raise ValueError("wall_time must be positive")
+        # a NaN budget would never run out: every elapsed >= nan is false
+        if not (math.isfinite(self.wall_time) and self.wall_time > 0):
+            raise ValueError("wall_time must be finite and positive")
 
 
 @dataclass

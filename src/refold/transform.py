@@ -47,15 +47,17 @@ DEFAULT_UNFOLD_CAP = 10_000
 
 @dataclass
 class UnfoldedProgram:
-    """Task-headed clauses whose bodies mention primitives only."""
+    """Task-headed clauses whose bodies mention primitives only, and the
+    source's primitive-headed clauses, which pass through unchanged."""
 
     clauses: tuple
     origin: tuple  # index -> original task clause index in the source program
     registry: PredicateRegistry
+    primitive_clauses: tuple
 
     @property
     def size(self) -> int:
-        return sum(c.size for c in self.clauses)
+        return sum(c.size for c in self.clauses + self.primitive_clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +129,9 @@ def rename_apart(c: Clause) -> Clause:
 
 def unfold(p: Program, cap: int = DEFAULT_UNFOLD_CAP) -> UnfoldedProgram:
     """Inline every support predicate until task-clause bodies mention
-    primitives only. One output clause per complete inlining choice."""
+    primitives only. One output clause per complete inlining choice.
+    Primitive-headed clauses are kept as they are, so their bodies may
+    not call support predicates."""
     reg = p.registry
     defs: dict = {}
     for c in p.clauses:
@@ -221,15 +225,27 @@ def unfold(p: Program, cap: int = DEFAULT_UNFOLD_CAP) -> UnfoldedProgram:
 
     out_clauses = []
     origin = []
+    primitive_clauses = []
     for idx, c in enumerate(p.clauses):
-        if reg.role(c.head.pred) != "task":
+        role = reg.role(c.head.pred)
+        if role == "primitive":
+            for lit in c.body:
+                if reg.role(lit.pred) == "support":
+                    raise TransformError(
+                        f"support predicate {lit.pred} occurs in the body of "
+                        f"primitive {c.head.pred}"
+                    )
+            primitive_clauses.append(c)
+        if role != "task":
             continue
         for u in expand_clause(c):
             out_clauses.append(u)
             origin.append(idx)
             if len(out_clauses) > cap:
                 raise UnfoldExplosionError(f"unfolding exceeded the cap of {cap} clauses")
-    return UnfoldedProgram(tuple(out_clauses), tuple(origin), reg.copy())
+    return UnfoldedProgram(
+        tuple(out_clauses), tuple(origin), reg.copy(), tuple(primitive_clauses)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +455,19 @@ def multiset_variant_equal(cs1: list, cs2: list) -> bool:
 
 
 def syntactic_equiv(p1: Program, p2: Program, cap: int = DEFAULT_UNFOLD_CAP) -> bool:
-    """True iff unfold(p1) and unfold(p2) are the same multiset of clauses
-    up to variable renaming and clause order."""
+    """True iff unfold(p1) and unfold(p2) have the same multisets of task
+    clauses and of primitive-headed clauses, up to variable renaming and
+    clause order."""
     t1 = set(p1.registry.by_role("task"))
     t2 = set(p2.registry.by_role("task"))
     if t1 != t2:
         return False
     u1 = unfold(p1, cap)
     u2 = unfold(p2, cap)
-    return multiset_variant_equal(list(u1.clauses), list(u2.clauses))
+    return all(
+        multiset_variant_equal(list(a), list(b))
+        for a, b in [(u1.clauses, u2.clauses), (u1.primitive_clauses, u2.primitive_clauses)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,11 @@ s(f(X),X) :- p(X).
 t(Y) :- s(Y,Y).
 """
 
+# under --max-levels 0, only dropping the primitive facts would save literals
+FACTS_KB = "#primitive e/2.\n#task t/2.\ne(a,b).\ne(b,c).\n" + (
+    "t(A,D) :- e(A,B), e(B,C), e(C,D).\n" * 3
+)
+
 
 @pytest.fixture
 def kb_path(tmp_path):
@@ -136,8 +141,13 @@ class TestRefactorCommand:
                 "#primitive p/1.\n#task t/1.\n#support s/1.\nt(X) :- s(X).\n",
                 "has no clauses",
             ),
+            (
+                "#primitive p/1.\n#task t/1.\np(X) :- s(X).\ns(X) :- p(X).\n"
+                "t(X) :- p(X).\n",
+                "body of primitive p",
+            ),
         ],
-        ids=["recursive-support", "support-without-clauses"],
+        ids=["recursive-support", "support-without-clauses", "support-in-primitive-clause"],
     )
     @pytest.mark.parametrize("command", ["refactor", "verify"])
     def test_unfolding_input_errors(self, tmp_path, capsys, source, message, command):
@@ -180,6 +190,32 @@ class TestRefactorCommand:
         code = cli.main(["refactor", str(kb_path), "--timeout-seconds", "2"] + flags)
         assert code == cli.EXIT_INPUT_ERROR
         assert "max_body" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--timeout-seconds", "nan"], ["--timeout-seconds", "inf"], ["--max-levels", "-2"]],
+    )
+    def test_out_of_range_setting_is_an_input_error(self, kb_path, capsys, flags):
+        code = cli.main(["refactor", str(kb_path)] + flags)
+        assert code == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_primitive_facts_pass_through(self, tmp_path):
+        path = tmp_path / "kb.pl"
+        path.write_text(FACTS_KB)
+        out = tmp_path / "out.pl"
+        report = tmp_path / "report.txt"
+        code = cli.main(
+            ["refactor", str(path), "-o", str(out), "--report", str(report),
+             "--max-levels", "0", "--timeout-seconds", "2"]
+        )
+        assert code == cli.EXIT_NO_GAIN
+        assert "refactored_literals: 14" in report.read_text()
+        assert parse_program(out.read_text()).size == 14
+        assert cli.main(["verify", str(path), str(out)]) == cli.EXIT_OK
+        lacking = tmp_path / "lacking.pl"
+        lacking.write_text(FACTS_KB.replace("e(b,c).\n", ""))
+        assert cli.main(["verify", str(path), str(lacking)]) == cli.EXIT_VERIFY_FAILED
 
     def test_internal_error_exit_code(self, kb_path, capsys, monkeypatch):
         def boom(program, cfg):
@@ -267,6 +303,29 @@ class TestBenchCommand:
         text = out.read_text()
         assert "original" in text
         assert "solved" in text
+
+
+# tiny synthesis limits, so that a run that gets past its options ends fast
+TINY_BENCH = ["--background-tasks", "1", "--target-tasks", "1", "--max-depth", "2",
+              "--max-nodes", "50", "--task-seconds", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "{kb}", "--body-len", "0"],
+        ["stats", "{kb}", "--clauses", "0"],
+        ["bench", "--width", "1"] + TINY_BENCH,
+        ["bench", "--conditions", ","] + TINY_BENCH,
+        ["bench", "--refactor-seconds", "nan"] + TINY_BENCH,
+    ],
+    ids=["stats-body-len", "stats-clauses", "bench-width", "bench-no-condition",
+         "bench-refactor-seconds"],
+)
+def test_out_of_range_option_is_an_input_error(kb_path, capsys, argv):
+    code = cli.main([a.format(kb=kb_path) for a in argv])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error:")
 
 
 class TestRoundTrip:

@@ -1,9 +1,10 @@
 """End-to-end fuzzing of refactor() on generated programs: predicates of
 arity 0-3, constants, compound terms, repeated variables, star- and
-tree-shaped bodies and a multi-clause support predicate whose head may
-repeat a variable. Each output is checked against the input with a
-bottom-up oracle on a random fact base, which does not use the
-syntactic-equivalence check refactor() gates its own output with."""
+tree-shaped bodies, a multi-clause support predicate whose head may
+repeat a variable, and primitive facts. Each output is checked against
+the input with a bottom-up oracle on a random fact base, which does not
+use the syntactic-equivalence check refactor() gates its own output
+with, and must keep the program's primitive facts."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -91,6 +92,9 @@ def programs(draw):
         head = _head(f"t{t}", body, draw(st.integers(0, 2)))
         lines.append(f"#task t{t}/{head.arity}.")
         clauses.append(Clause(head, body))
+    for pred, arity in draw(st.lists(st.sampled_from(PRIMITIVES), max_size=3)):
+        args = tuple(draw(st.sampled_from(GROUND)) for _ in range(arity))
+        clauses.append(Clause(Atom(pred, args)))
     lines += [repr(c) for c in clauses]
     return parse_program("\n".join(lines))
 
@@ -113,6 +117,10 @@ def _same_program(p1: Program, p2: Program) -> bool:
     )
 
 
+def _primitive_clauses(p: Program) -> list:
+    return [c for c in p.clauses if p.registry.role(c.head.pred) == "primitive"]
+
+
 def _consequences(p: Program, facts: tuple, tasks: set) -> set:
     return restricted_consequences(Program(p.clauses + facts, p.registry), tasks, depth=8)
 
@@ -126,5 +134,6 @@ def test_refactor_preserves_meaning(p, facts):
         assert report.equivalence_verified and syntactic_equiv(p, out)
         assert out.size < p.size
     assert _same_program(parse_program(render_program(out)), out)
+    assert _primitive_clauses(out) == _primitive_clauses(p)
     tasks = set(p.registry.by_role("task"))
     assert _consequences(out, facts, tasks) == _consequences(p, facts, tasks)

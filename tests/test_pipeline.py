@@ -28,6 +28,21 @@ PILLAR_WALL_POST = (
     "place(hor,X,E3,E4)."
 )
 
+# two primitive facts, then four copies of a 3-chain worth folding
+FACTS_AND_CHAINS = "#primitive e/2.\ne(a,b).\ne(b,c).\n" + "".join(
+    f"#task t{k}/2.\nt{k}(A,D) :- e(A,B), e(B,C), e(C,D).\n" for k in range(4)
+)
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("max_levels", -1), ("folding_cap", 0), ("red_group_cap", -1)],
+    )
+    def test_out_of_range_setting_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RefactorConfig(**{name: value})
+
 
 class TestRefactor:
     def test_shared_chain_shrinks(self):
@@ -61,6 +76,13 @@ class TestRefactor:
         code = cli.main(["refactor", str(path), "-o", str(tmp_path / "out.pl")])
         assert code == cli.EXIT_NO_GAIN
         assert parse_program((tmp_path / "out.pl").read_text()).size == prog.size
+
+    def test_primitive_clauses_are_kept(self):
+        prog = parse_program(FACTS_AND_CHAINS)
+        out, report = refactor(prog, RefactorConfig(budget=SolverBudget(wall_time=10)))
+        assert out.size < prog.size and report.equivalence_verified
+        assert [c for c in out.clauses if c.head.pred == "e"] == list(prog.clauses[:2])
+        assert report.unfolded_literals == prog.size
 
     def test_empty_program(self):
         prog = parse_program("#primitive p/2.\n#task t/2.")
@@ -129,6 +151,13 @@ class TestBaseline:
         )
         out = remove_redundancy_baseline(prog)
         assert out.size == prog.size
+
+    def test_primitive_clauses_are_kept(self):
+        prog = parse_program(FACTS_AND_CHAINS)
+        out = remove_redundancy_baseline(prog)
+        assert syntactic_equiv(prog, out)
+        assert out.size < prog.size
+        assert [c for c in out.clauses if c.head.pred == "e"] == list(prog.clauses[:2])
 
     def test_optimal_refactoring_never_worse(self):
         for copies in (3, 4, 5, 6):

@@ -350,3 +350,7 @@ class TestBudget:
     def test_invalid_budgets_rejected(self):
         with pytest.raises(ValueError):
             SolverBudget(wall_time=0)
+        # a NaN budget never runs out
+        for wall_time in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="finite and positive"):
+                SolverBudget(wall_time=wall_time)

@@ -132,6 +132,24 @@ class TestUnfold:
         with pytest.raises(UnfoldExplosionError):
             unfold(prog, cap=100)
 
+    def test_primitive_clauses_pass_through(self):
+        prog = parse_program(
+            "#primitive e/2.\n#task t/2.\ne(a,b).\ne(X,Y) :- e(Y,X).\n"
+            "t(X,Y) :- s(X,Y).\ns(X,Y) :- e(X,Y)."
+        )
+        u = unfold(prog)
+        assert u.primitive_clauses == prog.clauses[:2]
+        assert [repr(c) for c in u.clauses] == ["t(X,Y) :- e(X,Y)."]
+        assert u.size == 5
+
+    def test_support_call_in_a_primitive_clause_rejected(self):
+        prog = parse_program(
+            "#primitive e/2.\n#task t/2.\ne(X,Y) :- s(X,Y).\ns(X,Y) :- e(Y,X).\n"
+            "t(X,Y) :- e(X,Y)."
+        )
+        with pytest.raises(TransformError, match="primitive e"):
+            unfold(prog)
+
     def test_idempotent(self, folded_program):
         u1 = unfold(folded_program)
         from refold.logic import Program
@@ -220,6 +238,16 @@ class TestSyntacticEquiv:
         )
         p2 = parse_program("#primitive a/2.\n#task t/2.\nt(X,Y) :- a(X,Y).")
         assert not syntactic_equiv(p1, p2)
+
+    def test_primitive_clauses_compared_as_a_multiset(self):
+        rules = "#primitive e/2.\n#task t/2.\nt(X,Y) :- e(X,Y).\n"
+        p1 = parse_program(rules + "e(a,b).\ne(b,c).\ne(X,X) :- e(X,b).")
+        renamed = parse_program(rules + "e(Z,Z) :- e(Z,b).\ne(b,c).\ne(a,b).")
+        assert syntactic_equiv(p1, renamed)
+        lacking = parse_program(rules + "e(a,b).\ne(X,X) :- e(X,b).")
+        assert not syntactic_equiv(p1, lacking)
+        doubled = parse_program(rules + "e(a,b).\ne(a,b).\ne(X,X) :- e(X,b).")
+        assert not syntactic_equiv(p1, doubled)
 
     def test_support_names_do_not_matter(self):
         base = "#primitive a/2.\n#task t/2.\nt(X,Y) :- {s}(X,Y).\n{s}(X,Y) :- a(X,Y), a(Y,X)."
