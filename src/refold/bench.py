@@ -7,6 +7,7 @@ compared under identical limits."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -381,6 +382,15 @@ class SynthesisLimits:
     max_depth: int = 10
     max_nodes: int = 100_000
     wall_time: float = 10.0
+
+    def __post_init__(self):
+        if self.max_depth < 0:
+            raise ValueError("need max_depth >= 0")
+        if self.max_nodes < 1:
+            raise ValueError("need max_nodes >= 1")
+        # a NaN wall time would never reach the deadline
+        if not (math.isfinite(self.wall_time) and self.wall_time > 0):
+            raise ValueError("need a finite wall_time > 0")
 
 
 def _sequence_to_program(task: SynthesisTask, ops: list, bk: Program) -> Program:

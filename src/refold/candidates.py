@@ -3,7 +3,8 @@ support clauses."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .logic import (
@@ -19,7 +20,6 @@ from .transform import (
     apply_match_set,
     find_body_matches,
     pred_counts,
-    pred_multiset,
 )
 
 DEFAULT_FOLDING_CAP = 500
@@ -35,9 +35,12 @@ class CandidateSupportClause:
     id: int
     clause: Clause
     level: int
-    body_size: int
     dependencies: frozenset  # candidate ids (level > 1 only)
     usage: int
+
+    @property
+    def body_size(self) -> int:
+        return len(self.clause.body)
 
     @property
     def size(self) -> int:
@@ -98,6 +101,17 @@ def keyed_subsets(body: tuple, lo: int, hi: int) -> list:
     ]
 
 
+def variant_classes(bodies: list, subbodies: list, lo: int, hi: int) -> dict:
+    """Variant key -> the first sub-body of lo..hi literals with that key,
+    in body order; `subbodies[k]` is keyed_subsets of bodies[k]."""
+    classes: dict = {}
+    for body, keyed in zip(bodies, subbodies):
+        for idxs, key in keyed:
+            if lo <= len(idxs) <= hi and key not in classes:
+                classes[key] = tuple(body[k] for k in idxs)
+    return classes
+
+
 def is_profitable(size: int, usage: int) -> bool:
     return usage * (size - 1) > usage + size
 
@@ -135,18 +149,23 @@ def _max_disjoint_count(matches: list, node_cap: int = 10_000) -> int:
 
 class UsageIndex:
     """Inverted gate index over groups of alternative bodies (a group is
-    one clause's bodies): each (pred, arity, k) key of pred_multiset maps
-    to the bodies holding it, so the only bodies a pattern can match are
-    an intersection of posting sets, found without a scan."""
+    one clause's bodies). find_body_matches(body, pattern, head) is empty
+    unless pred_counts(pattern) <= pred_counts(body): each pattern literal
+    needs its own body literal of the same predicate and arity. So each
+    (pred, arity, k) maps to the bodies with k or more such literals, and
+    the only bodies a pattern can match are an intersection of posting
+    sets, found without a scan."""
 
     def __init__(self, groups: list):
         self.bodies: list = []  # (group, body, pred_counts of body)
         self.postings: dict = {}  # (pred, arity, k) -> set of body ids
         for g, group in enumerate(groups):
             for body in group:
-                for key in pred_multiset(body):
-                    self.postings.setdefault(key, set()).add(len(self.bodies))
-                self.bodies.append((g, body, pred_counts(body)))
+                have = pred_counts(body)
+                for (p, a), n in have.items():
+                    for k in range(1, n + 1):
+                        self.postings.setdefault((p, a, k), set()).add(len(self.bodies))
+                self.bodies.append((g, body, have))
 
     def gated(self, need: dict) -> set:
         """Ids of the bodies with need[pa] or more literals of each pa."""
@@ -188,40 +207,33 @@ def extract_candidates(
     i: int,
     j: int,
     level: int,
-    allowed_preds: Optional[set] = None,
-    pred_to_id: Optional[dict] = None,
-    usage_groups: Optional[list] = None,
+    invented: Optional[dict] = None,
+    index: Optional[UsageIndex] = None,
     subbodies: Optional[list] = None,
 ) -> list:
     """One candidate per variant class of connected body subsets of size
     in [i, j], with ids 0, 1, ... and usage counts.
 
-    `usage_groups` is a list of clause-body groups that UsageIndex.usage
-    counts over (defaults to one group per input clause). `subbodies`
-    may give each (filtered) body's keyed_subsets over a window holding
-    [i, j], so that an enumeration made for other uses is not repeated.
+    `invented` maps the previous level's invented predicates to their
+    candidate ids: bodies keep only those predicates, and a candidate
+    depends on the ids of its literals. `index` counts usage over its
+    groups (defaults to one group per input clause). `subbodies` may give
+    each (filtered) body's keyed_subsets over a window holding [i, j], so
+    that an enumeration made for other uses is not repeated.
     """
     if i < 1 or j < i:
         raise ValueError(f"invalid size window [{i}, {j}]")
     bodies = [c.body if isinstance(c, Clause) else tuple(c) for c in clauses]
-    if usage_groups is None:
-        usage_groups = [[b] for b in bodies]
-    if allowed_preds is not None:
-        bodies = [tuple(l for l in b if l.pred in allowed_preds) for b in bodies]
+    if index is None:
+        index = UsageIndex([[b] for b in bodies])
+    if invented is not None:
+        bodies = [tuple(l for l in b if l.pred in invented) for b in bodies]
     if subbodies is None:
         subbodies = [keyed_subsets(b, i, j) for b in bodies]
-    by_class: dict = {}
-    for body, keyed in zip(bodies, subbodies):
-        for idxs, key in keyed:
-            if i <= len(idxs) <= j and key not in by_class:
-                by_class[key] = tuple(body[k] for k in idxs)
-    index = UsageIndex(usage_groups)
     out = []
-    for ordinal, subset in enumerate(by_class.values()):
+    for ordinal, subset in enumerate(variant_classes(bodies, subbodies, i, j).values()):
         clause = make_candidate_clause(subset, f"inv_{level}_{ordinal}")
-        deps = frozenset()
-        if level > 1 and pred_to_id is not None:
-            deps = frozenset(pred_to_id[l.pred] for l in subset if l.pred in pred_to_id)
+        deps = frozenset(invented[l.pred] for l in subset) if invented else frozenset()
         size = len(subset) + 1
         usage = index.usage(subset, clause.head, lambda u: is_profitable(size, u))
         out.append(
@@ -229,7 +241,6 @@ def extract_candidates(
                 id=ordinal,
                 clause=clause,
                 level=level,
-                body_size=len(subset),
                 dependencies=deps,
                 usage=usage,
             )
@@ -246,18 +257,18 @@ def build_search_space(
     prune: bool = True,
 ) -> LevelledSearchSpace:
     """Alternate extract -> prune -> fold per level, starting from the
-    unfolded program. Level 0 holds the raw clauses."""
+    unfolded program. Level 0 holds the raw clauses. Each level's
+    UsageIndex, with one group per clause over its options at the level
+    below, serves that level's extraction, usage counts and folding."""
     # one enumeration of the raw bodies serves level-1 extraction and the
     # redundancy penalty
     subbodies = [
         keyed_subsets(c.body, min(i, 2), max(j, RED_SUBBODY_MAX)) for c in u.clauses
     ]
-    foldings: dict = {}
-    current: dict = {}  # clause_index -> list of FoldingOption at last level
-    for idx, c in enumerate(u.clauses):
-        raw = FoldingOption(clause_index=idx, level=0, literals=c.body, required=frozenset())
-        foldings[idx] = {0: [raw]}
-        current[idx] = [raw]
+    foldings: dict = {
+        idx: {0: [FoldingOption(clause_index=idx, level=0, literals=c.body, required=frozenset())]}
+        for idx, c in enumerate(u.clauses)
+    }
 
     all_cands: list = []
     stats: list = []
@@ -272,30 +283,25 @@ def build_search_space(
         if level >= hard_level_cap:
             stop_reason = "hard level cap reached"
             break
-        if all(all(len(o.literals) <= 1 for o in opts) for opts in current.values()):
+        if all(len(o.literals) <= 1 for levels in foldings.values() for o in levels.get(level, [])):
             stop_reason = "all bodies reduced to one literal"
             break
         level += 1
-        source_bodies = []
-        usage_groups = []
-        for idx in sorted(current):
-            group = [o.literals for o in current[idx]]
-            usage_groups.append(group)
-            source_bodies.extend(group)
+        index = UsageIndex(
+            [[o.literals for o in levels.get(level - 1, [])] for levels in foldings.values()]
+        )
         st = LevelStats(level=level)
         stats.append(st)
-        # level-1 bodies are the raw ones, with nothing to filter out
-        allowed = None if level == 1 else {
-            c.pred for c in all_cands if c.level == level - 1
-        }
         cands = extract_candidates(
-            [tuple(b) for b in source_bodies],
+            [body for _, body, _ in index.bodies],
             i,
             j,
             level,
-            allowed_preds=allowed,
-            pred_to_id=pred_to_id if level > 1 else None,
-            usage_groups=usage_groups,
+            # level-1 bodies are the raw ones, with nothing to filter out
+            invented=None if level == 1 else {
+                c.pred: c.id for c in all_cands if c.level == level - 1
+            },
+            index=index,
             subbodies=subbodies if level == 1 else None,
         )
         st.extracted = len(cands)
@@ -304,13 +310,10 @@ def build_search_space(
         st.after_usage_prune = len(cands)
         # reassign contiguous ids after pruning
         cands = [
-            CandidateSupportClause(
+            replace(
+                c,
                 id=len(all_cands) + k,
                 clause=Clause(Atom(f"inv_{level}_{k}", c.clause.head.args), c.clause.body),
-                level=c.level,
-                body_size=c.body_size,
-                dependencies=c.dependencies,
-                usage=c.usage,
             )
             for k, c in enumerate(cands)
         ]
@@ -321,21 +324,18 @@ def build_search_space(
         for c in cands:
             all_cands.append(c)
             pred_to_id[c.pred] = c.id
-        cand_keys = [pred_multiset(c.clause.body) for c in cands]
-        new_current: dict = {}
-        any_options = False
-        for idx in sorted(current):
+        # the candidates each base body can match, in id order
+        fold_with: list = [[] for _ in index.bodies]
+        for c in cands:
+            for bid in index.gated(pred_counts(c.clause.body)):
+                fold_with[bid].append(c)
+        by_clause = itertools.groupby(enumerate(index.bodies), key=lambda e: e[1][0])
+        for idx, bases in by_clause:
             opts_here: list = []
             seen_sigs: set = set()
-            for base in current[idx]:
+            for bid, (_, body, _) in bases:
                 opts, truncated = _fold_one(
-                    idx,
-                    base,
-                    cands,
-                    cand_keys,
-                    level,
-                    folding_cap - len(opts_here),
-                    pred_to_id,
+                    idx, body, fold_with[bid], level, folding_cap - len(opts_here), pred_to_id
                 )
                 if truncated:
                     st.truncated_clauses += 1
@@ -349,15 +349,10 @@ def build_search_space(
                     break
             if opts_here:
                 foldings[idx][level] = opts_here
-                new_current[idx] = opts_here
-                any_options = True
                 st.folding_options += len(opts_here)
-            else:
-                new_current[idx] = []
-        if not any_options:
+        if st.folding_options == 0:
             stop_reason = "no foldings at the new level"
             break
-        current = new_current
 
     return LevelledSearchSpace(
         candidates=all_cands,
@@ -371,25 +366,19 @@ def build_search_space(
 
 def _fold_one(
     clause_index: int,
-    base: FoldingOption,
+    body: tuple,
     cands: list,
-    cand_keys: list,
     level: int,
     cap: int,
     pred_to_id: dict,
 ) -> tuple:
-    """Fold one base option with the level's candidates; leftovers stay raw.
-    `cand_keys[k]` is pred_multiset of cands[k]'s body; the matcher runs
-    only on candidates whose multiset the base body's contains.
-    `pred_to_id` maps every invented predicate so far to its candidate id."""
+    """Fold one base body with `cands`, the level's candidates that the
+    level's UsageIndex gates it to; leftovers stay raw. `pred_to_id` maps
+    every invented predicate so far to its candidate id."""
     if cap <= 0:
         return [], True
-    body = base.literals
-    have = pred_multiset(body)
     matches = []
-    for cand, need in zip(cands, cand_keys):
-        if not need <= have:
-            continue
+    for cand in cands:
         for idxs, head in find_body_matches(body, cand.clause.body, cand.clause.head):
             matches.append((idxs, head, cand.id))
     if not matches:

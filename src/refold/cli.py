@@ -18,11 +18,13 @@ from .bench import (
 )
 from .logic import LogicError, parse_program, render_program
 from .pipeline import (
+    OutputError,
     RefactorConfig,
     VerificationError,
     hypothesis_space_size,
     refactor,
     remove_redundancy_baseline,
+    write_text,
 )
 from .solver import SolverBudget
 from .transform import TransformError, syntactic_equiv
@@ -51,11 +53,11 @@ def _read_program(path: str):
 
 
 def _write(path, text: str):
+    # outputs are opened only here, after the input is read: -o may name it
     if path is None or path == "-":
         sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    else:
+        write_text(path, text)
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -187,6 +189,8 @@ def _cmd_bench(args) -> int:
             raise InputError(f"unknown condition: {label}")
     if args.domain == "lego" and args.width < 2:
         raise InputError("--width must be >= 2")
+    if args.background_tasks < 0 or args.target_tasks < 1:
+        raise InputError("need --background-tasks >= 0 and --target-tasks >= 1")
     try:
         cfg = RefactorConfig(
             max_levels=2,
@@ -194,13 +198,13 @@ def _cmd_bench(args) -> int:
             red_group_cap=300,
             budget=SolverBudget(wall_time=args.refactor_seconds),
         )
+        limits = SynthesisLimits(
+            max_depth=args.max_depth,
+            max_nodes=args.max_nodes,
+            wall_time=args.task_seconds,
+        )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    limits = SynthesisLimits(
-        max_depth=args.max_depth,
-        max_nodes=args.max_nodes,
-        wall_time=args.task_seconds,
-    )
     if args.domain == "lego":
         base = lego_primitives()
         bg = gen_lego_tasks(
@@ -243,10 +247,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InputError, TransformError) as exc:
+    except (InputError, TransformError, OutputError) as exc:
         # a TransformError is unfolding rejecting an input program: recursive
         # or undefined support predicates, a task predicate in a body, a
-        # support predicate in a primitive clause, or an unfolding over its cap
+        # support predicate in a primitive clause, or an unfolding over its
+        # cap; an OutputError is an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except VerificationError as exc:

@@ -22,6 +22,7 @@ from .candidates import (
     build_search_space,
     keyed_subsets,
     make_candidate_clause,
+    variant_classes,
 )
 from .copmodel import DEFAULT_RED_GROUP_CAP, ModelError, decode, encode, render_model
 from .solver import SolveTrace, SolverBudget, solve
@@ -33,6 +34,10 @@ class RefactorError(Exception):
 
 class VerificationError(RefactorError):
     pass
+
+
+class OutputError(Exception):
+    """An output file could not be written."""
 
 
 HYP_CLAUSES = 5  # clause count of the hypothesis-space statistic
@@ -181,8 +186,7 @@ def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
         report.stop_reason = f"model cap: {exc}"
         return _unchanged(p, report)
     if cfg.model_dump_path:
-        with open(cfg.model_dump_path, "w", encoding="utf-8") as fh:
-            fh.write(render_model(model))
+        write_text(cfg.model_dump_path, render_model(model))
     assignment, trace = solve(model, cfg.budget)
     report.solver_status = assignment.status
     report.objective_value = assignment.objective_value
@@ -207,6 +211,15 @@ def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
     return out, report
 
 
+def write_text(path: str, text: str):
+    """Write `text` to the file `path`; raise OutputError if it cannot."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
 def _unchanged(p: Program, report: RefactorReport):
     """The input as the result, reported as giving no gain."""
     report.no_gain_fallback = True
@@ -225,11 +238,7 @@ def _shared_subbody_classes(clauses: list, subbodies: list, index: UsageIndex) -
     occurrences program-wide; `subbodies[k]` is keyed_subsets of
     clauses[k]'s body and `index` indexes one group per clause. Returns
     (size, -occurrences, key, body) sorted for greedy folding."""
-    classes: dict = {}
-    for c, keyed in zip(clauses, subbodies):
-        for idxs, key in keyed:
-            if key not in classes:
-                classes[key] = tuple(c.body[k] for k in idxs)
+    classes = variant_classes([c.body for c in clauses], subbodies, 2, RED_SUBBODY_MAX)
     ranked = []
     for key, sub in classes.items():
         probe = make_candidate_clause(sub, "probe")

@@ -256,18 +256,6 @@ def pred_counts(lits) -> Counter:
     return Counter((lit.pred, lit.arity) for lit in lits)
 
 
-def pred_multiset(lits) -> frozenset:
-    """The multiset of (pred, arity) pairs of `lits`, as the set of
-    (pred, arity, k) for k up to each pair's count, so that multiset
-    containment is set inclusion. find_body_matches(body, pattern, head)
-    is empty unless pred_multiset(pattern) <= pred_multiset(body): each
-    pattern literal needs its own body literal of the same predicate and
-    arity."""
-    return frozenset(
-        (p, a, k) for (p, a), n in pred_counts(lits).items() for k in range(1, n + 1)
-    )
-
-
 def _bind(p: Term, t: Term, s: dict) -> bool:
     """Extend s, a binding of pattern variable names to body terms, so
     that pattern term p becomes body term t. Body variables are never

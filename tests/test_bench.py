@@ -233,6 +233,22 @@ class TestSynthesize:
         _, n2 = synthesize(task, lego_primitives(), self.LIMITS)
         assert n1 == n2
 
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"max_depth": -1},
+            {"max_nodes": 0},
+            {"max_nodes": -5},
+            {"wall_time": float("nan")},
+            {"wall_time": float("inf")},
+            {"wall_time": 0.0},
+            {"wall_time": -1.0},
+        ],
+    )
+    def test_out_of_range_limits_rejected(self, limits):
+        with pytest.raises(ValueError):
+            SynthesisLimits(**limits)
+
     def test_unsolvable_within_limits(self):
         tight = SynthesisLimits(max_depth=1, max_nodes=100, wall_time=5.0)
         task = SynthesisTask(

@@ -26,9 +26,11 @@ from refold.logic import (
     parse_program,
     variant_equal,
 )
-from refold.transform import find_body_matches, pred_counts, pred_multiset, unfold
+from refold.transform import find_body_matches, pred_counts, unfold
 
+from tests.conftest import dense_program
 from tests.test_acceptance import random_program
+from tests.test_kernels import _TWO_LEVELS
 
 
 def body_of(src: str) -> tuple:
@@ -134,7 +136,7 @@ class TestMatcherGate:
     @given(pattern=_gate_bodies(3), body=_gate_bodies(4))
     def test_no_match_outside_the_gate(self, pattern, body):
         head = make_candidate_clause(pattern, "inv").head
-        if not pred_multiset(pattern) <= pred_multiset(body):
+        if not pred_counts(pattern) <= pred_counts(body):
             assert find_body_matches(body, pattern, head) == []
 
     @settings(max_examples=150, deadline=None)
@@ -145,7 +147,6 @@ class TestMatcherGate:
                 id=k,
                 clause=make_candidate_clause(pat, f"inv_1_{k}"),
                 level=1,
-                body_size=len(pat),
                 dependencies=frozenset(),
                 usage=0,
             )
@@ -155,16 +156,14 @@ class TestMatcherGate:
         for c in cands:
             reference = _reference_usage(c.clause.body, c.clause.head, groups)
             assert index.usage(c.clause.body, c.clause.head, lambda u: True) == reference
-        keys = [pred_multiset(c.clause.body) for c in cands]
-        # an empty key is contained in every body's: the gate never closes
-        open_keys = [frozenset()] * len(cands)
+        gated = [index.gated(pred_counts(c.clause.body)) for c in cands]
         pred_to_id = {c.pred: c.id for c in cands}
-        for g in groups:
-            for b in g:
-                base = FoldingOption(0, 0, b, frozenset())
-                gated = _fold_one(0, base, cands, keys, 1, 20, pred_to_id)
-                ungated = _fold_one(0, base, cands, open_keys, 1, 20, pred_to_id)
-                assert gated == ungated
+        for bid, (_, body, _) in enumerate(index.bodies):
+            # the gated candidates fold a body as all candidates do
+            mine = [c for c, ids in zip(cands, gated) if bid in ids]
+            assert _fold_one(0, body, mine, 1, 20, pred_to_id) == _fold_one(
+                0, body, cands, 1, 20, pred_to_id
+            )
 
 
 class TestUsageIndex:
@@ -175,7 +174,7 @@ class TestUsageIndex:
     @given(pattern=_gate_bodies(3), groups=_gate_groups(5))
     def test_postings_equal_multiset_scan(self, pattern, groups):
         bodies = [b for g in groups for b in g]
-        scan = {k for k, b in enumerate(bodies) if pred_multiset(pattern) <= pred_multiset(b)}
+        scan = {k for k, b in enumerate(bodies) if pred_counts(pattern) <= pred_counts(b)}
         assert UsageIndex(groups).gated(pred_counts(pattern)) == scan
 
     @settings(max_examples=300, deadline=None)
@@ -336,6 +335,27 @@ class TestSearchSpace:
             stats += build_search_space(u, 2, 3, max_levels=1, folding_cap=20).stats
         assert sum(st.extracted for st in stats) == sum(returned)
         assert any(st.extracted and not st.after_usage_prune for st in stats)
+
+    def test_ungated_index_gives_the_same_space(self, monkeypatch):
+        # the gate only skips bodies the matcher cannot match: opening it
+        # for extraction and folding together changes nothing
+        rng = random.Random(20260826)  # criterion 1's programs and config
+        cases = [(random_program(rng), {"max_levels": 1, "folding_cap": 20}) for _ in range(150)]
+        cases += [(dense_program(), {}), (parse_program(_TWO_LEVELS), {})]
+
+        def space_of(program, space_args):
+            space = build_search_space(unfold(program), 2, 3, **space_args)
+            return space.candidates, space.foldings, space.stats
+
+        levels = set()
+        for program, space_args in cases:
+            with monkeypatch.context() as patched:
+                patched.setattr(UsageIndex, "gated", lambda self, need: set(range(len(self.bodies))))
+                want = space_of(program, space_args)
+            got = space_of(program, space_args)
+            assert got == want
+            levels.add(max(st.level for st in got[2]) if got[2] else 0)
+        assert levels >= {1, 2}
 
     def test_no_candidates_stops_cleanly(self):
         prog = parse_program("#primitive p/2.\n#task t/2.\nt(A,B) :- p(A,B).")

@@ -318,14 +318,49 @@ TINY_BENCH = ["--background-tasks", "1", "--target-tasks", "1", "--max-depth", "
         ["bench", "--width", "1"] + TINY_BENCH,
         ["bench", "--conditions", ","] + TINY_BENCH,
         ["bench", "--refactor-seconds", "nan"] + TINY_BENCH,
+        ["bench"] + TINY_BENCH + ["--task-seconds", "nan"],
+        ["bench"] + TINY_BENCH + ["--task-seconds", "-1"],
+        ["bench"] + TINY_BENCH + ["--max-nodes", "-5"],
+        ["bench"] + TINY_BENCH + ["--max-depth", "-1"],
+        ["bench"] + TINY_BENCH + ["--background-tasks", "-1"],
+        ["bench"] + TINY_BENCH + ["--target-tasks", "0"],
     ],
     ids=["stats-body-len", "stats-clauses", "bench-width", "bench-no-condition",
-         "bench-refactor-seconds"],
+         "bench-refactor-seconds", "bench-task-seconds-nan", "bench-task-seconds-negative",
+         "bench-max-nodes", "bench-max-depth", "bench-background-tasks",
+         "bench-target-tasks"],
 )
 def test_out_of_range_option_is_an_input_error(kb_path, capsys, argv):
     code = cli.main([a.format(kb=kb_path) for a in argv])
     assert code == cli.EXIT_INPUT_ERROR
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["refactor", "{kb}", "-o", "{bad}"],
+        ["refactor", "{kb}", "--report", "{bad}"],
+        ["refactor", "{kb}", "--model-dump", "{bad}"],
+        ["baseline", "{kb}", "-o", "{bad}"],
+        ["bench"] + TINY_BENCH + ["--conditions", "original", "-o", "{bad}"],
+    ],
+    ids=["refactor-output", "refactor-report", "refactor-model-dump", "baseline-output",
+         "bench-output"],
+)
+def test_unwritable_output_is_an_input_error(tmp_path, kb_path, capsys, argv):
+    bad = tmp_path / "missing" / "out.txt"
+    code = cli.main([a.format(kb=kb_path, bad=bad) for a in argv])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: cannot write {bad}:")
+
+
+def test_output_may_name_the_input(kb_path):
+    code = cli.main(["refactor", str(kb_path), "-o", str(kb_path), "--timeout-seconds", "5"])
+    assert code == cli.EXIT_OK
+    refactored = parse_program(kb_path.read_text())
+    assert refactored.size < parse_program(SHARED_KB).size
+    assert syntactic_equiv(parse_program(SHARED_KB), refactored)
 
 
 class TestRoundTrip:

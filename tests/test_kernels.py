@@ -38,7 +38,7 @@ from refold.transform import (
     apply_match_set,
     find_body_matches,
     fold_clause,
-    pred_multiset,
+    pred_counts,
     rename_apart,
     subst_atom,
     subst_term,
@@ -142,7 +142,7 @@ def reference_fold(c: Clause, s: Clause) -> list:
 
 
 def reference_count_usage(body: tuple, head: Atom, clause_groups: list) -> int:
-    need = pred_multiset(body)
+    need = pred_counts(body)
     n = 0
     for group in clause_groups:
         n += max(
@@ -156,35 +156,38 @@ def reference_count_usage(body: tuple, head: Atom, clause_groups: list) -> int:
     return n
 
 
-def reference_extract_candidates(clauses, i, j, level, allowed_preds=None, pred_to_id=None,
-                                 usage_groups=None, subbodies=None):
-    """Takes, and ignores, the precomputed `subbodies` of the new code."""
+def reference_extract_candidates(clauses, i, j, level, invented=None, index=None,
+                                 subbodies=None):
+    """Takes, and ignores, the precomputed `subbodies` of the new code; of
+    `index`, reads only which group each body belongs to."""
     if i < 1 or j < i:
         raise ValueError(f"invalid size window [{i}, {j}]")
+    bodies = [c.body if isinstance(c, Clause) else tuple(c) for c in clauses]
     by_class: dict = {}
     order: list = []
-    for c in clauses:
-        body = c.body if isinstance(c, Clause) else tuple(c)
-        if allowed_preds is not None:
-            body = tuple(l for l in body if l.pred in allowed_preds)
+    for body in bodies:
+        if invented is not None:
+            body = tuple(l for l in body if l.pred in invented)
         for subset in connected_subsets(body, i, j):
             key = variant_key(subset)
             if key not in by_class:
                 by_class[key] = subset
                 order.append(key)
-    if usage_groups is None:
-        usage_groups = [[c.body if isinstance(c, Clause) else tuple(c)] for c in clauses]
-    keyed_groups = [[(b, pred_multiset(b)) for b in group] for group in usage_groups]
+    pairs = enumerate(bodies) if index is None else [(g, b) for g, b, _ in index.bodies]
+    groups: dict = {}
+    for g, b in pairs:
+        groups.setdefault(g, []).append(b)
+    keyed_groups = [[(b, pred_counts(b)) for b in group] for group in groups.values()]
     out = []
     for ordinal, key in enumerate(order):
         subset = by_class[key]
         clause = make_candidate_clause(subset, f"inv_{level}_{ordinal}")
         deps = frozenset()
-        if level > 1 and pred_to_id is not None:
-            deps = frozenset(pred_to_id[l.pred] for l in subset if l.pred in pred_to_id)
+        if level > 1 and invented is not None:
+            deps = frozenset(invented[l.pred] for l in subset if l.pred in invented)
         out.append(CandidateSupportClause(
-            id=ordinal, clause=clause, level=level, body_size=len(subset),
-            dependencies=deps, usage=reference_count_usage(subset, clause.head, keyed_groups),
+            id=ordinal, clause=clause, level=level, dependencies=deps,
+            usage=reference_count_usage(subset, clause.head, keyed_groups),
         ))
     return out
 
