@@ -3,7 +3,8 @@ models, plus an exhaustive oracle for small instances.
 
 The search is deterministic for a fixed model (branching is static). A
 greedy primal pass seeds the incumbent so good solutions appear early,
-then depth-first branch and bound with unit propagation closes the gap.
+then depth-first branch and bound over the support-clause selection, with
+unit propagation, closes the gap.
 """
 
 from __future__ import annotations
@@ -33,13 +34,18 @@ class SolverBudget:
         # a NaN budget would never run out: every elapsed >= nan is false
         if not (math.isfinite(self.wall_time) and self.wall_time > 0):
             raise ValueError("wall_time must be finite and positive")
+        cap = self.max_decisions
+        if cap is not None and (
+            isinstance(cap, bool) or not isinstance(cap, int) or cap < 0
+        ):
+            raise ValueError("max_decisions must be None or an int >= 0")
 
 
 @dataclass
 class SolveTrace:
     history: list = field(default_factory=list)  # (elapsed_seconds, objective)
     proof_status: str = "unknown"
-    decisions: int = 0  # branch-and-bound branches tried
+    decisions: int = 0  # support-clause branches tried
 
     def record(self, elapsed: float, objective: int):
         if self.history and objective >= self.history[-1][1]:
@@ -132,27 +138,49 @@ def _greedy_selection(model: CopModel, deadline: Optional[float] = None):
 # Branch and bound
 
 class _Search:
-    """Depth-first branch and bound with counter-based pseudo-Boolean
-    propagation (Chai & Kuehlmann, DAC 2003). Each constraint keeps its
-    slack: the largest value its left side can still reach, minus its rhs.
-    Assigning a var lowers only the slacks of the constraints it occurs
-    in, and queues those whose slack fell below their largest |coef|:
-    only they can force a term."""
+    """Depth-first branch and bound over the support-clause (SC) variables
+    only: each clause's folding (PICK) and the redundancy penalties (RED)
+    follow from the selection.
+
+    Constraints over SC variables alone (`sc-dep`, `pred-cap`) propagate
+    by counters (Chai & Kuehlmann, DAC 2003). Each keeps its slack: the
+    largest value its left side can still reach, minus its rhs. Assigning
+    a var lowers only the slacks of the constraints it occurs in, and
+    queues those whose slack fell below their largest |coef|: only they
+    can force a term.
+
+    The constraints with a PICK or RED var are the encoding's, and are
+    kept as state instead. A clause's folding options are ordered cheapest
+    first by (weight, pick var); an option is available while none of the
+    SCs it requires is 0. A clause left with one option forces that
+    option's SCs to 1; one left with none is a conflict. A RED group
+    charges its weight once its base count plus its selected members
+    reach 2. The bound, committed cost plus each clause's cheapest
+    available option, is kept up to date, so it costs O(1) a node, and it
+    is the exact objective once every SC is set."""
 
     def __init__(self, model: CopModel, budget: SolverBudget):
+        for v, tag in enumerate(model.vars):
+            if tag[0] not in ("SC", "PICK", "RED"):
+                raise SolverError(f"variable {v} {tag!r} is not SC, PICK or RED")
         self.model = model
         self.budget = budget
-        self.n = model.num_vars
-        self.values = [-1] * self.n
-        self.weights = [model.objective.get(i, 0) for i in range(self.n)]
-        # falls[val][var]: (ci, drop) for each constraint whose slack drops
-        # when var takes val -- by coef if coef > 0 and val is 0, by -coef
-        # if coef < 0 and val is 1; equal pairs share one tuple
-        self.falls = ([[] for _ in range(self.n)], [[] for _ in range(self.n)])
-        self.terms = [c.terms for c in model.constraints]
+        self.n = n = model.num_vars
+        is_sc = [tag[0] == "SC" for tag in model.vars]
+        self.values = [-1] * n
+        self.weights = [model.objective.get(i, 0) for i in range(n)]
+        self.cost = 0
+        # falls[val][var]: (ci, drop) for each SC constraint whose slack
+        # drops when var takes val -- by coef if coef > 0 and val is 0, by
+        # -coef if coef < 0 and val is 1; equal pairs share one tuple
+        self.falls = ([[] for _ in range(n)], [[] for _ in range(n)])
+        self.constraints = [
+            c for c in model.constraints if all(is_sc[v] for _, v in c.terms)
+        ]
+        self.terms = [c.terms for c in self.constraints]
         self.slack = []
         self.max_coef = []
-        for ci, c in enumerate(model.constraints):
+        for ci, c in enumerate(self.constraints):
             drops: dict = {}
             for coef, v in c.terms:
                 if coef:
@@ -160,35 +188,50 @@ class _Search:
                     self.falls[coef < 0][v].append(drop)
             self.slack.append(sum(coef for coef, _ in c.terms if coef > 0) - c.rhs)
             self.max_coef.append(max(drops, default=0))
-        # the root is not yet a fixpoint: every constraint starts queued
-        self.queue = list(range(len(model.constraints)))
-        self.queued = [True] * len(model.constraints)
+        # the root is not yet a fixpoint: every SC constraint starts queued
+        self.queue = list(range(len(self.constraints)))
+        self.queued = [True] * len(self.constraints)
+        # folding options of all clauses in one run, each clause's options
+        # cheapest first and closed by a sentinel that is always available
+        # and weighs 0; zeros[o] counts the SCs option o requires set to 0
+        self.opt_weight, self.opt_clause, self.opt_required = [], [], []
+        self.needed_by = [[] for _ in range(n)]  # SC var -> options requiring it
+        self.cheapest, self.available = [], []  # per clause
+        for c, cl in enumerate(sorted(model.clause_picks)):
+            options = sorted((w, p) for p, w, _, _ in model.clause_picks[cl])
+            self.cheapest.append(len(self.opt_weight))
+            self.available.append(len(options))
+            for w, p in options + [(0, None)]:
+                required = model.pick_required[p] if p is not None else ()
+                for sv in required:
+                    self.needed_by[sv].append(len(self.opt_weight))
+                self.opt_weight.append(w)
+                self.opt_clause.append(c)
+                self.opt_required.append(required)
+        self.zeros = [0] * len(self.opt_weight)
+        self.open_sum = sum(self.opt_weight[o] for o in self.cheapest)
+        # clauses left with at most one option, to force or to refute
+        self.units = [c for c, left in enumerate(self.available) if left <= 1]
+        # each RED group's base count plus selected members
+        self.red_count, self.red_weight = [], []
+        self.red_of = [[] for _ in range(n)]  # SC var -> its groups
+        for g, (rvar, members) in enumerate(model.red_members.items()):
+            base = model.red_base.get(rvar, 0)
+            self.red_count.append(base)
+            self.red_weight.append(self.weights[rvar])
+            if base >= 2:
+                self.cost += self.weights[rvar]
+            for sv in members:
+                self.red_of[sv].append(g)
         self.trail: list = []  # assigned vars, in order
-        # (pick var, weight) of each clause in clause order, cheapest first
-        self.clause_costs = [
-            tuple(sorted(((p, w) for p, w, _, _ in model.clause_picks[cl]),
-                         key=lambda r: (r[1], r[0])))
-            for cl in sorted(model.clause_picks)
-        ]
         self.best_cost: Optional[int] = None
         self.best_values: Optional[list] = None
-        self.cost = 0
         self.start = time.monotonic()
         self.decisions = 0
         self.trace = SolveTrace()
-        self.order = self._branch_order()
-
-    def _branch_order(self):
-        sc = sorted(
-            self.model.sc_vars.values(),
-            key=lambda v: (-self.weights[v], v),
+        self.order = sorted(
+            (v for v in range(n) if is_sc[v]), key=lambda v: (-self.weights[v], v)
         )
-        picks = [p for costs in self.clause_costs for p, _ in costs]
-        rest = [
-            v for v in range(self.n)
-            if self.model.vars[v][0] not in ("SC", "PICK")
-        ]
-        return sc + picks + rest
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
@@ -202,44 +245,97 @@ class _Search:
         )
 
     def assign(self, var: int, val: int):
-        """Sets var and queues each constraint whose slack fell below its
-        largest |coef|, a conflict (slack below 0) included."""
+        """Sets SC var, updates the cost, the RED counts and the clauses'
+        options, and queues each SC constraint whose slack fell below its
+        largest |coef| (a conflict, slack below 0, included) and each
+        clause left with at most one option."""
         self.values[var] = val
         self.trail.append(var)
-        if val:
-            self.cost += self.weights[var]
         slack, max_coef, queued = self.slack, self.max_coef, self.queued
         for ci, drop in self.falls[val][var]:
             slack[ci] -= drop
             if slack[ci] < max_coef[ci] and not queued[ci]:
                 queued[ci] = True
                 self.queue.append(ci)
+        if val:
+            self.cost += self.weights[var]
+            counts = self.red_count
+            for g in self.red_of[var]:
+                counts[g] += 1
+                if counts[g] == 2:
+                    self.cost += self.red_weight[g]
+            return
+        zeros, cheapest, available = self.zeros, self.cheapest, self.available
+        for o in self.needed_by[var]:
+            if zeros[o]:
+                zeros[o] += 1
+                continue
+            zeros[o] = 1
+            c = self.opt_clause[o]
+            available[c] -= 1
+            if available[c] <= 1:
+                self.units.append(c)
+            if cheapest[c] == o:
+                nxt = o + 1
+                while zeros[nxt]:
+                    nxt += 1
+                cheapest[c] = nxt
+                self.open_sum += self.opt_weight[nxt] - self.opt_weight[o]
 
     def clear_queue(self):
         for ci in self.queue:
             self.queued[ci] = False
         self.queue.clear()
+        self.units.clear()
 
     def undo_to(self, mark: int):
         # every mark is taken at a propagation fixpoint, so whatever a
         # conflict left queued can go
         self.clear_queue()
         trail, values, slack = self.trail, self.values, self.slack
+        zeros, cheapest, counts = self.zeros, self.cheapest, self.red_count
+        opt_clause, available = self.opt_clause, self.available
         while len(trail) > mark:
             var = trail.pop()
             val = values[var]
-            if val:
-                self.cost -= self.weights[var]
             values[var] = -1
             for ci, drop in self.falls[val][var]:
                 slack[ci] += drop
+            if val:
+                self.cost -= self.weights[var]
+                for g in self.red_of[var]:
+                    if counts[g] == 2:
+                        self.cost -= self.red_weight[g]
+                    counts[g] -= 1
+                continue
+            for o in self.needed_by[var]:
+                if zeros[o] > 1:
+                    zeros[o] -= 1
+                    continue
+                zeros[o] = 0
+                c = opt_clause[o]
+                available[c] += 1
+                if o < cheapest[c]:
+                    self.open_sum += self.opt_weight[o] - self.opt_weight[cheapest[c]]
+                    cheapest[c] = o
 
     def propagate(self) -> bool:
-        """Forces the terms of queued constraints to a fixpoint; False on
-        conflict, which the caller undoes. A term is forced when its |coef|
-        exceeds the slack; forcing it leaves that slack as it is."""
+        """Forces the terms of queued SC constraints and the options of
+        queued clauses to a fixpoint; False on conflict, which the caller
+        undoes. A term is forced when its |coef| exceeds the slack; forcing
+        it leaves that slack as it is. Setting an SC to 1 takes no option
+        away, so forcing a clause queues no clause."""
         queue, queued, values, slack = self.queue, self.queued, self.values, self.slack
-        while queue:
+        units = self.units
+        while queue or units:
+            if not queue:
+                c = units.pop()
+                if not self.available[c]:
+                    return False
+                for v in self.opt_required[self.cheapest[c]]:
+                    if values[v] == -1:
+                        self.assign(v, 1)
+                continue
             ci = queue.pop()
             queued[ci] = False
             s = slack[ci]
@@ -253,36 +349,19 @@ class _Search:
         return True
 
     def beats_incumbent(self) -> bool:
-        """Whether the node's bound -- committed cost plus each undecided
-        clause's cheapest open pick -- stays below the incumbent. Stops
-        adding as soon as the bound reaches it. Each clause has exactly one
-        pick, so at a fixpoint a true pick leaves every other pick false:
-        a clause's first pick that is not false, cheapest first, is either
-        its true pick or its cheapest open one."""
-        best = self.best_cost
-        if best is None:
-            return True
-        bound = self.cost
-        if bound >= best:
-            return False
-        values = self.values
-        for picks in self.clause_costs:
-            for pvar, w in picks:
-                v = values[pvar]
-                if v == 0:
-                    continue
-                if v == -1:
-                    bound += w
-                    if bound >= best:
-                        return False
-                break
-        return True
+        return self.best_cost is None or self.cost + self.open_sum < self.best_cost
 
-    def record_incumbent(self):
-        if self.best_cost is None or self.cost < self.best_cost:
-            self.best_cost = self.cost
-            self.best_values = list(self.values)
-            self.trace.record(self.elapsed(), self.cost)
+    def record_leaf(self):
+        """Completes the selection of a leaf, where every SC is set, by the
+        rule greedy and brute force use; its objective must be the bound."""
+        bound = self.cost + self.open_sum
+        a = assignment_from_selection(
+            self.model, {v for v in self.order if self.values[v] == 1}
+        )
+        if a is None or a.objective_value != bound:
+            got = None if a is None else a.objective_value
+            raise SolverError(f"a leaf completes to {got}, not to its bound {bound}")
+        self.seed_incumbent(a)
 
     def seed_incumbent(self, assignment: Assignment):
         cost = assignment.objective_value
@@ -304,41 +383,37 @@ class _Search:
         mark0 = len(self.trail)
         if not self.propagate():
             return "infeasible" if self.best_cost is None else "optimal"
-        # stack entries: (order hint, var, tried values list, trail mark)
+        # stack entries: (order index, var, trail mark, whether flipped to 0)
         stack = []
         while True:
             if self.out_of_budget():
                 return "timeout"
             k = self.next_unassigned(stack[-1][0] if stack else 0)
             if k == len(self.order):
-                self.record_incumbent()
+                self.record_leaf()
             else:
                 var = self.order[k]
                 mark = len(self.trail)
                 self.decisions += 1
                 self.assign(var, 1)  # true branch first
-                ok = self.propagate()
-                stack.append((k, var, [1], mark))
-                if ok and self.beats_incumbent():
+                stack.append((k, var, mark, False))
+                if self.propagate() and self.beats_incumbent():
                     continue
             # backtrack / flip
             while True:
                 if not stack:
                     self.undo_to(mark0)
                     return "optimal" if self.best_cost is not None else "infeasible"
-                _, var, tried, mark = stack[-1]
+                k, var, mark, flipped = stack.pop()
                 self.undo_to(mark)
-                if len(tried) == 1:
-                    val = 1 - tried[0]
-                    tried.append(val)
-                    self.decisions += 1
-                    self.assign(var, val)
-                    if self.propagate() and self.beats_incumbent():
-                        break
-                    self.undo_to(mark)
-                    stack.pop()
-                else:
-                    stack.pop()
+                if flipped:
+                    continue
+                self.decisions += 1
+                self.assign(var, 0)
+                if self.propagate() and self.beats_incumbent():
+                    stack.append((k, var, mark, True))
+                    break
+                self.undo_to(mark)
             if self.out_of_budget():
                 return "timeout"
 

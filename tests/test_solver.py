@@ -1,14 +1,17 @@
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
 
 import refold.solver as solver_mod
 from refold.copmodel import CopModel, LinearConstraint, check_assignment
+from refold.logic import parse_program
 from refold.solver import (
     InstanceTooLarge,
-    SolveTrace,
     SolverBudget,
+    SolverError,
+    SolveTrace,
     assignment_from_selection,
     brute_force_solve,
     solve,
@@ -34,6 +37,56 @@ def random_model(rng: random.Random, n_sc: int = 6) -> CopModel:
         min_lhs = sum(min(c, 0) for c, _ in terms)
         rhs = rng.randint(min_lhs, max_lhs)
         m.constraints.append(LinearConstraint(terms, rhs))
+    return m
+
+
+def random_clause_model(rng: random.Random, n_sc: int = 5) -> CopModel:
+    """A random model with the encoding's constraint families, where a
+    folding option often requires SCs and a RED group's base count is
+    below 2, so clauses run out of options and groups charge as SCs are
+    set (in encoded models every clause keeps its raw option, which
+    requires nothing, and most groups charge at the root)."""
+    m = CopModel(vars=[], constraints=[], objective={})
+
+    def new_var(tag, weight) -> int:
+        m.vars.append(tag)
+        m.objective[len(m.vars) - 1] = weight
+        return len(m.vars) - 1
+
+    def add(terms, rhs, label):
+        m.constraints.append(LinearConstraint(tuple(terms), rhs, label))
+
+    sc = [new_var(("SC", k), rng.randint(1, 6)) for k in range(n_sc)]
+    for k, v in enumerate(sc):
+        m.sc_vars[k] = v
+        deps = (rng.choice(sc[:k]),) if k and rng.random() < 0.2 else ()
+        m.sc_deps[v] = deps
+        for d in deps:
+            add([(1, d), (-1, v)], 0, "sc-dep")
+    for cl in range(rng.randint(1, 4)):
+        picks = []
+        for n in range(rng.randint(1, 3)):
+            p = new_var(("PICK", cl, 1, n), rng.randint(1, 4))
+            m.pick_vars[(cl, 1, n)] = p
+            req = tuple(sorted(rng.sample(sc, rng.randint(0, min(2, n_sc)))))
+            m.pick_required[p] = req
+            for v in req:
+                add([(1, v), (-1, p)], 0, "pick-needs-sc")
+            picks.append((p, m.objective[p], 1, n))
+        add([(1, p) for p, _, _, _ in picks], 1, "pick-lo")
+        add([(-1, p) for p, _, _, _ in picks], -1, "pick-hi")
+        m.clause_picks[cl] = picks
+    for g in range(rng.randint(0, 3)):
+        members = tuple(rng.sample(sc, rng.randint(1, min(3, n_sc))))
+        base = rng.randint(0, 2)
+        r = new_var(("RED", g), 1)
+        m.red_vars[g], m.red_members[r], m.red_base[r] = r, members, base
+        k = base + len(members)
+        add([(k - 1, r)] + [(-1, f) for f in members], base - 1, "red-force")
+        add([(1, f) for f in members] + [(-2, r)], -base, "red-honest")
+    if rng.random() < 0.3:
+        m.sc_cap = rng.randint(0, n_sc - 1)
+        add([(-1, v) for v in sc], -m.sc_cap, "pred-cap")
     return m
 
 
@@ -75,9 +128,192 @@ def reachable_lhs(c: LinearConstraint, values: list) -> int:
     )
 
 
-class _RescanSearch(solver_mod._Search):
-    """The search with the reference fixpoint for propagation and the full
-    bound, summed over every clause, for pruning."""
+def full_clause_bound(model: CopModel, values: list) -> int:
+    """The bound over the full PB model: the cost of every var set to 1
+    plus, for each clause with no PICK set, its cheapest open PICK."""
+    bound = sum(w for v, w in model.objective.items() if values[v] == 1)
+    for picks in model.clause_picks.values():
+        states = [(values[p], w) for p, w, _, _ in picks]
+        open_weights = [w for val, w in states if val == -1]
+        if open_weights and all(val != 1 for val, _ in states):
+            bound += min(open_weights)
+    return bound
+
+
+class _PickBranchingSearch:
+    """Reference: the search before it branched on SC vars only. It
+    branches on every SC var, then on every PICK var, then on the rest,
+    propagating all constraints by counters, and bounds by summing each
+    clause's cheapest open pick. One change: `sc_decisions` counts the
+    branches on SC vars, and the decision budget counts those, as the
+    solver's own `decisions` does."""
+
+    def __init__(self, model: CopModel, budget: SolverBudget):
+        self.model = model
+        self.budget = budget
+        self.n = model.num_vars
+        self.values = [-1] * self.n
+        self.weights = [model.objective.get(i, 0) for i in range(self.n)]
+        self.falls = ([[] for _ in range(self.n)], [[] for _ in range(self.n)])
+        self.terms = [c.terms for c in model.constraints]
+        self.slack = []
+        self.max_coef = []
+        for ci, c in enumerate(model.constraints):
+            drops: dict = {}
+            for coef, v in c.terms:
+                if coef:
+                    drop = drops.setdefault(abs(coef), (ci, abs(coef)))
+                    self.falls[coef < 0][v].append(drop)
+            self.slack.append(sum(coef for coef, _ in c.terms if coef > 0) - c.rhs)
+            self.max_coef.append(max(drops, default=0))
+        self.queue = list(range(len(model.constraints)))
+        self.queued = [True] * len(model.constraints)
+        self.trail: list = []
+        self.clause_costs = [
+            tuple(sorted(((p, w) for p, w, _, _ in model.clause_picks[cl]),
+                         key=lambda r: (r[1], r[0])))
+            for cl in sorted(model.clause_picks)
+        ]
+        self.best_cost = None
+        self.best_values = None
+        self.cost = 0
+        self.start = time.monotonic()
+        self.decisions = 0
+        self.sc_decisions = 0
+        self.trace = SolveTrace()
+        sc = sorted(model.sc_vars.values(), key=lambda v: (-self.weights[v], v))
+        picks = [p for costs in self.clause_costs for p, _ in costs]
+        rest = [v for v in range(self.n) if model.vars[v][0] not in ("SC", "PICK")]
+        self.order = sc + picks + rest
+
+    def elapsed(self) -> float:
+        return time.monotonic() - self.start
+
+    def out_of_budget(self) -> bool:
+        if self.elapsed() >= self.budget.wall_time:
+            return True
+        return (
+            self.budget.max_decisions is not None
+            and self.sc_decisions >= self.budget.max_decisions
+        )
+
+    def decide(self, var: int, val: int):
+        self.decisions += 1
+        self.sc_decisions += self.model.vars[var][0] == "SC"
+        self.assign(var, val)
+
+    def assign(self, var: int, val: int):
+        self.values[var] = val
+        self.trail.append(var)
+        if val:
+            self.cost += self.weights[var]
+        for ci, drop in self.falls[val][var]:
+            self.slack[ci] -= drop
+            if self.slack[ci] < self.max_coef[ci] and not self.queued[ci]:
+                self.queued[ci] = True
+                self.queue.append(ci)
+
+    def clear_queue(self):
+        for ci in self.queue:
+            self.queued[ci] = False
+        self.queue.clear()
+
+    def undo_to(self, mark: int):
+        self.clear_queue()
+        while len(self.trail) > mark:
+            var = self.trail.pop()
+            val = self.values[var]
+            if val:
+                self.cost -= self.weights[var]
+            self.values[var] = -1
+            for ci, drop in self.falls[val][var]:
+                self.slack[ci] += drop
+
+    def propagate(self) -> bool:
+        while self.queue:
+            ci = self.queue.pop()
+            self.queued[ci] = False
+            s = self.slack[ci]
+            if s < 0:
+                return False
+            if s >= self.max_coef[ci]:
+                continue
+            for coef, v in self.terms[ci]:
+                if self.values[v] == -1 and (s < coef or s < -coef):
+                    self.assign(v, int(coef > 0))
+        return True
+
+    def beats_incumbent(self) -> bool:
+        if self.best_cost is None:
+            return True
+        bound = self.cost
+        for picks in self.clause_costs:
+            for pvar, w in picks:
+                if self.values[pvar] == 0:
+                    continue
+                if self.values[pvar] == -1:
+                    bound += w
+                break
+        return bound < self.best_cost
+
+    def record_incumbent(self):
+        if self.best_cost is None or self.cost < self.best_cost:
+            self.best_cost = self.cost
+            self.best_values = list(self.values)
+            self.trace.record(self.elapsed(), self.cost)
+
+    def seed_incumbent(self, assignment):
+        cost = assignment.objective_value
+        if self.best_cost is None or cost < self.best_cost:
+            self.best_cost = cost
+            self.best_values = [1 if assignment.values[i] else 0 for i in range(self.n)]
+            self.trace.record(self.elapsed(), cost)
+
+    def next_unassigned(self, hint: int) -> int:
+        for k in range(hint, len(self.order)):
+            if self.values[self.order[k]] == -1:
+                return k
+        return len(self.order)
+
+    def run(self) -> str:
+        mark0 = len(self.trail)
+        if not self.propagate():
+            return "infeasible" if self.best_cost is None else "optimal"
+        stack = []
+        while True:
+            if self.out_of_budget():
+                return "timeout"
+            k = self.next_unassigned(stack[-1][0] if stack else 0)
+            if k == len(self.order):
+                self.record_incumbent()
+            else:
+                var = self.order[k]
+                mark = len(self.trail)
+                self.decide(var, 1)
+                ok = self.propagate()
+                stack.append((k, var, [1], mark))
+                if ok and self.beats_incumbent():
+                    continue
+            while True:
+                if not stack:
+                    self.undo_to(mark0)
+                    return "optimal" if self.best_cost is not None else "infeasible"
+                _, var, tried, mark = stack[-1]
+                self.undo_to(mark)
+                if len(tried) == 1:
+                    tried.append(0)
+                    self.decide(var, 0)
+                    if self.propagate() and self.beats_incumbent():
+                        break
+                    self.undo_to(mark)
+                stack.pop()
+            if self.out_of_budget():
+                return "timeout"
+
+
+class _RescanSearch(_PickBranchingSearch):
+    """The reference search with the reference fixpoint for propagation
+    and the full bound, summed over every clause, for pruning."""
 
     def propagate(self) -> bool:
         forced = rescan_fixpoint(self.model, self.values)
@@ -89,19 +325,62 @@ class _RescanSearch(solver_mod._Search):
         return forced is not None
 
     def beats_incumbent(self) -> bool:
-        if self.best_cost is None:
-            return True
-        bound = self.cost
-        for picks in self.model.clause_picks.values():
-            states = [(self.values[p], w) for p, w, _, _ in picks]
-            open_weights = [w for val, w in states if val == -1]
-            if open_weights and all(val != 1 for val, _ in states):
-                bound += min(open_weights)
-        return bound < self.best_cost
+        return self.best_cost is None or (
+            full_clause_bound(self.model, self.values) < self.best_cost
+        )
+
+
+def solve_with(search_class, model: CopModel, budget: SolverBudget, monkeypatch):
+    """solve() with `search_class` in place of the solver's search; returns
+    the assignment, the trace and the search."""
+    made = []
+
+    class Recorded(search_class):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(solver_mod, "_Search", Recorded)
+        got, trace = solve(model, budget)
+    return got, trace, made[0]
+
+
+def two_level_model() -> CopModel:
+    """A model with level-2 candidates, so with `sc-dep` constraints."""
+    rng = random.Random(4)
+    prog = random_chain_program(rng, 2, rng.randint(5, 8), lambda: rng.randint(6, 9))
+    model = encoded(prog)[2]
+    assert any(model.sc_deps.values())
+    return model
+
+
+def pred_cap_model() -> CopModel:
+    """A model whose `pred-cap` row binds: one support predicate in the
+    input, so at most one candidate, where the optimum without the cap
+    selects two."""
+    rng = random.Random(0)
+    lines = [
+        "#primitive p0/2.", "#primitive p1/2.", "#primitive p2/2.",
+        "#support s/2.", "s(A,C) :- p0(A,B), p1(B,C).",
+    ]
+    lines += [f"#task t{c}/2." for c in range(6)]
+    for c in range(6):
+        blen = rng.randint(4, 7)
+        lits = [f"p{rng.randrange(3)}(V{k},V{k + 1})" for k in range(blen)]
+        k = rng.randrange(blen)
+        lits[k] = f"s(V{k},V{k + 1})"
+        lines.append(f"t{c}(V0,V{blen}) :- {', '.join(lits)}.")
+    prog = parse_program("\n".join(lines))
+    model = encoded(prog, original_predicates=len(prog.registry.entries))[2]
+    assert model.sc_cap == 1 and len(model.sc_vars) > 1
+    assert any(c.label == "pred-cap" for c in model.constraints)
+    return model
 
 
 def propagation_models(rng: random.Random) -> list:
     models = [random_model(rng, n_sc=rng.randint(3, 12)) for _ in range(60)]
+    models += [random_clause_model(rng, n_sc=rng.randint(2, 7)) for _ in range(40)]
     models += [encoded(chain_program(k))[2] for k in (3, 4, 6)]
     for _ in range(3):
         prog = random_chain_program(
@@ -113,48 +392,54 @@ def propagation_models(rng: random.Random) -> list:
 
 class TestQueuePropagation:
     def test_reaches_the_full_rescan_fixpoint(self):
+        # the search holds SC values only; each step is checked against
+        # the reference fixpoint of the full model, PICK and RED included
         rng = random.Random(2026)
-        for trial, m in enumerate(propagation_models(rng)):
+        models = propagation_models(rng) + [two_level_model(), pred_cap_model()]
+        for trial, m in enumerate(models):
+            sc = sorted(v for v in range(m.num_vars) if m.vars[v][0] == "SC")
             search = solver_mod._Search(m, SolverBudget(wall_time=60.0))
-            expect = rescan_fixpoint(m, [-1] * m.num_vars)
-            assert search.propagate() == (expect is not None), f"model {trial}"
-            if expect is None:
+            ref = rescan_fixpoint(m, [-1] * m.num_vars)
+            assert search.propagate() == (ref is not None), f"model {trial}"
+            if ref is None:
                 continue
-            assert search.values == expect, f"model {trial}"
-            stack = []  # (trail mark, values at the mark)
+            stack = []  # (trail mark, reference values at the mark)
             for step in range(40):
-                free = [v for v in range(m.num_vars) if search.values[v] == -1]
+                free = [v for v in sc if search.values[v] == -1]
                 if not free or (stack and rng.random() < 0.25):
                     if not stack:
                         break
                     depth = rng.randrange(len(stack))
-                    mark, saved = stack[depth]
+                    mark, ref = stack[depth]
                     del stack[depth:]
                     search.undo_to(mark)
-                    assert search.values == saved, f"model {trial} step {step}"
                 else:
                     var, val = rng.choice(free), rng.randint(0, 1)
-                    trial_values = list(search.values)
+                    trial_values = list(ref)
                     trial_values[var] = val
                     expect = rescan_fixpoint(m, trial_values)
-                    mark, saved = len(search.trail), list(search.values)
+                    mark = len(search.trail)
                     search.assign(var, val)
                     ok = search.propagate()
                     assert ok == (expect is not None), f"model {trial} step {step}"
                     if ok:
-                        assert search.values == expect, f"model {trial} step {step}"
-                        stack.append((mark, saved))
+                        stack.append((mark, ref))
+                        ref = expect
                     else:
                         search.undo_to(mark)
-                        assert search.values == saved, f"model {trial} step {step}"
-                # the counters and the cost follow the assignment exactly
-                assert search.slack == [
-                    reachable_lhs(c, search.values) - c.rhs for c in m.constraints
-                ]
+                where = f"model {trial} step {step}"
+                assert [search.values[v] for v in sc] == [ref[v] for v in sc], where
+                assert search.cost + search.open_sum == full_clause_bound(m, ref), where
+                # the cost is the SC and RED part of the reference's cost
                 assert search.cost == sum(
-                    w for v, w in m.objective.items() if search.values[v] == 1
-                )
-                assert not search.queue
+                    w for v, w in m.objective.items()
+                    if ref[v] == 1 and m.vars[v][0] != "PICK"
+                ), where
+                # the counters follow the assignment exactly
+                assert search.slack == [
+                    reachable_lhs(c, search.values) - c.rhs for c in search.constraints
+                ], where
+                assert not search.queue and not search.units, where
 
     def test_undo_empties_what_a_conflict_left_queued(self):
         # x0 = 0 lowers the slack of both constraints; the second conflicts
@@ -180,15 +465,34 @@ class TestQueuePropagation:
         for trial, m in enumerate(propagation_models(rng)):
             budget = SolverBudget(wall_time=600.0, max_decisions=150)
             got, trace = solve(m, budget)
-            with monkeypatch.context() as patched:
-                patched.setattr(solver_mod, "_Search", _RescanSearch)
-                ref, ref_trace = solve(m, budget)
+            ref, ref_trace, ref_search = solve_with(
+                _RescanSearch, m, budget, monkeypatch
+            )
             assert [o for _, o in trace.history] == [
                 o for _, o in ref_trace.history
             ], f"model {trial}"
-            assert trace.decisions == ref_trace.decisions, f"model {trial}"
+            assert trace.decisions == ref_search.sc_decisions, f"model {trial}"
             assert got.status == ref.status, f"model {trial}"
             assert got.values == ref.values, f"model {trial}"
+
+    def test_same_tree_as_pick_branching(self, monkeypatch):
+        rng = random.Random(78)
+        models = propagation_models(rng) + [two_level_model(), pred_cap_model()]
+        for trial, m in enumerate(models):
+            for cap in (None, 40):
+                budget = SolverBudget(wall_time=600.0, max_decisions=cap)
+                got, trace = solve(m, budget)
+                ref, ref_trace, ref_search = solve_with(
+                    _PickBranchingSearch, m, budget, monkeypatch
+                )
+                where = f"model {trial} cap {cap}"
+                assert [o for _, o in trace.history] == [
+                    o for _, o in ref_trace.history
+                ], where
+                assert trace.decisions == ref_search.sc_decisions, where
+                assert trace.proof_status == ref_trace.proof_status, where
+                assert got.status == ref.status, where
+                assert got.values == ref.values, where
 
     def test_decisions_counted(self):
         rng = random.Random(7)
@@ -200,6 +504,25 @@ class TestQueuePropagation:
         _, capped = solve(model, SolverBudget(wall_time=60.0, max_decisions=10))
         assert capped.proof_status == "timeout"
         assert 10 <= capped.decisions < trace.decisions
+
+
+class TestContract:
+    def test_var_of_unknown_kind_rejected(self):
+        m = CopModel(vars=[("SC", 0), ("FOLD", 0)], constraints=[], objective={0: 1})
+        m.sc_vars[0] = 0
+        with pytest.raises(SolverError, match="not SC, PICK or RED"):
+            solve(m, SolverBudget(wall_time=5.0))
+
+    def test_leaf_must_complete_to_its_bound(self):
+        # every folding now costs one more in the objective than in the
+        # clause's option list, which the bound reads: the first leaf the
+        # search reaches completes to more than its bound
+        _, _, model = encoded(chain_program(4))
+        for picks in model.clause_picks.values():
+            for pvar, _, _, _ in picks:
+                model.objective[pvar] += 1
+        with pytest.raises(SolverError, match="not to its bound"):
+            solve(model, SolverBudget(wall_time=10.0))
 
 
 class TestSolveOnEncodings:
@@ -230,9 +553,9 @@ class TestSolveOnEncodings:
         assert times == sorted(times)
 
     def test_greedy_incumbents_stamped_when_found(self, monkeypatch):
-        # a clock that advances one second per greedy evaluation: each
-        # incumbent's stamp must count only the evaluations made before it
-        # was found, not all of greedy's
+        # a clock that advances one second per completion of a selection,
+        # by greedy or at a branch-and-bound leaf: each incumbent's stamp
+        # must count only the completions made before it was found
         _, _, model = encoded(chain_program(5))
         clock = [0.0]
         evaluations = []
@@ -253,8 +576,7 @@ class TestSolveOnEncodings:
         assert len(evaluations) > 2
         assert trace.history[0][0] == 1.0
         for t, obj in trace.history:
-            if obj in found_after:  # found by greedy, not by branch and bound
-                assert t == found_after[obj]
+            assert t == found_after[obj]
 
 
 class TestSolveOnRandomModels:
@@ -270,6 +592,18 @@ class TestSolveOnRandomModels:
                 assert got.status == "optimal", f"trial {trial}"
                 assert got.objective_value == oracle, f"trial {trial}"
                 assert check_assignment(m, got.values)
+
+    def test_clause_models_agree_with_brute_force(self):
+        rng = random.Random(4321)
+        for trial in range(150):
+            m = random_clause_model(rng, n_sc=rng.randint(1, 7))
+            oracle = brute_force_solve(m)
+            got, trace = solve(m, SolverBudget(wall_time=5.0))
+            assert got.status == oracle.status, f"trial {trial}"
+            assert trace.proof_status == oracle.status, f"trial {trial}"
+            if oracle.status == "optimal":
+                assert got.objective_value == oracle.objective_value, f"trial {trial}"
+                assert check_assignment(m, got.values), f"trial {trial}"
 
     def test_infeasible_model(self):
         m = CopModel(
@@ -354,3 +688,9 @@ class TestBudget:
         for wall_time in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ValueError, match="finite and positive"):
                 SolverBudget(wall_time=wall_time)
+        # a negative or fractional cap ended the search at once
+        for cap in (-5, 2.5, True, False, "3"):
+            with pytest.raises(ValueError, match="max_decisions"):
+                SolverBudget(max_decisions=cap)
+        for cap in (None, 0, 7):
+            assert SolverBudget(max_decisions=cap).max_decisions == cap
