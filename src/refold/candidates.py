@@ -53,8 +53,6 @@ class CandidateSupportClause:
 
 @dataclass(frozen=True)
 class FoldingOption:
-    clause_index: int
-    level: int
     literals: tuple
     required: frozenset  # candidate ids whose heads appear in literals
 
@@ -69,7 +67,7 @@ class LevelStats:
     extracted: int = 0
     after_usage_prune: int = 0
     folding_options: int = 0
-    truncated_clauses: int = 0
+    truncated_clauses: int = 0  # clauses whose options folding_cap cut
 
 
 @dataclass
@@ -266,7 +264,7 @@ def build_search_space(
         keyed_subsets(c.body, min(i, 2), max(j, RED_SUBBODY_MAX)) for c in u.clauses
     ]
     foldings: dict = {
-        idx: {0: [FoldingOption(clause_index=idx, level=0, literals=c.body, required=frozenset())]}
+        idx: {0: [FoldingOption(literals=c.body, required=frozenset())]}
         for idx, c in enumerate(u.clauses)
     }
 
@@ -333,20 +331,23 @@ def build_search_space(
         for idx, bases in by_clause:
             opts_here: list = []
             seen_sigs: set = set()
+            # the clause counts as truncated once, if the cap cut a base
+            # body's options or left a base body unfolded
+            cut = False
             for bid, (_, body, _) in bases:
+                if len(opts_here) >= folding_cap:
+                    cut = True
+                    break
                 opts, truncated = _fold_one(
-                    idx, body, fold_with[bid], level, folding_cap - len(opts_here), pred_to_id
+                    body, fold_with[bid], folding_cap - len(opts_here), pred_to_id
                 )
-                if truncated:
-                    st.truncated_clauses += 1
+                cut = cut or truncated
                 for o in opts:
                     sig = tuple(map(repr, o.literals))
                     if sig not in seen_sigs:
                         seen_sigs.add(sig)
                         opts_here.append(o)
-                if len(opts_here) >= folding_cap:
-                    st.truncated_clauses += 1
-                    break
+            st.truncated_clauses += cut
             if opts_here:
                 foldings[idx][level] = opts_here
                 st.folding_options += len(opts_here)
@@ -364,19 +365,11 @@ def build_search_space(
     )
 
 
-def _fold_one(
-    clause_index: int,
-    body: tuple,
-    cands: list,
-    level: int,
-    cap: int,
-    pred_to_id: dict,
-) -> tuple:
+def _fold_one(body: tuple, cands: list, cap: int, pred_to_id: dict) -> tuple:
     """Fold one base body with `cands`, the level's candidates that the
-    level's UsageIndex gates it to; leftovers stay raw. `pred_to_id` maps
-    every invented predicate so far to its candidate id."""
-    if cap <= 0:
-        return [], True
+    level's UsageIndex gates it to, into at most `cap` (>= 1) options;
+    leftovers stay raw. `pred_to_id` maps every invented predicate so far
+    to its candidate id. Returns (options, whether the cap cut some)."""
     matches = []
     for cand in cands:
         for idxs, head in find_body_matches(body, cand.clause.body, cand.clause.head):
@@ -394,12 +387,5 @@ def _fold_one(
         required = frozenset(
             pred_to_id[l.pred] for l in lits if l.pred in pred_to_id
         )
-        options.append(
-            FoldingOption(
-                clause_index=clause_index,
-                level=level,
-                literals=lits,
-                required=required,
-            )
-        )
+        options.append(FoldingOption(literals=lits, required=required))
     return options, truncated

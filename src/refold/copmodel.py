@@ -14,6 +14,10 @@ Constraints (all normalised to sum(coef * var) >= rhs):
   - SC(k) -> SC(dep) for every dependency
   - RED(g) <-> (input occurrences + selected member SC vars > 1)
 
+Each clause's level-0 option, PICK(cl, 0, 0), is its raw body and
+requires no SC, so every selection leaves each clause an option; the
+solver's search relies on this and rejects a model without it.
+
 The objective charges size(option) on PICK, size(candidate) on SC, and 1
 on RED, so the optimum value equals the emitted program's literal count
 plus the redundancy penalties.

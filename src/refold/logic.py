@@ -145,7 +145,7 @@ class PredicateRegistry:
 
     entries: dict = field(default_factory=dict)
 
-    def declare(self, pred: str, arity: int, role: str, allow_redeclare: bool = False):
+    def declare(self, pred: str, arity: int, role: str):
         if role not in ROLES:
             raise LogicError(f"unknown role {role!r} for {pred}/{arity}")
         if pred in self.entries:
@@ -154,7 +154,7 @@ class PredicateRegistry:
                 raise ArityError(
                     f"{pred} declared with arity {arity} but already has arity {old_arity}"
                 )
-            if old_role != role and not allow_redeclare:
+            if old_role != role:
                 raise LogicError(
                     f"{pred}/{arity} declared {role} but already declared {old_role}"
                 )

@@ -52,11 +52,6 @@ class SolveTrace:
             return
         self.history.append((elapsed, objective))
 
-    def render(self) -> str:
-        lines = [f"{int(t * 1000)} {obj}" for t, obj in self.history]
-        lines.append(f"# status {self.proof_status}")
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # Derived assignments from a support-clause selection
@@ -149,13 +144,13 @@ class _Search:
     queues those whose slack fell below their largest |coef|: only they
     can force a term.
 
-    The constraints with a PICK or RED var are the encoding's, and are
-    kept as state instead. A clause's folding options are ordered cheapest
-    first by (weight, pick var); an option is available while none of the
-    SCs it requires is 0. A clause left with one option forces that
-    option's SCs to 1; one left with none is a conflict. A RED group
-    charges its weight once its base count plus its selected members
-    reach 2. The bound, committed cost plus each clause's cheapest
+    The constraints with a PICK or RED var are the encoding's, and only
+    feed the bound. A clause's folding options are ordered cheapest first
+    by (weight, pick var); an option is available while none of the SCs
+    it requires is 0. Each clause has a level-0 option that requires
+    nothing (the copmodel contract), so it always has one available. A
+    RED group charges its weight once its base count plus its selected
+    members reach 2. The bound, committed cost plus each clause's cheapest
     available option, is kept up to date, so it costs O(1) a node, and it
     is the exact objective once every SC is set."""
 
@@ -163,6 +158,9 @@ class _Search:
         for v, tag in enumerate(model.vars):
             if tag[0] not in ("SC", "PICK", "RED"):
                 raise SolverError(f"variable {v} {tag!r} is not SC, PICK or RED")
+        for cl, picks in model.clause_picks.items():
+            if not any(lvl == 0 and not model.pick_required[p] for p, _, lvl, _ in picks):
+                raise SolverError(f"clause {cl} has no level-0 option free of SCs")
         self.model = model
         self.budget = budget
         self.n = n = model.num_vars
@@ -192,26 +190,19 @@ class _Search:
         self.queue = list(range(len(self.constraints)))
         self.queued = [True] * len(self.constraints)
         # folding options of all clauses in one run, each clause's options
-        # cheapest first and closed by a sentinel that is always available
-        # and weighs 0; zeros[o] counts the SCs option o requires set to 0
-        self.opt_weight, self.opt_clause, self.opt_required = [], [], []
+        # cheapest first; zeros[o] counts the SCs option o requires set to 0
+        self.opt_weight, self.opt_clause = [], []
         self.needed_by = [[] for _ in range(n)]  # SC var -> options requiring it
-        self.cheapest, self.available = [], []  # per clause
+        self.cheapest = []  # per clause
         for c, cl in enumerate(sorted(model.clause_picks)):
-            options = sorted((w, p) for p, w, _, _ in model.clause_picks[cl])
             self.cheapest.append(len(self.opt_weight))
-            self.available.append(len(options))
-            for w, p in options + [(0, None)]:
-                required = model.pick_required[p] if p is not None else ()
-                for sv in required:
+            for w, p in sorted((w, p) for p, w, _, _ in model.clause_picks[cl]):
+                for sv in model.pick_required[p]:
                     self.needed_by[sv].append(len(self.opt_weight))
                 self.opt_weight.append(w)
                 self.opt_clause.append(c)
-                self.opt_required.append(required)
         self.zeros = [0] * len(self.opt_weight)
         self.open_sum = sum(self.opt_weight[o] for o in self.cheapest)
-        # clauses left with at most one option, to force or to refute
-        self.units = [c for c, left in enumerate(self.available) if left <= 1]
         # each RED group's base count plus selected members
         self.red_count, self.red_weight = [], []
         self.red_of = [[] for _ in range(n)]  # SC var -> its groups
@@ -246,9 +237,8 @@ class _Search:
 
     def assign(self, var: int, val: int):
         """Sets SC var, updates the cost, the RED counts and the clauses'
-        options, and queues each SC constraint whose slack fell below its
-        largest |coef| (a conflict, slack below 0, included) and each
-        clause left with at most one option."""
+        cheapest options, and queues each SC constraint whose slack fell
+        below its largest |coef| (a conflict, slack below 0, included)."""
         self.values[var] = val
         self.trail.append(var)
         slack, max_coef, queued = self.slack, self.max_coef, self.queued
@@ -265,36 +255,27 @@ class _Search:
                 if counts[g] == 2:
                     self.cost += self.red_weight[g]
             return
-        zeros, cheapest, available = self.zeros, self.cheapest, self.available
+        zeros, cheapest = self.zeros, self.cheapest
         for o in self.needed_by[var]:
-            if zeros[o]:
-                zeros[o] += 1
-                continue
-            zeros[o] = 1
+            zeros[o] += 1
             c = self.opt_clause[o]
-            available[c] -= 1
-            if available[c] <= 1:
-                self.units.append(c)
             if cheapest[c] == o:
+                # the scan stops at the clause's raw option at the latest
                 nxt = o + 1
                 while zeros[nxt]:
                     nxt += 1
                 cheapest[c] = nxt
                 self.open_sum += self.opt_weight[nxt] - self.opt_weight[o]
 
-    def clear_queue(self):
-        for ci in self.queue:
-            self.queued[ci] = False
-        self.queue.clear()
-        self.units.clear()
-
     def undo_to(self, mark: int):
         # every mark is taken at a propagation fixpoint, so whatever a
         # conflict left queued can go
-        self.clear_queue()
+        for ci in self.queue:
+            self.queued[ci] = False
+        self.queue.clear()
         trail, values, slack = self.trail, self.values, self.slack
         zeros, cheapest, counts = self.zeros, self.cheapest, self.red_count
-        opt_clause, available = self.opt_clause, self.available
+        opt_clause = self.opt_clause
         while len(trail) > mark:
             var = trail.pop()
             val = values[var]
@@ -309,33 +290,18 @@ class _Search:
                     counts[g] -= 1
                 continue
             for o in self.needed_by[var]:
-                if zeros[o] > 1:
-                    zeros[o] -= 1
-                    continue
-                zeros[o] = 0
+                zeros[o] -= 1
                 c = opt_clause[o]
-                available[c] += 1
-                if o < cheapest[c]:
+                if not zeros[o] and o < cheapest[c]:
                     self.open_sum += self.opt_weight[o] - self.opt_weight[cheapest[c]]
                     cheapest[c] = o
 
     def propagate(self) -> bool:
-        """Forces the terms of queued SC constraints and the options of
-        queued clauses to a fixpoint; False on conflict, which the caller
-        undoes. A term is forced when its |coef| exceeds the slack; forcing
-        it leaves that slack as it is. Setting an SC to 1 takes no option
-        away, so forcing a clause queues no clause."""
+        """Forces the terms of queued SC constraints to a fixpoint; False
+        on conflict, which the caller undoes. A term is forced when its
+        |coef| exceeds the slack; forcing it leaves that slack as it is."""
         queue, queued, values, slack = self.queue, self.queued, self.values, self.slack
-        units = self.units
-        while queue or units:
-            if not queue:
-                c = units.pop()
-                if not self.available[c]:
-                    return False
-                for v in self.opt_required[self.cheapest[c]]:
-                    if values[v] == -1:
-                        self.assign(v, 1)
-                continue
+        while queue:
             ci = queue.pop()
             queued[ci] = False
             s = slack[ci]
@@ -460,11 +426,10 @@ def brute_force_solve(model: CopModel) -> Assignment:
     for mask in range(1 << len(sc_vars)):
         chosen = {v for k, v in enumerate(sc_vars) if mask >> k & 1}
         a = assignment_from_selection(model, chosen)
-        if a is None:
+        # only a completion that beats the best so far needs the check
+        if a is None or (best is not None and a.objective_value >= best.objective_value):
             continue
-        if not check_assignment(model, a.values):
-            continue
-        if best is None or a.objective_value < best.objective_value:
+        if check_assignment(model, a.values):
             best = a
     if best is None:
         return Assignment(values={}, objective_value=0, status="infeasible")

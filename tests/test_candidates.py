@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from refold import candidates
 from refold.candidates import (
     CandidateSupportClause,
-    FoldingOption,
     UsageIndex,
     _fold_one,
     _max_disjoint_count,
@@ -161,8 +160,8 @@ class TestMatcherGate:
         for bid, (_, body, _) in enumerate(index.bodies):
             # the gated candidates fold a body as all candidates do
             mine = [c for c, ids in zip(cands, gated) if bid in ids]
-            assert _fold_one(0, body, mine, 1, 20, pred_to_id) == _fold_one(
-                0, body, cands, 1, 20, pred_to_id
+            assert _fold_one(body, mine, 20, pred_to_id) == _fold_one(
+                body, cands, 20, pred_to_id
             )
 
 
@@ -383,6 +382,21 @@ class TestSearchSpace:
             for opts in per_level.values():
                 assert len(opts) <= 10
         assert any(st.truncated_clauses for st in space.stats)
+
+    def test_truncated_clauses_counts_each_cut_clause_once(self):
+        # a clause counts when the cap cut its options: exactly the
+        # clauses whose level-1 options differ from the uncapped ones; a
+        # clause whose options just fill the cap (at 8, 17 and 23) does not
+        u = unfold(dense_program())
+        full = build_search_space(u, 2, 3, max_levels=1, folding_cap=500)
+        assert full.stats[0].truncated_clauses == 0
+        for cap in (3, 8, 17, 23):
+            space = build_search_space(u, 2, 3, max_levels=1, folding_cap=cap)
+            cut = sum(
+                full.foldings[cl].get(1) != space.foldings[cl].get(1)
+                for cl in full.foldings
+            )
+            assert space.stats[0].truncated_clauses == cut, f"cap {cap}"
 
 
 def _expand(literals: tuple, by_pred: dict) -> tuple:

@@ -41,11 +41,11 @@ def random_model(rng: random.Random, n_sc: int = 6) -> CopModel:
 
 
 def random_clause_model(rng: random.Random, n_sc: int = 5) -> CopModel:
-    """A random model with the encoding's constraint families, where a
-    folding option often requires SCs and a RED group's base count is
-    below 2, so clauses run out of options and groups charge as SCs are
-    set (in encoded models every clause keeps its raw option, which
-    requires nothing, and most groups charge at the root)."""
+    """A random model with the encoding's constraint families, where each
+    clause's level-0 option requires nothing, as the raw option does in
+    encoded models, but its other options often require SCs, and a RED
+    group's base count is below 2, so options drop out and groups charge
+    as SCs are set (in encoded models most groups charge at the root)."""
     m = CopModel(vars=[], constraints=[], objective={})
 
     def new_var(tag, weight) -> int:
@@ -65,14 +65,17 @@ def random_clause_model(rng: random.Random, n_sc: int = 5) -> CopModel:
             add([(1, d), (-1, v)], 0, "sc-dep")
     for cl in range(rng.randint(1, 4)):
         picks = []
-        for n in range(rng.randint(1, 3)):
-            p = new_var(("PICK", cl, 1, n), rng.randint(1, 4))
-            m.pick_vars[(cl, 1, n)] = p
-            req = tuple(sorted(rng.sample(sc, rng.randint(0, min(2, n_sc)))))
+        for k in range(rng.randint(1, 3)):
+            lvl, n = (0, 0) if k == 0 else (1, k - 1)
+            p = new_var(("PICK", cl, lvl, n), rng.randint(1, 4))
+            m.pick_vars[(cl, lvl, n)] = p
+            req = () if lvl == 0 else tuple(
+                sorted(rng.sample(sc, rng.randint(0, min(2, n_sc))))
+            )
             m.pick_required[p] = req
             for v in req:
                 add([(1, v), (-1, p)], 0, "pick-needs-sc")
-            picks.append((p, m.objective[p], 1, n))
+            picks.append((p, m.objective[p], lvl, n))
         add([(1, p) for p, _, _, _ in picks], 1, "pick-lo")
         add([(-1, p) for p, _, _, _ in picks], -1, "pick-hi")
         m.clause_picks[cl] = picks
@@ -439,7 +442,7 @@ class TestQueuePropagation:
                 assert search.slack == [
                     reachable_lhs(c, search.values) - c.rhs for c in search.constraints
                 ], where
-                assert not search.queue and not search.units, where
+                assert not search.queue, where
 
     def test_undo_empties_what_a_conflict_left_queued(self):
         # x0 = 0 lowers the slack of both constraints; the second conflicts
@@ -511,6 +514,27 @@ class TestContract:
         m = CopModel(vars=[("SC", 0), ("FOLD", 0)], constraints=[], objective={0: 1})
         m.sc_vars[0] = 0
         with pytest.raises(SolverError, match="not SC, PICK or RED"):
+            solve(m, SolverBudget(wall_time=5.0))
+
+    def test_clause_without_a_free_raw_option_rejected(self):
+        # the search assumes each clause keeps its level-0 option; here
+        # every option of clause 0 requires an SC, so it could run out
+        rng = random.Random(5)
+        m = random_clause_model(rng, n_sc=3)
+        solve(m, SolverBudget(wall_time=5.0))
+        sc = m.sc_vars[0]
+        for p, _, _, _ in m.clause_picks[0]:
+            if sc not in m.pick_required[p]:
+                m.pick_required[p] += (sc,)
+                m.constraints.append(
+                    LinearConstraint(((1, sc), (-1, p)), 0, "pick-needs-sc")
+                )
+        with pytest.raises(SolverError, match="clause 0 has no level-0 option"):
+            solve(m, SolverBudget(wall_time=5.0))
+        # a model whose only requirement-free option is not at level 0
+        m = random_clause_model(random.Random(5), n_sc=3)
+        m.clause_picks[0] = [(p, w, 1, n) for p, w, _, n in m.clause_picks[0]]
+        with pytest.raises(SolverError, match="clause 0 has no level-0 option"):
             solve(m, SolverBudget(wall_time=5.0))
 
     def test_leaf_must_complete_to_its_bound(self):
@@ -671,13 +695,6 @@ class TestTrace:
         t.record(0.3, 60)
         t.record(0.4, 40)
         assert t.history == [(0.1, 50), (0.4, 40)]
-
-    def test_render_format(self):
-        t = SolveTrace()
-        t.record(0.001, 9)
-        t.proof_status = "optimal"
-        out = t.render()
-        assert out == "1 9\n# status optimal\n"
 
 
 class TestBudget:
