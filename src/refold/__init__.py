@@ -18,13 +18,12 @@ from .logic import (
 )
 from .transform import (
     fold_clause,
-    restricted_consequences,
     syntactic_equiv,
     unfold,
 )
 from .candidates import build_search_space, extract_candidates
 from .copmodel import encode, decode
-from .solver import SolverBudget, brute_force_solve, solve
+from .solver import SolverBudget, solve
 from .pipeline import (
     RefactorConfig,
     RefactorReport,
@@ -58,7 +57,6 @@ __all__ = [
     "SynthesisTask",
     "Var",
     "accumulate_background",
-    "brute_force_solve",
     "build_search_space",
     "connected",
     "decode",
@@ -70,7 +68,6 @@ __all__ = [
     "refactor",
     "remove_redundancy_baseline",
     "render_program",
-    "restricted_consequences",
     "run_benchmark",
     "solve",
     "syntactic_equiv",

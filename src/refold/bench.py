@@ -175,19 +175,18 @@ def gen_lego_tasks(
     n: int,
     seed: int,
     max_height: int = 2,
-    min_height: int = 0,
     prefix: str = "lego",
 ) -> list:
     """n tasks mapping the blank board to a uniformly sampled final state
-    with stack heights in [min_height, max_height]."""
+    with stack heights in [0, max_height]."""
     if width < 1:
         raise ValueError("width must be >= 1")
-    if not 0 <= min_height <= max_height:
-        raise ValueError("need 0 <= min_height <= max_height")
+    if max_height < 0:
+        raise ValueError("need max_height >= 0")
     rng = random.Random(seed)
     tasks = []
     for k in range(n):
-        heights = tuple(rng.randint(min_height, max_height) for _ in range(width))
+        heights = tuple(rng.randint(0, max_height) for _ in range(width))
         goal = LegoWorld(heights, cursor=0)
         tasks.append(
             SynthesisTask(
@@ -328,9 +327,6 @@ class Interpreter:
         defined.sort(key=lambda p: -len(self.flat[p]))
         self.vocabulary = defined + prim
 
-    def cost(self, op: str) -> int:
-        return len(self.flat[op]) if op in self.flat else 1
-
     def apply(self, op: str, state):
         if op in self.transforms:
             return self.transforms[op](state)
@@ -338,13 +334,6 @@ class Interpreter:
             return state if self.tests[op](state) else None
         for prim in self.flat[op]:
             state = self.apply(prim, state)
-            if state is None:
-                return None
-        return state
-
-    def run(self, ops, state):
-        for op in ops:
-            state = self.apply(op, state)
             if state is None:
                 return None
         return state

@@ -84,6 +84,14 @@ class LevelledSearchSpace:
         return self.candidates[cid]
 
 
+def fresh_name(name: str, taken) -> str:
+    """`name`, with "_" appended until it is not in `taken`. Invented
+    names end in a digit, so a lengthened one cannot be invented again."""
+    while name in taken:
+        name += "_"
+    return name
+
+
 def make_candidate_clause(subset: tuple, pred: str) -> Clause:
     """Invented head over the subset's variables in first-occurrence order."""
     head = Atom(pred, tuple(first_occurrence_vars(subset)))
@@ -257,7 +265,9 @@ def build_search_space(
     """Alternate extract -> prune -> fold per level, starting from the
     unfolded program. Level 0 holds the raw clauses. Each level's
     UsageIndex, with one group per clause over its options at the level
-    below, serves that level's extraction, usage counts and folding."""
+    below, serves that level's extraction, usage counts and folding.
+    Kept candidates are named inv_<level>_<k>, made fresh against the
+    input's predicates."""
     # one enumeration of the raw bodies serves level-1 extraction and the
     # redundancy penalty
     subbodies = [
@@ -311,7 +321,10 @@ def build_search_space(
             replace(
                 c,
                 id=len(all_cands) + k,
-                clause=Clause(Atom(f"inv_{level}_{k}", c.clause.head.args), c.clause.body),
+                clause=Clause(
+                    Atom(fresh_name(f"inv_{level}_{k}", u.registry.entries), c.clause.head.args),
+                    c.clause.body,
+                ),
             )
             for k, c in enumerate(cands)
         ]

@@ -61,8 +61,6 @@ class CopModel:
     objective: dict  # var index -> nonnegative integer weight
     # decoding / oracle metadata
     sc_vars: dict = field(default_factory=dict)  # cand id -> var
-    pick_vars: dict = field(default_factory=dict)  # (cl, lvl, n) -> var
-    red_vars: dict = field(default_factory=dict)  # group id -> var
     pick_required: dict = field(default_factory=dict)  # pick var -> tuple of sc vars
     sc_deps: dict = field(default_factory=dict)  # sc var -> tuple of sc vars
     red_members: dict = field(default_factory=dict)  # red var -> tuple of sc vars
@@ -77,7 +75,7 @@ class CopModel:
 
 @dataclass
 class Assignment:
-    values: dict  # var index -> bool
+    values: list  # var index -> bool
     objective_value: int
     status: str  # optimal | feasible | infeasible | timeout-best
 
@@ -126,7 +124,6 @@ def encode(
         for lvl in sorted(space.foldings[cl]):
             for n, opt in enumerate(space.foldings[cl][lvl]):
                 pvar = new_var(("PICK", cl, lvl, n))
-                m.pick_vars[(cl, lvl, n)] = pvar
                 m.objective[pvar] = opt.size
                 req = tuple(m.sc_vars[cid] for cid in sorted(opt.required))
                 m.pick_required[pvar] = req
@@ -190,7 +187,6 @@ def _encode_redundancy(m: CopModel, space, red_group_cap: int, new_var, add):
     groups.sort(key=lambda g: (-g[0], g[1]))
     for gid, (size, key, base, members) in enumerate(groups[:red_group_cap]):
         rvar = new_var(("RED", gid))
-        m.red_vars[gid] = rvar
         m.red_members[rvar] = tuple(members)
         m.red_base[rvar] = base
         m.objective[rvar] = 1

@@ -114,9 +114,6 @@ class Atom:
         for a in self.args:
             yield from term_vars(a)
 
-    def var_set(self) -> frozenset:
-        return frozenset(self.variables())
-
     def __repr__(self):
         return _render(self.pred, self.args)
 
@@ -203,6 +200,9 @@ class Program:
 # Parsing
 
 _SYMS = {":-", "(", ")", ",", ".", "/"}
+# compound terms nest at most this deep in an atom's arguments, so that
+# every recursive walk over a term stays far inside Python's stack
+MAX_TERM_DEPTH = 100
 
 
 def _tokenize(text: str):
@@ -271,20 +271,29 @@ class _Parser:
         if tok != sym:
             raise ParseError(f"expected {sym!r}, found {tok!r}", line, col)
 
-    def parse_term(self) -> Term:
+    def parse_args(self, depth: int) -> tuple:
+        """The parenthesised terms after a name, each inside `depth`
+        compound terms."""
+        self.expect("(")
+        args = [self.parse_term(depth)]
+        while self.peek() and self.peek()[0] == ",":
+            self.next()
+            args.append(self.parse_term(depth))
+        self.expect(")")
+        return tuple(args)
+
+    def parse_term(self, depth: int) -> Term:
         tok, line, col = self.next()
         if tok in _SYMS or tok == "#":
             raise ParseError(f"expected a term, found {tok!r}", line, col)
         if self.peek() and self.peek()[0] == "(":
             if is_variable_name(tok):
                 raise ParseError(f"variable {tok} cannot take arguments", line, col)
-            self.expect("(")
-            args = [self.parse_term()]
-            while self.peek() and self.peek()[0] == ",":
-                self.next()
-                args.append(self.parse_term())
-            self.expect(")")
-            return Compound(tok, tuple(args))
+            if depth == MAX_TERM_DEPTH:
+                raise ParseError(
+                    f"compound terms nest deeper than {MAX_TERM_DEPTH} levels", line, col
+                )
+            return Compound(tok, self.parse_args(depth + 1))
         if is_variable_name(tok):
             return Var(tok)
         return Const(tok)
@@ -295,16 +304,9 @@ class _Parser:
             raise ParseError(f"expected a predicate, found {tok!r}", line, col)
         if is_variable_name(tok):
             raise ParseError(f"predicate name {tok} must not be a variable", line, col)
-        args = ()
         if self.peek() and self.peek()[0] == "(":
-            self.expect("(")
-            terms = [self.parse_term()]
-            while self.peek() and self.peek()[0] == ",":
-                self.next()
-                terms.append(self.parse_term())
-            self.expect(")")
-            args = tuple(terms)
-        return Atom(tok, args)
+            return Atom(tok, self.parse_args(0))
+        return Atom(tok)
 
     def parse_directive(self):
         # already consumed '#'
@@ -434,15 +436,10 @@ def canonicalize_clause(c: Clause) -> Clause:
     return rename_clause(c, canonical_renaming(c))
 
 
-def render_atom(a: Atom) -> str:
-    return repr(a)
-
-
 def render_clause(c: Clause) -> str:
-    head = render_atom(c.head)
     if not c.body:
-        return f"{head}."
-    return f"{head} :- {', '.join(render_atom(l) for l in c.body)}."
+        return f"{c.head!r}."
+    return f"{c.head!r} :- {', '.join(map(repr, c.body))}."
 
 
 def render_program(p: Program) -> str:
@@ -458,7 +455,9 @@ def render_program(p: Program) -> str:
 # ---------------------------------------------------------------------------
 # Variant equality
 
-def _match_terms(t1: Term, t2: Term, fwd: dict, bwd: dict) -> bool:
+def _match_terms(t1: Term, t2: Term, fwd: dict, bwd: dict, trail: list) -> bool:
+    """Extend the variable bijection fwd/bwd so that t1 maps onto t2; each
+    newly bound variable of t1 is appended to `trail`."""
     if isinstance(t1, Var) and isinstance(t2, Var):
         if t1 in fwd:
             return fwd[t1] == t2
@@ -466,20 +465,21 @@ def _match_terms(t1: Term, t2: Term, fwd: dict, bwd: dict) -> bool:
             return False
         fwd[t1] = t2
         bwd[t2] = t1
+        trail.append(t1)
         return True
     if isinstance(t1, Const) and isinstance(t2, Const):
         return t1.name == t2.name
     if isinstance(t1, Compound) and isinstance(t2, Compound):
         if t1.functor != t2.functor or len(t1.args) != len(t2.args):
             return False
-        return all(_match_terms(a, b, fwd, bwd) for a, b in zip(t1.args, t2.args))
+        return all(_match_terms(a, b, fwd, bwd, trail) for a, b in zip(t1.args, t2.args))
     return False
 
 
-def _match_atoms(a1: Atom, a2: Atom, fwd: dict, bwd: dict) -> bool:
+def _match_atoms(a1: Atom, a2: Atom, fwd: dict, bwd: dict, trail: list) -> bool:
     if a1.pred != a2.pred or a1.arity != a2.arity:
         return False
-    return all(_match_terms(t1, t2, fwd, bwd) for t1, t2 in zip(a1.args, a2.args))
+    return all(_match_terms(t1, t2, fwd, bwd, trail) for t1, t2 in zip(a1.args, a2.args))
 
 
 def _atom_skeleton(a: Atom):
@@ -507,68 +507,77 @@ def variant_equal(c1: Clause, c2: Clause) -> bool:
     if sk1 != sk2:
         return False
 
-    body2 = list(c2.body)
-
-    def extend(fwd, bwd, remaining, used):
-        if not remaining:
-            return True
-        lit = remaining[0]
-        for idx, other in enumerate(body2):
-            if idx in used:
-                continue
-            fwd2, bwd2 = dict(fwd), dict(bwd)
-            if _match_atoms(lit, other, fwd2, bwd2):
-                if extend(fwd2, bwd2, remaining[1:], used | {idx}):
-                    return True
-        return False
-
     fwd: dict = {}
     bwd: dict = {}
-    if not _match_atoms(c1.head, c2.head, fwd, bwd):
+    trail: list = []
+    if not _match_atoms(c1.head, c2.head, fwd, bwd, trail):
         return False
-    return extend(fwd, bwd, list(c1.body), frozenset())
+    body1, body2 = c1.body, c2.body
+    used = [False] * len(body2)
+    # depth-first search for the literal bijection without recursion, so
+    # that long bodies fit the stack: body1[k] is placed next, trying
+    # body2[start:]; `placed` holds each placed literal's (body2 index,
+    # trail length before it)
+    placed: list = []
+    k = start = 0
+    while k < len(body1):
+        for idx in range(start, len(body2)):
+            if used[idx]:
+                continue
+            mark = len(trail)
+            if _match_atoms(body1[k], body2[idx], fwd, bwd, trail):
+                used[idx] = True
+                placed.append((idx, mark))
+                k, start = k + 1, 0
+                break
+            _unbind(trail, mark, fwd, bwd)
+        else:
+            if not placed:
+                return False
+            idx, mark = placed.pop()
+            used[idx] = False
+            _unbind(trail, mark, fwd, bwd)
+            k, start = k - 1, idx + 1
+    return True
+
+
+def _unbind(trail: list, mark: int, fwd: dict, bwd: dict):
+    """Undo the bindings made since the trail had `mark` entries."""
+    while len(trail) > mark:
+        del bwd[fwd.pop(trail.pop())]
 
 
 VARIANT_KEY_CAP = 6
 
 
-def variant_key(body: Iterable[Atom], head: Optional[Atom] = None) -> str:
+def variant_key(body: Iterable[Atom]) -> str:
     """Exact canonical key for variant equality of small bodies.
 
     Minimises the canonical rendering over all literal orderings, so two
     bodies get the same key iff they are variant-equal (as multisets).
     Each ordering is rendered straight to the string that
-    render_clause(canonicalize_clause(...)) gives for it. Exponential in
-    the body length; intended for candidate-sized bodies.
+    render_clause(canonicalize_clause(...)) gives for the clause
+    `k :- body` in that order. Exponential in the body length; intended
+    for candidate-sized bodies.
     """
     lits = tuple(body)
     if len(lits) > VARIANT_KEY_CAP:
         raise LogicError(
             f"variant_key limited to {VARIANT_KEY_CAP} literals, got {len(lits)}"
         )
-    head = head if head is not None else Atom("k")
-    head_vars: list = []
-    head_layout = _layout(head.pred, head.args, head_vars)
+    if not lits:
+        return "k."
     layouts = []
     for a in lits:
         names: list = []
         layouts.append((_layout(a.pred, a.args, names), names))
     canonical = list(itertools.islice(_canonical_names(), len(set(
-        itertools.chain(head_vars, *(names for _, names in layouts))
+        itertools.chain(*(names for _, names in layouts))
     ))))
-    # the head comes first, so its variables take the same names in every
-    # ordering
-    rename = dict(zip(dict.fromkeys(head_vars), canonical))
-    prefix = head_layout.format(*[rename[v] for v in head_vars])
-    if not lits:
-        return prefix + "."
     best = None
     for perm in itertools.permutations(layouts):
-        order = dict.fromkeys(itertools.chain(head_vars, *(names for _, names in perm)))
-        rename = dict(zip(order, canonical))
-        s = (prefix + " :- "
-             + ", ".join(f.format(*[rename[v] for v in names]) for f, names in perm)
-             + ".")
+        rename = dict(zip(dict.fromkeys(itertools.chain(*(n for _, n in perm))), canonical))
+        s = "k :- " + ", ".join(f.format(*[rename[v] for v in n]) for f, n in perm) + "."
         if best is None or s < best:
             best = s
     return best
@@ -619,22 +628,11 @@ def connected(c: Clause) -> bool:
     return _reaches_all(_adjacency(lits), range(len(lits)))
 
 
-POWER_SET_CAP = 12
-
-
-def connected_index_subsets(body: tuple, min_size: int, max_size: Optional[int]) -> list:
+def connected_index_subsets(body: tuple, min_size: int, max_size: int) -> list:
     """Index tuples of the connected subsets of the body literals with
     min_size..max_size literals, by size and then lexicographically.
-    Connectivity is over body literals only. Bodies longer than
-    POWER_SET_CAP require max_size."""
+    Connectivity is over body literals only."""
     n = len(body)
-    if max_size is None:
-        if n > POWER_SET_CAP:
-            raise LogicError(
-                f"body of {n} literals exceeds the full power-set cap "
-                f"({POWER_SET_CAP}); pass a subset-size bound instead"
-            )
-        max_size = n
     adj = _adjacency(body)
     return [
         idxs
@@ -642,12 +640,6 @@ def connected_index_subsets(body: tuple, min_size: int, max_size: Optional[int])
         for idxs in itertools.combinations(range(n), size)
         if _reaches_all(adj, idxs)
     ]
-
-
-def connected_subsets(body: tuple, min_size: int, max_size: Optional[int]) -> list:
-    """connected_index_subsets as tuples of literals, in body order."""
-    index_subsets = connected_index_subsets(body, min_size, max_size)
-    return [tuple(body[i] for i in idxs) for idxs in index_subsets]
 
 
 def first_occurrence_vars(lits: Iterable[Atom]) -> list:

@@ -20,6 +20,7 @@ from .candidates import (
     RED_SUBBODY_MAX,
     UsageIndex,
     build_search_space,
+    fresh_name,
     keyed_subsets,
     make_candidate_clause,
     variant_classes,
@@ -28,11 +29,7 @@ from .copmodel import DEFAULT_RED_GROUP_CAP, ModelError, decode, encode, render_
 from .solver import SolveTrace, SolverBudget, solve
 
 
-class RefactorError(Exception):
-    pass
-
-
-class VerificationError(RefactorError):
+class VerificationError(Exception):
     pass
 
 
@@ -250,8 +247,9 @@ def _shared_subbody_classes(clauses: list, subbodies: list, index: UsageIndex) -
 
 
 def remove_redundancy_baseline(p: Program) -> Program:
-    """One support clause per repeated sub-body of 2..RED_SUBBODY_MAX
-    literals, greedily folded everywhere; no optimization. A clause's
+    """One support clause, named red_<n> fresh against the input's
+    predicates, per repeated sub-body of 2..RED_SUBBODY_MAX literals,
+    greedily folded everywhere; no optimization. A clause's
     sub-bodies are enumerated once, and again only after a fold changes
     it."""
     u = unfold(p)
@@ -265,7 +263,7 @@ def remove_redundancy_baseline(p: Program) -> Program:
         if not ranked:
             break
         _, _, _, sub = ranked[0]
-        support = make_candidate_clause(sub, f"red_{counter}")
+        support = make_candidate_clause(sub, fresh_name(f"red_{counter}", registry.entries))
         counter += 1
         registry.declare(support.head.pred, support.head.arity, "support")
         for k in sorted(index.gated(pred_counts(sub))):

@@ -1,5 +1,5 @@
 """Anytime exact branch-and-bound for the pseudo-Boolean refactoring
-models, plus an exhaustive oracle for small instances.
+models.
 
 The search is deterministic for a fixed model (branching is static). A
 greedy primal pass seeds the incumbent so good solutions appear early,
@@ -18,10 +18,6 @@ from .copmodel import Assignment, CopModel, check_assignment, objective_value
 
 
 class SolverError(Exception):
-    pass
-
-
-class InstanceTooLarge(SolverError):
     pass
 
 
@@ -44,7 +40,6 @@ class SolverBudget:
 @dataclass
 class SolveTrace:
     history: list = field(default_factory=list)  # (elapsed_seconds, objective)
-    proof_status: str = "unknown"
     decisions: int = 0  # support-clause branches tried
 
     def record(self, elapsed: float, objective: int):
@@ -82,8 +77,7 @@ def assignment_from_selection(model: CopModel, chosen_sc: set) -> Optional[Assig
         occ = model.red_base.get(rvar, 0) + sum(1 for f in members if values[f])
         values[rvar] = occ > 1
     obj = objective_value(model, values)
-    return Assignment(values={i: values[i] for i in range(model.num_vars)},
-                      objective_value=obj, status="feasible")
+    return Assignment(values=values, objective_value=obj, status="feasible")
 
 
 def _greedy_selection(model: CopModel, deadline: Optional[float] = None):
@@ -163,7 +157,7 @@ class _Search:
                 raise SolverError(f"clause {cl} has no level-0 option free of SCs")
         self.model = model
         self.budget = budget
-        self.n = n = model.num_vars
+        n = model.num_vars
         is_sc = [tag[0] == "SC" for tag in model.vars]
         self.values = [-1] * n
         self.weights = [model.objective.get(i, 0) for i in range(n)]
@@ -333,9 +327,7 @@ class _Search:
         cost = assignment.objective_value
         if self.best_cost is None or cost < self.best_cost:
             self.best_cost = cost
-            self.best_values = [
-                1 if assignment.values[i] else 0 for i in range(self.n)
-            ]
+            self.best_values = assignment.values
             self.trace.record(self.elapsed(), cost)
 
     def next_unassigned(self, hint: int) -> int:
@@ -394,45 +386,12 @@ def solve(model: CopModel, budget: SolverBudget) -> tuple:
     status = search.run()
     search.trace.decisions = search.decisions
     if search.best_cost is None:
-        search.trace.proof_status = "infeasible"
-        return Assignment(values={}, objective_value=0, status="infeasible"), search.trace
-    values = {i: bool(v) for i, v in enumerate(search.best_values)}
-    if status == "optimal":
-        a_status = "optimal"
-        search.trace.proof_status = "optimal"
-    else:
-        a_status = "timeout-best"
-        search.trace.proof_status = "timeout"
+        return Assignment(values=[], objective_value=0, status="infeasible"), search.trace
     assignment = Assignment(
-        values=values, objective_value=search.best_cost, status=a_status
+        values=search.best_values,
+        objective_value=search.best_cost,
+        status="optimal" if status == "optimal" else "timeout-best",
     )
     if not check_assignment(model, assignment.values):
         raise SolverError("incumbent violates the model constraints")
     return assignment, search.trace
-
-
-BRUTE_FORCE_SC_CAP = 20
-
-
-def brute_force_solve(model: CopModel) -> Assignment:
-    """Exhaustive optimum: enumerate every support-clause subset and
-    complete it deterministically. Correctness oracle for solve()."""
-    sc_vars = sorted(model.sc_vars.values())
-    if len(sc_vars) > BRUTE_FORCE_SC_CAP:
-        raise InstanceTooLarge(
-            f"{len(sc_vars)} support-clause variables exceed the brute-force cap"
-        )
-    best: Optional[Assignment] = None
-    for mask in range(1 << len(sc_vars)):
-        chosen = {v for k, v in enumerate(sc_vars) if mask >> k & 1}
-        a = assignment_from_selection(model, chosen)
-        # only a completion that beats the best so far needs the check
-        if a is None or (best is not None and a.objective_value >= best.objective_value):
-            continue
-        if check_assignment(model, a.values):
-            best = a
-    if best is None:
-        return Assignment(values={}, objective_value=0, status="infeasible")
-    return Assignment(
-        values=best.values, objective_value=best.objective_value, status="optimal"
-    )

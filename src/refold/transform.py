@@ -1,5 +1,4 @@
-"""Unfolding, folding, syntactic equivalence, and a bounded bottom-up
-consequence oracle for tests."""
+"""Unfolding, folding and syntactic equivalence."""
 
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ from .logic import (
     Term,
     Var,
     _atom_skeleton,
-    rename_atom,
     rename_clause,
     variant_equal,
 )
@@ -51,7 +49,6 @@ class UnfoldedProgram:
     source's primitive-headed clauses, which pass through unchanged."""
 
     clauses: tuple
-    origin: tuple  # index -> original task clause index in the source program
     registry: PredicateRegistry
     primitive_clauses: tuple
 
@@ -224,9 +221,8 @@ def unfold(p: Program, cap: int = DEFAULT_UNFOLD_CAP) -> UnfoldedProgram:
         return done
 
     out_clauses = []
-    origin = []
     primitive_clauses = []
-    for idx, c in enumerate(p.clauses):
+    for c in p.clauses:
         role = reg.role(c.head.pred)
         if role == "primitive":
             for lit in c.body:
@@ -240,12 +236,9 @@ def unfold(p: Program, cap: int = DEFAULT_UNFOLD_CAP) -> UnfoldedProgram:
             continue
         for u in expand_clause(c):
             out_clauses.append(u)
-            origin.append(idx)
             if len(out_clauses) > cap:
                 raise UnfoldExplosionError(f"unfolding exceeded the cap of {cap} clauses")
-    return UnfoldedProgram(
-        tuple(out_clauses), tuple(origin), reg.copy(), tuple(primitive_clauses)
-    )
+    return UnfoldedProgram(tuple(out_clauses), reg.copy(), tuple(primitive_clauses))
 
 
 # ---------------------------------------------------------------------------
@@ -456,40 +449,3 @@ def syntactic_equiv(p1: Program, p2: Program, cap: int = DEFAULT_UNFOLD_CAP) -> 
         multiset_variant_equal(list(a), list(b))
         for a, b in [(u1.clauses, u2.clauses), (u1.primitive_clauses, u2.primitive_clauses)]
     )
-
-
-# ---------------------------------------------------------------------------
-# Bounded semantic oracle (tests only)
-
-def restricted_consequences(p: Program, tasks: set, depth: int) -> set:
-    """Ground atoms with a task predicate derivable bottom-up within
-    `depth` rounds. Requires derived heads to come out ground."""
-    if depth is None:
-        raise TransformError("restricted_consequences needs a finite depth bound")
-    facts: set = set()
-    for _ in range(depth):
-        new = set()
-        for c in p.clauses:
-            for s in _ground_body(c.body, facts, {}):
-                head = subst_atom(c.head, s)
-                if any(head_vars for head_vars in head.variables()):
-                    raise TransformError(
-                        f"derived non-ground atom {head}; program is not range-restricted"
-                    )
-                if head not in facts:
-                    new.add(head)
-        if not new:
-            break
-        facts |= new
-    return {a for a in facts if a.pred in tasks}
-
-
-def _ground_body(body: tuple, facts: set, s: dict):
-    if not body:
-        yield s
-        return
-    lit = body[0]
-    for f in facts:
-        s2 = unify_atoms(subst_atom(lit, s), f, dict(s))
-        if s2 is not None:
-            yield from _ground_body(body[1:], facts, s2)

@@ -1,0 +1,77 @@
+"""Exhaustive oracles for the tests: the optimum of a small model by
+enumerating every support-clause selection, and the task atoms a program
+derives bottom-up within a bounded number of rounds."""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from refold.copmodel import Assignment, CopModel, check_assignment
+from refold.logic import Program
+from refold.solver import SolverError, assignment_from_selection
+from refold.transform import TransformError, subst_atom, unify_atoms
+
+
+class InstanceTooLarge(SolverError):
+    pass
+
+
+BRUTE_FORCE_SC_CAP = 20
+
+
+def brute_force_solve(model: CopModel) -> Assignment:
+    """Exhaustive optimum: enumerate every support-clause subset and
+    complete it deterministically. Correctness oracle for solve()."""
+    sc_vars = sorted(model.sc_vars.values())
+    if len(sc_vars) > BRUTE_FORCE_SC_CAP:
+        raise InstanceTooLarge(
+            f"{len(sc_vars)} support-clause variables exceed the brute-force cap"
+        )
+    best: Optional[Assignment] = None
+    for mask in range(1 << len(sc_vars)):
+        chosen = {v for k, v in enumerate(sc_vars) if mask >> k & 1}
+        a = assignment_from_selection(model, chosen)
+        # only a completion that beats the best so far needs the check
+        if a is None or (best is not None and a.objective_value >= best.objective_value):
+            continue
+        if check_assignment(model, a.values):
+            best = a
+    if best is None:
+        return Assignment(values=[], objective_value=0, status="infeasible")
+    return Assignment(
+        values=best.values, objective_value=best.objective_value, status="optimal"
+    )
+
+
+def restricted_consequences(p: Program, tasks: set, depth: int) -> set:
+    """Ground atoms with a task predicate derivable bottom-up within
+    `depth` rounds. Requires derived heads to come out ground."""
+    if depth is None:
+        raise TransformError("restricted_consequences needs a finite depth bound")
+    facts: set = set()
+    for _ in range(depth):
+        new = set()
+        for c in p.clauses:
+            for s in _ground_body(c.body, facts, {}):
+                head = subst_atom(c.head, s)
+                if any(head_vars for head_vars in head.variables()):
+                    raise TransformError(
+                        f"derived non-ground atom {head}; program is not range-restricted"
+                    )
+                if head not in facts:
+                    new.add(head)
+        if not new:
+            break
+        facts |= new
+    return {a for a in facts if a.pred in tasks}
+
+
+def _ground_body(body: tuple, facts: set, s: dict):
+    if not body:
+        yield s
+        return
+    lit = body[0]
+    for f in facts:
+        s2 = unify_atoms(subst_atom(lit, s), f, dict(s))
+        if s2 is not None:
+            yield from _ground_body(body[1:], facts, s2)

@@ -18,12 +18,7 @@ from refold.candidates import build_search_space
 from refold.copmodel import decode, encode
 from refold.logic import parse_program, variant_equal
 from refold.pipeline import RefactorConfig, refactor
-from refold.solver import (
-    InstanceTooLarge,
-    SolverBudget,
-    brute_force_solve,
-    solve,
-)
+from refold.solver import SolverBudget, solve
 from refold.transform import fold_clause, syntactic_equiv, unfold
 
 from tests.conftest import (
@@ -32,6 +27,7 @@ from tests.conftest import (
     dense_program,
     random_chain_program,
 )
+from tests.oracles import InstanceTooLarge, brute_force_solve
 from tests.test_copmodel import chain_program
 from tests.test_solver import exhaustive_optimum, random_model
 

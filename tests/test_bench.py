@@ -203,8 +203,11 @@ class TestSynthesize:
             interp = Interpreter(bk, "lego")
             ops = [l.pred for l in solution.clauses[0].body]
             for inp, out in task.examples:
-                final = interp.run(ops, inp)
-                assert final is not None and final.heights == out.heights
+                final = inp
+                for op in ops:
+                    final = interp.apply(op, final)
+                    assert final is not None
+                assert final.heights == out.heights
 
     def test_wide_defined_calls_round_trip(self):
         # a defined predicate of arity 3 is called with all three arguments,

@@ -21,7 +21,7 @@ from refold.logic import (
     Compound,
     Const,
     Var,
-    connected_subsets,
+    connected_index_subsets,
     parse_program,
     variant_equal,
 )
@@ -127,7 +127,7 @@ class TestMatcherGate:
             "s(A,B) :- p(A,Y), q(Y,B).\n"
             "t(A,B) :- p(A,c), q(c,B)."
         )
-        assert connected_subsets(prog.clauses[1].body, 2, 2) == []
+        assert connected_index_subsets(prog.clauses[1].body, 2, 2) == []
         [cand] = extract_candidates(list(prog.clauses), i=2, j=2, level=1)
         assert cand.usage == 2
 

@@ -4,7 +4,7 @@ outputs, and agreement between the refactor and verify subcommands."""
 import pytest
 
 from refold import cli
-from refold.logic import Program, parse_program, render_program
+from refold.logic import MAX_TERM_DEPTH, Program, parse_program, render_program
 from refold.transform import syntactic_equiv
 
 from tests.test_copmodel import chain_program
@@ -37,6 +37,28 @@ t(Y) :- s(Y,Y).
 FACTS_KB = "#primitive e/2.\n#task t/2.\ne(a,b).\ne(b,c).\n" + (
     "t(A,D) :- e(A,B), e(B,C), e(C,D).\n" * 3
 )
+
+
+# three clauses that refactor into one invented predicate, inv_1_0/1 unless
+# the input already uses that name
+REPEATED_Q = "#task x/1.\n#task y/1.\n#task z/1.\n" + "".join(
+    f"{h}(X) :- q(X), q(X), q(X), q(X).\n" for h in "xyz"
+)
+
+
+def _nested(depth: int) -> str:
+    """f(f(...f(a)...)) with `depth` compound terms."""
+    return "f(" * depth + "a" + ")" * depth
+
+
+def _chain(length: int, swapped: int = -1) -> str:
+    """A task clause with a `length`-literal chain body; the literal at
+    `swapped` has its two arguments swapped."""
+    lits = [
+        f"p(X{k + 1},X{k})" if k == swapped else f"p(X{k},X{k + 1})"
+        for k in range(length)
+    ]
+    return f"#primitive p/2.\n#task t/2.\nt(X0,X{length}) :- {', '.join(lits)}.\n"
 
 
 @pytest.fixture
@@ -225,6 +247,73 @@ class TestRefactorCommand:
         code = cli.main(["refactor", str(kb_path)])
         assert code == cli.EXIT_INTERNAL
         assert "synthetic failure" in capsys.readouterr().err
+
+
+class TestNamesAlreadyTaken:
+    """Invented names are made fresh against the input's predicates."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            REPEATED_Q + "#primitive q/1.\n#primitive p/2.\n#task t/2.\n"
+            "#support inv_1_0/4.\ninv_1_0(A,B,C,D) :- p(A,B), p(B,C), p(C,D).\n"
+            "t(A,D) :- inv_1_0(A,B,C,D).\n",
+            "#primitive inv_1_0/1.\n#primitive q/1.\n" + REPEATED_Q.replace(
+                "x(X) :- q(X),", "x(X) :- inv_1_0(X), q(X),"
+            ),
+        ],
+        ids=["support-of-another-arity", "primitive"],
+    )
+    def test_refactor(self, tmp_path, source):
+        path = tmp_path / "kb.pl"
+        path.write_text(source)
+        out = tmp_path / "out.pl"
+        code = cli.main(["refactor", str(path), "-o", str(out), "--timeout-seconds", "2"])
+        assert code == cli.EXIT_OK
+        assert parse_program(out.read_text()).size < parse_program(source).size
+        assert cli.main(["verify", str(path), str(out)]) == cli.EXIT_OK
+
+    def test_baseline(self, tmp_path):
+        path = tmp_path / "kb.pl"
+        path.write_text(
+            "#primitive p/2.\n#primitive q/2.\n#task red_0/1.\n#task t/2.\n#task u/2.\n"
+            "red_0(A) :- p(A,B), q(B,A).\nt(A,C) :- p(A,B), q(B,C).\n"
+            "u(A,C) :- p(A,B), q(B,C).\n"
+        )
+        out = tmp_path / "out.pl"
+        assert cli.main(["baseline", str(path), "-o", str(out)]) == cli.EXIT_OK
+        assert "#task red_0/1." in out.read_text()
+        assert cli.main(["verify", str(path), str(out)]) == cli.EXIT_OK
+
+
+class TestDeepInputs:
+    def test_long_body_verifies(self, tmp_path):
+        # one search step per body literal, far more than Python's stack
+        path = tmp_path / "chain.pl"
+        path.write_text(_chain(1500))
+        changed = tmp_path / "changed.pl"
+        changed.write_text(_chain(1500, swapped=750))
+        assert cli.main(["verify", str(path), str(path)]) == cli.EXIT_OK
+        assert cli.main(["verify", str(path), str(changed)]) == cli.EXIT_VERIFY_FAILED
+
+    @pytest.mark.parametrize("command", ["refactor", "baseline", "verify", "stats"])
+    def test_term_nesting_limit(self, tmp_path, capsys, command):
+        def run(depth):
+            path = tmp_path / f"deep{depth}.pl"
+            path.write_text(
+                "#primitive p/2.\n#primitive q/2.\n#task t/1.\n#task u/1.\n"
+                + "".join(
+                    f"{h}(X) :- p(X,{_nested(depth)}), q(X,Y), p(Y,X).\n" for h in "tu"
+                )
+            )
+            args = [str(path)] * (2 if command == "verify" else 1)
+            return cli.main([command] + args)
+
+        assert run(MAX_TERM_DEPTH) in (cli.EXIT_OK, cli.EXIT_NO_GAIN)
+        capsys.readouterr()
+        assert run(MAX_TERM_DEPTH + 1) == cli.EXIT_INPUT_ERROR
+        assert "nest deeper than" in capsys.readouterr().err
+        assert run(1200) == cli.EXIT_INPUT_ERROR
 
 
 class TestVerifyCommand:

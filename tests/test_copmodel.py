@@ -14,8 +14,10 @@ from refold.copmodel import (
     render_model,
 )
 from refold.logic import parse_program
-from refold.solver import assignment_from_selection, brute_force_solve
+from refold.solver import assignment_from_selection
 from refold.transform import syntactic_equiv, unfold
+
+from tests.oracles import brute_force_solve
 
 
 def chain_program(copies: int, length: int = 3):
@@ -31,6 +33,15 @@ def chain_program(copies: int, length: int = 3):
     return parse_program("\n".join(lines))
 
 
+def pick_vars(model) -> dict:
+    """(clause, level, option) -> PICK var, read from the var tags."""
+    return {tag[1:]: v for v, tag in enumerate(model.vars) if tag[0] == "PICK"}
+
+
+def red_vars(model) -> list:
+    return [v for v, tag in enumerate(model.vars) if tag[0] == "RED"]
+
+
 def encoded(prog, **kw):
     u = unfold(prog)
     space = build_search_space(u, i=2, j=3)
@@ -40,14 +51,14 @@ def encoded(prog, **kw):
 class TestEncode:
     def test_variable_families_present(self):
         space, u, model = encoded(chain_program(4))
-        assert model.sc_vars and model.pick_vars and model.red_vars
+        assert model.sc_vars and pick_vars(model) and red_vars(model)
         # only the families the objective charges: SC, PICK and RED
         assert {tag[0] for tag in model.vars} == {"SC", "PICK", "RED"}
         # one PICK var per folding option, at every level with options
         for cl, per_level in space.foldings.items():
             for lvl, opts in per_level.items():
                 for n in range(len(opts)):
-                    assert (cl, lvl, n) in model.pick_vars
+                    assert (cl, lvl, n) in pick_vars(model)
 
     def test_constraints_reference_only_objective_families(self):
         _, _, model = encoded(chain_program(4))
@@ -56,7 +67,7 @@ class TestEncode:
 
     def test_raw_option_has_no_requirements(self):
         space, u, model = encoded(chain_program(4))
-        for (cl, lvl, n), pvar in model.pick_vars.items():
+        for (cl, lvl, n), pvar in pick_vars(model).items():
             opt = space.foldings[cl][lvl][n]
             req = model.pick_required[pvar]
             assert req == tuple(model.sc_vars[cid] for cid in sorted(opt.required))
@@ -77,7 +88,7 @@ class TestEncode:
         space, _, model = encoded(chain_program(4))
         for cid, v in model.sc_vars.items():
             assert model.objective[v] == space.by_id(cid).size
-        for (cl, lvl, n), v in model.pick_vars.items():
+        for (cl, lvl, n), v in pick_vars(model).items():
             assert model.objective[v] == space.foldings[cl][lvl][n].size
 
     def test_exactly_one_pick_enforced(self):
@@ -85,8 +96,8 @@ class TestEncode:
         # all-false picks for clause 0 violate the model
         a = assignment_from_selection(model, set())
         assert a is not None
-        values = dict(a.values)
-        for (cl, lvl, n), v in model.pick_vars.items():
+        values = list(a.values)
+        for (cl, lvl, n), v in pick_vars(model).items():
             if cl == 0:
                 values[v] = False
         assert not check_assignment(model, values)
@@ -94,10 +105,10 @@ class TestEncode:
     def test_pick_requires_selected_candidates(self):
         space, u, model = encoded(chain_program(4))
         a = assignment_from_selection(model, set())
-        values = dict(a.values)
+        values = list(a.values)
         # force a level-1 pick without selecting its candidates
-        target = next(k for k in model.pick_vars if k[1] == 1)
-        for (cl, lvl, n), v in model.pick_vars.items():
+        target = next(k for k in pick_vars(model) if k[1] == 1)
+        for (cl, lvl, n), v in pick_vars(model).items():
             if cl == target[0]:
                 values[v] = (cl, lvl, n) == target
         assert not check_assignment(model, values)
@@ -129,7 +140,7 @@ def single_chain_program():
 class TestRedundancy:
     def test_members_are_candidate_vars_with_clause_base(self):
         _, _, model = encoded(chain_program(4))
-        assert model.red_vars
+        assert red_vars(model)
         sc = set(model.sc_vars.values())
         for rvar, members in model.red_members.items():
             # a group needs two possible occurrences: input clauses or candidates
@@ -185,7 +196,7 @@ class TestRedundancy:
 
         def penalties(sel):
             a = assignment_from_selection(model, sel)
-            return sum(1 for v in model.red_vars.values() if a.values[v])
+            return sum(1 for v in red_vars(model) if a.values[v])
 
         base = penalties(set())
         for cid, svar in model.sc_vars.items():
@@ -196,7 +207,7 @@ class TestRedundancy:
 
     def test_group_cap(self):
         _, _, model = encoded(chain_program(6), red_group_cap=1)
-        assert len(model.red_vars) <= 1
+        assert len(red_vars(model)) <= 1
 
 
 class TestObjectiveInvariant:
@@ -207,7 +218,7 @@ class TestObjectiveInvariant:
         prog = decode(model, a, space, u)
         program_size = sum(len(c.body) + 1 for c in prog.clauses)
         penalties = sum(
-            model.objective.get(v, 0) for v in model.red_vars.values() if a.values[v]
+            model.objective.get(v, 0) for v in red_vars(model) if a.values[v]
         )
         assert a.objective_value == program_size + penalties
         assert objective_value(model, a.values) == a.objective_value
@@ -227,11 +238,11 @@ class TestDecode:
     def test_infeasible_rejected(self):
         _, _, model = encoded(chain_program(3))
         with pytest.raises(ModelError):
-            decode(model, Assignment({}, 0, "infeasible"), None, None)
+            decode(model, Assignment([], 0, "infeasible"), None, None)
 
     def test_violating_assignment_rejected(self):
         space, u, model = encoded(chain_program(3))
-        values = {v: False for v in range(model.num_vars)}
+        values = [False] * model.num_vars
         with pytest.raises(ModelError):
             decode(model, Assignment(values, 0, "optimal"), space, u)
 

@@ -12,7 +12,7 @@ from refold.logic import (
     Var,
     canonicalize_clause,
     connected,
-    connected_subsets,
+    connected_index_subsets,
     parse_program,
     render_program,
     variant_equal,
@@ -207,35 +207,27 @@ class TestConnectedPowerSet:
     def test_chain_of_three(self):
         # a(X,Y), b(Y,Z), c(Z): only {a, c} is not connected
         c = cl("h(X,Y) :- a(X,Y), b(Y,Z), c(Z).")
-        subsets = connected_subsets(c.body, 1, None)
+        subsets = connected_index_subsets(c.body, 1, 3)
         assert len(subsets) == 6
 
     def test_single_literal_body(self):
-        assert len(connected_subsets(cl("h(X) :- p(X).").body, 1, None)) == 1
+        assert len(connected_index_subsets(cl("h(X) :- p(X).").body, 1, 1)) == 1
 
     def test_pairwise_disjoint_literals(self):
         c = cl("h(X) :- p(X), p(Y), p(Z).")
         # brute-force oracle: only the three singletons are connected
-        subsets = connected_subsets(c.body, 1, None)
+        subsets = connected_index_subsets(c.body, 1, 3)
         assert len(subsets) == 3
         assert all(len(s) == 1 for s in subsets)
-
-    def test_cap_exceeded(self):
-        body = ", ".join(f"q(X{i},X{i + 1})" for i in range(13))
-        c = cl(f"h(X0) :- {body}.")
-        with pytest.raises(LogicError):
-            connected_subsets(c.body, 1, None)
-        bounded = connected_subsets(c.body, 1, 2)
-        assert all(len(s) <= 2 for s in bounded)
 
     def test_every_subset_connected_with_fresh_head(self):
         from refold.candidates import make_candidate_clause
 
         c = cl("h(X,Y) :- a(X,Y), b(Y,Z), r(Z,W).")
-        for subset in connected_subsets(c.body, 1, None):
-            wrapped = make_candidate_clause(subset, "fresh")
+        for idxs in connected_index_subsets(c.body, 1, 3):
+            wrapped = make_candidate_clause(tuple(c.body[i] for i in idxs), "fresh")
             assert connected(wrapped)
 
     def test_upper_bound(self):
         c = cl("h(X,Y) :- a(X,Y), b(Y,Z), r(Z,Y).")
-        assert len(connected_subsets(c.body, 1, None)) <= 2 ** 3 - 1
+        assert len(connected_index_subsets(c.body, 1, 3)) <= 2 ** 3 - 1

@@ -10,10 +10,11 @@ import pytest
 from refold.candidates import build_search_space
 from refold.copmodel import encode
 from refold.pipeline import RefactorConfig
-from refold.solver import BRUTE_FORCE_SC_CAP, SolverBudget, solve
+from refold.solver import SolverBudget, solve
 from refold.transform import unfold
 
 from tests.conftest import dense_program, random_chain_program
+from tests.oracles import BRUTE_FORCE_SC_CAP
 
 optimize = pytest.importorskip("scipy.optimize")
 sparse = pytest.importorskip("scipy.sparse")

@@ -22,10 +22,11 @@ from refold.transform import (
     fold_clause,
     multiset_variant_equal,
     rename_apart,
-    restricted_consequences,
     syntactic_equiv,
     unfold,
 )
+
+from tests.oracles import restricted_consequences
 
 
 class TestUnfold:
