@@ -24,6 +24,7 @@ from .transform import (
 
 DEFAULT_FOLDING_CAP = 500
 RED_SUBBODY_MAX = 3  # the redundancy penalty counts sub-bodies of 2..3 literals
+DISJOINT_NODE_CAP = 10_000  # search nodes of _max_disjoint_count
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,6 @@ class LevelledSearchSpace:
     # per raw clause, keyed_subsets for level-1 extraction and redundancy
     subbodies: list = field(default_factory=list)
 
-    def by_id(self, cid: int) -> CandidateSupportClause:
-        return self.candidates[cid]
-
 
 def fresh_name(name: str, taken) -> str:
     """`name`, with "_" appended until it is not in `taken`. Invented
@@ -128,9 +126,9 @@ def prune_unprofitable(cands: list) -> list:
     return [c for c in cands if is_profitable(c.size, c.usage)]
 
 
-def _max_disjoint_count(matches: list, node_cap: int = 10_000) -> int:
-    """Maximum number of pairwise index-disjoint matches. Falls back to
-    len(matches) (a safe over-estimate) if the search exceeds node_cap."""
+def _max_disjoint_count(matches: list) -> int:
+    """Maximum number of pairwise index-disjoint matches, or len(matches)
+    (a safe over-estimate) past DISJOINT_NODE_CAP search nodes."""
     best = 0
     nodes = 0
 
@@ -139,7 +137,7 @@ def _max_disjoint_count(matches: list, node_cap: int = 10_000) -> int:
         best = max(best, depth)
         for k in range(start, len(matches)):
             nodes += 1
-            if nodes > node_cap:
+            if nodes > DISJOINT_NODE_CAP:
                 return False
             idxs, _ = matches[k]
             if idxs & used:

@@ -14,9 +14,13 @@ Constraints (all normalised to sum(coef * var) >= rhs):
   - SC(k) -> SC(dep) for every dependency
   - RED(g) <-> (input occurrences + selected member SC vars > 1)
 
-Each clause's level-0 option, PICK(cl, 0, 0), is its raw body and
-requires no SC, so every selection leaves each clause an option; the
-solver's search relies on this and rejects a model without it.
+A clause's folding options are ranked as the completion takes them:
+lightest first, then by (level, n). An option gets no PICK var when one
+ranked before it requires a subset of its SCs, as it is then never taken
+and never sets the search's bound. `clause_picks[cl]` lists the kept
+options' PICK vars in rank order, ending with the raw body's, PICK(cl,
+0, 0), which requires no SC, so every selection leaves each clause an
+option. The solver's search relies on this and rejects other lists.
 
 The objective charges size(option) on PICK, size(candidate) on SC, and 1
 on RED, so the optimum value equals the emitted program's literal count
@@ -65,7 +69,7 @@ class CopModel:
     sc_deps: dict = field(default_factory=dict)  # sc var -> tuple of sc vars
     red_members: dict = field(default_factory=dict)  # red var -> tuple of sc vars
     red_base: dict = field(default_factory=dict)  # red var -> constant member count
-    clause_picks: dict = field(default_factory=dict)  # cl -> [(pick var, weight, lvl, n)]
+    clause_picks: dict = field(default_factory=dict)  # cl -> ranked [pick var]
     sc_cap: Optional[int] = None
 
     @property
@@ -120,20 +124,25 @@ def encode(
             add([(1, dv), (-1, sv)], 0, "sc-dep")
 
     for cl in sorted(space.foldings):
-        picks_here = []
-        for lvl in sorted(space.foldings[cl]):
-            for n, opt in enumerate(space.foldings[cl][lvl]):
-                pvar = new_var(("PICK", cl, lvl, n))
-                m.objective[pvar] = opt.size
-                req = tuple(m.sc_vars[cid] for cid in sorted(opt.required))
-                m.pick_required[pvar] = req
-                for sv in req:
-                    add([(1, sv), (-1, pvar)], 0, "pick-needs-sc")
-                picks_here.append((pvar, opt.size, lvl, n))
+        levels = space.foldings[cl]
+        ranked = sorted(
+            (o.size, lvl, n, o.required) for lvl in levels for n, o in enumerate(levels[lvl])
+        )
+        picks, kept = [], []  # kept: the required sets of the picks
+        for size, lvl, n, required in ranked:
+            if any(k <= required for k in kept):
+                continue
+            kept.append(required)
+            pvar = new_var(("PICK", cl, lvl, n))
+            m.objective[pvar] = size
+            m.pick_required[pvar] = tuple(m.sc_vars[cid] for cid in sorted(required))
+            for sv in m.pick_required[pvar]:
+                add([(1, sv), (-1, pvar)], 0, "pick-needs-sc")
+            picks.append(pvar)
         # exactly one pick
-        add([(1, p) for p, _, _, _ in picks_here], 1, "pick-lo")
-        add([(-1, p) for p, _, _, _ in picks_here], -1, "pick-hi")
-        m.clause_picks[cl] = picks_here
+        add([(1, p) for p in picks], 1, "pick-lo")
+        add([(-1, p) for p in picks], -1, "pick-hi")
+        m.clause_picks[cl] = picks
 
     _encode_redundancy(m, space, red_group_cap, new_var, add)
 
@@ -211,22 +220,17 @@ def decode(
         raise ModelError("assignment violates the model constraints (solver bug)")
     clauses = list(unfolded.primitive_clauses)
     for cl in sorted(space.foldings):
-        chosen = None
-        for pvar, _, lvl, n in model.clause_picks[cl]:
-            if a.values[pvar]:
-                chosen = space.foldings[cl][lvl][n]
-                break
+        chosen = next((p for p in model.clause_picks[cl] if a.values[p]), None)
         if chosen is None:
             raise ModelError(f"no folding picked for clause {cl}")
-        clauses.append(Clause(unfolded.clauses[cl].head, chosen.literals))
-    selected = [
-        space.by_id(cid) for cid, v in sorted(model.sc_vars.items()) if a.values[v]
-    ]
-    selected.sort(key=lambda c: (c.level, c.id))
+        _, _, lvl, n = model.vars[chosen]
+        clauses.append(Clause(unfolded.clauses[cl].head, space.foldings[cl][lvl][n].literals))
+    # candidate ids already run in level order
     registry = unfolded.registry.copy()
-    for cand in selected:
-        registry.declare(cand.pred, cand.clause.head.arity, "support")
-        clauses.append(cand.clause)
+    for cand in space.candidates:
+        if a.values[model.sc_vars[cand.id]]:
+            registry.declare(cand.pred, cand.clause.head.arity, "support")
+            clauses.append(cand.clause)
     return Program(tuple(clauses), registry)
 
 

@@ -53,8 +53,8 @@ class SolveTrace:
 
 def assignment_from_selection(model: CopModel, chosen_sc: set) -> Optional[Assignment]:
     """Complete a support-clause selection into a full assignment: each
-    clause takes its cheapest folding whose required support clauses are
-    all selected, redundancy vars follow from the selection."""
+    clause takes the first option in its ranked list whose required
+    support clauses are all selected, redundancy vars follow from it."""
     values = [False] * model.num_vars
     for v in chosen_sc:
         values[v] = True
@@ -64,15 +64,12 @@ def assignment_from_selection(model: CopModel, chosen_sc: set) -> Optional[Assig
     if model.sc_cap is not None and len(chosen_sc) > model.sc_cap:
         return None
     for picks in model.clause_picks.values():
-        best = None
-        for pvar, w, _, _ in picks:
-            if (best is None or w < best[0]) and all(
-                values[sv] for sv in model.pick_required[pvar]
-            ):
-                best = (w, pvar)
-        if best is None:
+        for pvar in picks:
+            if all(values[sv] for sv in model.pick_required[pvar]):
+                values[pvar] = True
+                break
+        else:
             return None
-        values[best[1]] = True
     for rvar, members in model.red_members.items():
         occ = model.red_base.get(rvar, 0) + sum(1 for f in members if values[f])
         values[rvar] = occ > 1
@@ -139,10 +136,10 @@ class _Search:
     can force a term.
 
     The constraints with a PICK or RED var are the encoding's, and only
-    feed the bound. A clause's folding options are ordered cheapest first
-    by (weight, pick var); an option is available while none of the SCs
-    it requires is 0. Each clause has a level-0 option that requires
-    nothing (the copmodel contract), so it always has one available. A
+    feed the bound. A clause's folding options run in copmodel's rank
+    order, lightest first down to one that requires no SC (checked here);
+    an option is available while none of the SCs it requires is 0, so the
+    first available one is the cheapest, and there always is one. A
     RED group charges its weight once its base count plus its selected
     members reach 2. The bound, committed cost plus each clause's cheapest
     available option, is kept up to date, so it costs O(1) a node, and it
@@ -152,9 +149,6 @@ class _Search:
         for v, tag in enumerate(model.vars):
             if tag[0] not in ("SC", "PICK", "RED"):
                 raise SolverError(f"variable {v} {tag!r} is not SC, PICK or RED")
-        for cl, picks in model.clause_picks.items():
-            if not any(lvl == 0 and not model.pick_required[p] for p, _, lvl, _ in picks):
-                raise SolverError(f"clause {cl} has no level-0 option free of SCs")
         self.model = model
         self.budget = budget
         n = model.num_vars
@@ -183,18 +177,22 @@ class _Search:
         # the root is not yet a fixpoint: every SC constraint starts queued
         self.queue = list(range(len(self.constraints)))
         self.queued = [True] * len(self.constraints)
-        # folding options of all clauses in one run, each clause's options
-        # cheapest first; zeros[o] counts the SCs option o requires set to 0
+        # folding options of all clauses in one run, each clause's in rank
+        # order; zeros[o] counts the SCs option o requires set to 0
         self.opt_weight, self.opt_clause = [], []
         self.needed_by = [[] for _ in range(n)]  # SC var -> options requiring it
         self.cheapest = []  # per clause
         for c, cl in enumerate(sorted(model.clause_picks)):
+            picks = model.clause_picks[cl]
+            weights = [self.weights[p] for p in picks]
+            if not picks or weights != sorted(weights) or model.pick_required[picks[-1]]:
+                raise SolverError(f"clause {cl}'s options are not ranked down to a free one")
             self.cheapest.append(len(self.opt_weight))
-            for w, p in sorted((w, p) for p, w, _, _ in model.clause_picks[cl]):
+            for o, p in enumerate(picks, len(self.opt_weight)):
                 for sv in model.pick_required[p]:
-                    self.needed_by[sv].append(len(self.opt_weight))
-                self.opt_weight.append(w)
-                self.opt_clause.append(c)
+                    self.needed_by[sv].append(o)
+            self.opt_weight += weights
+            self.opt_clause += [c] * len(picks)
         self.zeros = [0] * len(self.opt_weight)
         self.open_sum = sum(self.opt_weight[o] for o in self.cheapest)
         # each RED group's base count plus selected members
@@ -212,7 +210,6 @@ class _Search:
         self.best_cost: Optional[int] = None
         self.best_values: Optional[list] = None
         self.start = time.monotonic()
-        self.decisions = 0
         self.trace = SolveTrace()
         self.order = sorted(
             (v for v in range(n) if is_sc[v]), key=lambda v: (-self.weights[v], v)
@@ -226,7 +223,7 @@ class _Search:
             return True
         return (
             self.budget.max_decisions is not None
-            and self.decisions >= self.budget.max_decisions
+            and self.trace.decisions >= self.budget.max_decisions
         )
 
     def assign(self, var: int, val: int):
@@ -254,7 +251,7 @@ class _Search:
             zeros[o] += 1
             c = self.opt_clause[o]
             if cheapest[c] == o:
-                # the scan stops at the clause's raw option at the latest
+                # the scan stops at the clause's last option at the latest
                 nxt = o + 1
                 while zeros[nxt]:
                     nxt += 1
@@ -352,7 +349,7 @@ class _Search:
             else:
                 var = self.order[k]
                 mark = len(self.trail)
-                self.decisions += 1
+                self.trace.decisions += 1
                 self.assign(var, 1)  # true branch first
                 stack.append((k, var, mark, False))
                 if self.propagate() and self.beats_incumbent():
@@ -366,7 +363,7 @@ class _Search:
                 self.undo_to(mark)
                 if flipped:
                     continue
-                self.decisions += 1
+                self.trace.decisions += 1
                 self.assign(var, 0)
                 if self.propagate() and self.beats_incumbent():
                     stack.append((k, var, mark, True))
@@ -384,7 +381,6 @@ def solve(model: CopModel, budget: SolverBudget) -> tuple:
         if check_assignment(model, a.values):
             search.seed_incumbent(a)
     status = search.run()
-    search.trace.decisions = search.decisions
     if search.best_cost is None:
         return Assignment(values=[], objective_value=0, status="infeasible"), search.trace
     assignment = Assignment(

@@ -12,6 +12,7 @@ from .logic import (
     Clause,
     Compound,
     LogicError,
+    MAX_TERM_DEPTH,
     PredicateRegistry,
     Program,
     Term,
@@ -61,11 +62,20 @@ class UnfoldedProgram:
 # Substitutions
 
 def subst_term(t: Term, s: dict) -> Term:
-    if isinstance(t, Var):
-        v = s.get(t)
-        return subst_term(v, s) if v is not None and v != t else (v or t)
+    """t under s, whose bindings may chain. Raises TransformError for a
+    result nested deeper than MAX_TERM_DEPTH, which the parser rejects."""
+    return _subst(t, s, 0)
+
+
+def _subst(t: Term, s: dict, depth: int) -> Term:
+    while isinstance(t, Var) and s.get(t, t) != t:
+        t = s[t]
     if isinstance(t, Compound):
-        return Compound(t.functor, tuple(subst_term(a, s) for a in t.args))
+        if depth == MAX_TERM_DEPTH:
+            raise TransformError(
+                f"unfolding nests compound terms deeper than {MAX_TERM_DEPTH} levels"
+            )
+        return Compound(t.functor, tuple(_subst(a, s, depth + 1) for a in t.args))
     return t
 
 
@@ -146,39 +156,60 @@ def unfold(p: Program, cap: int = DEFAULT_UNFOLD_CAP) -> UnfoldedProgram:
                     deps.append(lit.pred)
         support_graph[pred] = deps
 
-    state: dict = {}  # 0 = in progress, 1 = done
-
-    def visit(pred, stack):
-        if state.get(pred) == 1:
-            return
-        if state.get(pred) == 0:
-            i = stack.index(pred)
-            raise CycleError(stack[i:] + [pred])
-        state[pred] = 0
-        for d in support_graph.get(pred, ()):
-            visit(d, stack + [pred])
-        state[pred] = 1
-
-    for pred in support_graph:
-        visit(pred, [])
+    # depth-first, with the path and its iterators on explicit stacks, so
+    # that long support chains need no Python recursion
+    state: dict = {}  # 0 = on the path, 1 = done
+    for root in support_graph:
+        if root in state:
+            continue
+        state[root] = 0
+        path, deps = [root], [iter(support_graph[root])]
+        while path:
+            d = next(deps[-1], None)
+            if d is None:
+                state[path.pop()] = 1
+                deps.pop()
+            elif state.get(d) == 0:
+                raise CycleError(path[path.index(d):] + [d])
+            elif d not in state:
+                state[d] = 0
+                path.append(d)
+                deps.append(iter(support_graph.get(d, ())))
 
     expanded: dict = {}  # support pred -> list of primitive-body clauses
 
-    def expand_pred(pred: str) -> list:
-        if pred in expanded:
-            return expanded[pred]
+    def expand_pred(pred: str):
         if pred not in defs:
             raise MissingDefinitionError(f"support predicate {pred} has no clauses")
         out = []
         for c in defs[pred]:
-            out.extend(expand_clause(c))
+            out.extend((yield from expand_clause(c)))
         expanded[pred] = out
         return out
 
-    def expand_clause(c: Clause) -> list:
-        # returns clauses with primitive-only bodies; each round inlines the
-        # next support literal of every partial clause r, which comes with
-        # the position before which its body holds primitives only
+    def expand(c: Clause) -> list:
+        """expand_clause(c), run with its chain of support predicates on
+        an explicit stack: a generator yields the predicate whose clauses
+        it needs and is sent them, once expanded."""
+        stack, sent = [expand_clause(c)], None
+        while True:
+            try:
+                pred = stack[-1].send(sent)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                sent = done.value
+                continue
+            sent = expanded.get(pred)
+            if sent is None:
+                stack.append(expand_pred(pred))
+
+    def expand_clause(c: Clause):
+        # a generator (see expand) returning the primitive-body clauses c
+        # unfolds to; each round inlines the next support literal of every
+        # partial clause r, which comes with the position before which its
+        # body holds primitives only
         done: list = []
         todo = [(c, 0)]
         while todo:
@@ -201,7 +232,7 @@ def unfold(p: Program, cap: int = DEFAULT_UNFOLD_CAP) -> UnfoldedProgram:
                 else:
                     done.append(r)
                     continue
-                for d in expand_pred(lit.pred):
+                for d in (yield lit.pred):
                     d = rename_apart(d)
                     s = unify_atoms(d.head, lit, {})
                     if s is None:
@@ -234,7 +265,7 @@ def unfold(p: Program, cap: int = DEFAULT_UNFOLD_CAP) -> UnfoldedProgram:
             primitive_clauses.append(c)
         if role != "task":
             continue
-        for u in expand_clause(c):
+        for u in expand(c):
             out_clauses.append(u)
             if len(out_clauses) > cap:
                 raise UnfoldExplosionError(f"unfolding exceeded the cap of {cap} clauses")
@@ -435,7 +466,7 @@ def multiset_variant_equal(cs1: list, cs2: list) -> bool:
     return True
 
 
-def syntactic_equiv(p1: Program, p2: Program, cap: int = DEFAULT_UNFOLD_CAP) -> bool:
+def syntactic_equiv(p1: Program, p2: Program) -> bool:
     """True iff unfold(p1) and unfold(p2) have the same multisets of task
     clauses and of primitive-headed clauses, up to variable renaming and
     clause order."""
@@ -443,8 +474,8 @@ def syntactic_equiv(p1: Program, p2: Program, cap: int = DEFAULT_UNFOLD_CAP) -> 
     t2 = set(p2.registry.by_role("task"))
     if t1 != t2:
         return False
-    u1 = unfold(p1, cap)
-    u2 = unfold(p2, cap)
+    u1 = unfold(p1)
+    u2 = unfold(p2)
     return all(
         multiset_variant_equal(list(a), list(b))
         for a, b in [(u1.clauses, u2.clauses), (u1.primitive_clauses, u2.primitive_clauses)]

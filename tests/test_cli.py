@@ -51,6 +51,15 @@ def _nested(depth: int) -> str:
     return "f(" * depth + "a" + ")" * depth
 
 
+def _support_chain(length: int, wraps: int = 0) -> str:
+    """t(X) calls s1, s1 calls s2, ..., s<length> calls the primitive p;
+    each call wraps its argument in `wraps` compound terms."""
+    arg = "f(" * wraps + "X" + ")" * wraps
+    lines = ["#primitive p/1.", "#task t/1.", "t(X) :- s1(X).", f"s{length}(X) :- p({arg})."]
+    lines += [f"s{k}(X) :- s{k + 1}({arg})." for k in range(1, length)]
+    return "\n".join(lines) + "\n"
+
+
 def _chain(length: int, swapped: int = -1) -> str:
     """A task clause with a `length`-literal chain body; the literal at
     `swapped` has its two arguments swapped."""
@@ -314,6 +323,24 @@ class TestDeepInputs:
         assert run(MAX_TERM_DEPTH + 1) == cli.EXIT_INPUT_ERROR
         assert "nest deeper than" in capsys.readouterr().err
         assert run(1200) == cli.EXIT_INPUT_ERROR
+
+
+    @pytest.mark.parametrize("command", ["refactor", "baseline", "verify"])
+    def test_long_support_chain(self, tmp_path, command):
+        # unfolding takes one step per support predicate of the chain
+        path = tmp_path / "support.pl"
+        path.write_text(_support_chain(600))
+        args = [str(path)] * (2 if command == "verify" else 1)
+        assert cli.main([command] + args) in (cli.EXIT_OK, cli.EXIT_NO_GAIN)
+
+    @pytest.mark.parametrize("command", ["refactor", "baseline", "verify"])
+    def test_unfolding_past_the_term_nesting_limit(self, tmp_path, capsys, command):
+        # each clause parses, but inlining the chain nests 12 * 99 terms
+        path = tmp_path / "wrapped.pl"
+        path.write_text(_support_chain(12, wraps=99))
+        args = [str(path)] * (2 if command == "verify" else 1)
+        assert cli.main([command] + args) == cli.EXIT_INPUT_ERROR
+        assert f"deeper than {MAX_TERM_DEPTH} levels" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

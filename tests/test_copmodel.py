@@ -1,6 +1,14 @@
+import random
+
 import pytest
 
 from refold import copmodel
+from refold.bench import (
+    SynthesisLimits,
+    accumulate_background,
+    gen_lego_tasks,
+    lego_primitives,
+)
 from refold.candidates import build_search_space
 from refold.copmodel import (
     Assignment,
@@ -17,6 +25,7 @@ from refold.logic import parse_program
 from refold.solver import assignment_from_selection
 from refold.transform import syntactic_equiv, unfold
 
+from tests.conftest import random_chain_program
 from tests.oracles import brute_force_solve
 
 
@@ -54,11 +63,10 @@ class TestEncode:
         assert model.sc_vars and pick_vars(model) and red_vars(model)
         # only the families the objective charges: SC, PICK and RED
         assert {tag[0] for tag in model.vars} == {"SC", "PICK", "RED"}
-        # one PICK var per folding option, at every level with options
-        for cl, per_level in space.foldings.items():
-            for lvl, opts in per_level.items():
-                for n in range(len(opts)):
-                    assert (cl, lvl, n) in pick_vars(model)
+        # every clause keeps a PICK var for its raw option (TestRanking
+        # checks that each option without one is never taken)
+        for cl in space.foldings:
+            assert (cl, 0, 0) in pick_vars(model)
 
     def test_constraints_reference_only_objective_families(self):
         _, _, model = encoded(chain_program(4))
@@ -87,7 +95,7 @@ class TestEncode:
     def test_objective_weights_are_sizes(self):
         space, _, model = encoded(chain_program(4))
         for cid, v in model.sc_vars.items():
-            assert model.objective[v] == space.by_id(cid).size
+            assert model.objective[v] == space.candidates[cid].size
         for (cl, lvl, n), v in pick_vars(model).items():
             assert model.objective[v] == space.foldings[cl][lvl][n].size
 
@@ -126,6 +134,59 @@ class TestEncode:
         monkeypatch.setattr(copmodel, "MAX_VARIABLES", 3)
         with pytest.raises(ModelError):
             encoded(chain_program(4))
+
+
+def lego_bk_program():
+    """Criterion 6's lego background knowledge."""
+    limits = SynthesisLimits(max_depth=14, max_nodes=50_000, wall_time=10.0)
+    tasks = gen_lego_tasks(4, 50, seed=1, max_height=2)
+    return accumulate_background(tasks, lego_primitives(), limits)[0]
+
+
+RANKED_MODELS = {
+    "chain": lambda: (chain_program(4), {}),
+    "random-chain": lambda: (
+        random_chain_program(random.Random(3), 3, 10, lambda: 6),
+        {"max_levels": 2},
+    ),
+    # criterion 6's config
+    "lego-bk": lambda: (lego_bk_program(), {"max_levels": 2, "folding_cap": 20}),
+}
+
+
+class TestRanking:
+    """encode ranks each clause's options as the completion takes them and
+    gives a PICK var only to the options it can take."""
+
+    @pytest.mark.parametrize("name", sorted(RANKED_MODELS))
+    def test_lists_are_ranked_and_drop_only_dominated_options(self, name):
+        prog, kw = RANKED_MODELS[name]()
+        u = unfold(prog)
+        space = build_search_space(u, 2, 3, **kw)
+        model = encode(space, u)
+        dropped = 0
+        for cl, per_level in space.foldings.items():
+            picks = model.clause_picks[cl]
+            weights = [model.objective[p] for p in picks]
+            assert weights == sorted(weights), cl
+            assert model.vars[picks[-1]] == ("PICK", cl, 0, 0), cl
+            assert model.pick_required[picks[-1]] == ()
+            required = [set(model.pick_required[p]) for p in picks]
+            for k, req in enumerate(required):
+                assert not any(earlier <= req for earlier in required[:k]), cl
+            rank = {model.vars[p][2:]: (w, model.vars[p][2:]) for p, w in zip(picks, weights)}
+            for lvl, opts in per_level.items():
+                for n, opt in enumerate(opts):
+                    if (lvl, n) in rank:
+                        continue
+                    dropped += 1
+                    needs = {model.sc_vars[cid] for cid in opt.required}
+                    assert any(
+                        rank[model.vars[p][2:]] < (opt.size, (lvl, n)) and req <= needs
+                        for p, req in zip(picks, required)
+                    ), (cl, lvl, n)
+        if name != "chain":
+            assert dropped > 0
 
 
 def single_chain_program():

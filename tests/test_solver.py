@@ -46,7 +46,10 @@ def random_clause_model(rng: random.Random, n_sc: int = 5) -> CopModel:
     clause's level-0 option requires nothing, as the raw option does in
     encoded models, but its other options often require SCs, and a RED
     group's base count is below 2, so options drop out and groups charge
-    as SCs are set (in encoded models most groups charge at the root)."""
+    as SCs are set (in encoded models most groups charge at the root).
+    Each clause's options are ranked as encode ranks them, and those after
+    the first one that requires no SC, which are never taken, are left
+    out."""
     m = CopModel(vars=[], constraints=[], objective={})
 
     def new_var(tag, weight) -> int:
@@ -65,19 +68,25 @@ def random_clause_model(rng: random.Random, n_sc: int = 5) -> CopModel:
         for d in deps:
             add([(1, d), (-1, v)], 0, "sc-dep")
     for cl in range(rng.randint(1, 4)):
-        picks = []
+        options = []
         for k in range(rng.randint(1, 3)):
             lvl, n = (0, 0) if k == 0 else (1, k - 1)
-            p = new_var(("PICK", cl, lvl, n), rng.randint(1, 4))
+            weight = rng.randint(1, 4)
             req = () if lvl == 0 else tuple(
                 sorted(rng.sample(sc, rng.randint(0, min(2, n_sc))))
             )
+            options.append((weight, lvl, n, req))
+        options.sort()
+        free = next(k for k, opt in enumerate(options) if not opt[3])
+        picks = []
+        for weight, lvl, n, req in options[: free + 1]:
+            p = new_var(("PICK", cl, lvl, n), weight)
             m.pick_required[p] = req
             for v in req:
                 add([(1, v), (-1, p)], 0, "pick-needs-sc")
-            picks.append((p, m.objective[p], lvl, n))
-        add([(1, p) for p, _, _, _ in picks], 1, "pick-lo")
-        add([(-1, p) for p, _, _, _ in picks], -1, "pick-hi")
+            picks.append(p)
+        add([(1, p) for p in picks], 1, "pick-lo")
+        add([(-1, p) for p in picks], -1, "pick-hi")
         m.clause_picks[cl] = picks
     for g in range(rng.randint(0, 3)):
         members = tuple(rng.sample(sc, rng.randint(1, min(3, n_sc))))
@@ -136,7 +145,7 @@ def full_clause_bound(model: CopModel, values: list) -> int:
     plus, for each clause with no PICK set, its cheapest open PICK."""
     bound = sum(w for v, w in model.objective.items() if values[v] == 1)
     for picks in model.clause_picks.values():
-        states = [(values[p], w) for p, w, _, _ in picks]
+        states = [(values[p], model.objective[p]) for p in picks]
         open_weights = [w for val, w in states if val == -1]
         if open_weights and all(val != 1 for val, _ in states):
             bound += min(open_weights)
@@ -172,9 +181,9 @@ class _PickBranchingSearch:
         self.queue = list(range(len(model.constraints)))
         self.queued = [True] * len(model.constraints)
         self.trail: list = []
+        # each clause's picks in copmodel's rank order, cheapest first
         self.clause_costs = [
-            tuple(sorted(((p, w) for p, w, _, _ in model.clause_picks[cl]),
-                         key=lambda r: (r[1], r[0])))
+            tuple((p, model.objective[p]) for p in model.clause_picks[cl])
             for cl in sorted(model.clause_picks)
         ]
         self.best_cost = None
@@ -516,34 +525,48 @@ class TestContract:
             solve(m, SolverBudget(wall_time=5.0))
 
     def test_clause_without_a_free_raw_option_rejected(self):
-        # the search assumes each clause keeps its level-0 option; here
-        # every option of clause 0 requires an SC, so it could run out
+        # the search assumes each clause's last option requires no SC;
+        # here every option of clause 0 requires one, so it could run out
         rng = random.Random(5)
         m = random_clause_model(rng, n_sc=3)
         solve(m, SolverBudget(wall_time=5.0))
         sc = m.sc_vars[0]
-        for p, _, _, _ in m.clause_picks[0]:
+        for p in m.clause_picks[0]:
             if sc not in m.pick_required[p]:
                 m.pick_required[p] += (sc,)
                 m.constraints.append(
                     LinearConstraint(((1, sc), (-1, p)), 0, "pick-needs-sc")
                 )
-        with pytest.raises(SolverError, match="clause 0 has no level-0 option"):
+        with pytest.raises(SolverError, match="clause 0's options are not"):
             solve(m, SolverBudget(wall_time=5.0))
-        # a model whose only requirement-free option is not at level 0
-        m = random_clause_model(random.Random(5), n_sc=3)
-        m.clause_picks[0] = [(p, w, 1, n) for p, w, _, n in m.clause_picks[0]]
-        with pytest.raises(SolverError, match="clause 0 has no level-0 option"):
+        # an encoded model whose raw option is left out of clause 0's list
+        _, _, m = encoded(chain_program(4))
+        m.clause_picks[0].pop()
+        with pytest.raises(SolverError, match="clause 0's options are not"):
             solve(m, SolverBudget(wall_time=5.0))
 
-    def test_leaf_must_complete_to_its_bound(self):
-        # every folding now costs one more in the objective than in the
-        # clause's option list, which the bound reads: the first leaf the
-        # search reaches completes to more than its bound
+    def test_unranked_options_rejected(self):
+        # the search and the completion take each list as lightest first
+        _, _, m = encoded(chain_program(4))
+        solve(m, SolverBudget(wall_time=5.0))
+        raw = m.clause_picks[0].pop()
+        m.clause_picks[0].reverse()
+        m.clause_picks[0].append(raw)
+        with pytest.raises(SolverError, match="clause 0's options are not ranked"):
+            solve(m, SolverBudget(wall_time=5.0))
+
+    def test_leaf_must_complete_to_its_bound(self, monkeypatch):
+        # a completion that charges one more than the model's objective:
+        # the first leaf the search reaches completes to more than its bound
         _, _, model = encoded(chain_program(4))
-        for picks in model.clause_picks.values():
-            for pvar, _, _, _ in picks:
-                model.objective[pvar] += 1
+        original = solver_mod.assignment_from_selection
+
+        def off_by_one(m, chosen):
+            a = original(m, chosen)
+            a.objective_value += 1
+            return a
+
+        monkeypatch.setattr(solver_mod, "assignment_from_selection", off_by_one)
         with pytest.raises(SolverError, match="not to its bound"):
             solve(model, SolverBudget(wall_time=10.0))
 

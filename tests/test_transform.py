@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refold.logic import (
+    MAX_TERM_DEPTH,
     Atom,
     Clause,
     Const,
@@ -97,6 +98,35 @@ class TestUnfold:
             sys.setrecursionlimit(limit)
         assert [lit.pred for lit in u.body] == ["p"] * 300
 
+    def test_long_support_chain(self):
+        # nor once per support predicate of a chain t -> s1 -> ... -> s300
+        lines = ["#primitive p/1.", "#task t/1.", "t(X) :- s1(X).", "s300(X) :- p(X)."]
+        lines += [f"s{k}(X) :- s{k + 1}(X)." for k in range(1, 300)]
+        prog = parse_program("\n".join(lines))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            [u] = unfold(prog).clauses
+        finally:
+            sys.setrecursionlimit(limit)
+        assert u.body == (Atom("p", (Var("X"),)),)
+
+    def test_nesting_past_the_term_depth_limit(self):
+        # s1 and s2 each wrap their argument; inlining both nests `inner`
+        # compound terms around X, one each, which the parser's limit bounds
+        def unfolded(outer, inner):
+            wrap = lambda n: "f(" * n + "X" + ")" * n
+            return unfold(parse_program(
+                "#primitive p/1.\n#task t/1.\nt(X) :- s1(X).\n"
+                f"s1(X) :- s2({wrap(outer)}).\ns2(X) :- p({wrap(inner)})."
+            ))
+
+        half = MAX_TERM_DEPTH // 2
+        [u] = unfolded(half, MAX_TERM_DEPTH - half).clauses
+        assert repr(u.body[0]).count("f(") == MAX_TERM_DEPTH
+        with pytest.raises(TransformError, match="deeper than"):
+            unfolded(half, MAX_TERM_DEPTH - half + 1)
+
     def test_no_support_predicate_left(self):
         prog = parse_program(
             "#primitive a/2.\n#task t/2.\n"
@@ -113,8 +143,9 @@ class TestUnfold:
             "s(X,Y) :- a(X,Z), s(Z,Y).\n"
             "t(X,Y) :- s(X,Y)."
         )
-        with pytest.raises(CycleError):
+        with pytest.raises(CycleError) as err:
             unfold(prog)
+        assert err.value.cycle == ["s", "s"]
 
     def test_missing_definition(self):
         prog = parse_program(
