@@ -6,7 +6,8 @@ Variables (only the families the objective charges):
   PICK(cl, lvl, n)      folding option n of level lvl is the one emitted
                         for clause cl
   RED(group)            a sub-body class occurs at least twice among the
-                        input clauses and the selected candidates
+                        input clauses and the selected candidates; every
+                        group's base (input clauses holding it) is 0 or 1
 
 Constraints (all normalised to sum(coef * var) >= rhs):
   - exactly one PICK per clause
@@ -24,7 +25,8 @@ option. The solver's search relies on this and rejects other lists.
 
 The objective charges size(option) on PICK, size(candidate) on SC, and 1
 on RED, so the optimum value equals the emitted program's literal count
-plus the redundancy penalties.
+plus the penalties of the modelled classes. A class that two input
+clauses share is paid whatever the selection, so it is left out.
 """
 
 from __future__ import annotations
@@ -167,14 +169,13 @@ def encode(
 
 def _encode_redundancy(m: CopModel, space, red_group_cap: int, new_var, add):
     """One RED var per variant class of connected sub-bodies (size >= 2)
-    occurring in two or more clauses, where the clauses counted are the
-    input clauses (a constant contribution) and the selected candidates'
-    definitions. The penalty is monotone in the selection -- adding a
-    candidate can only introduce redundancy, never remove it -- which is
-    what keeps the profitability prune loss-free. Classes shared among
-    input clauses alone contribute a forced constant, kept so objective
-    values stay comparable across different candidate spaces. The raw
-    clauses' sub-bodies come from the search space's enumeration."""
+    that a selection can make occur in two or more clauses: its base, the
+    input clauses holding it, is 0 or 1, and its base plus the candidates
+    holding it is at least 2. `red_group_cap` bounds these, largest first.
+    The penalty is monotone in the selection -- adding a candidate can
+    only introduce redundancy, never remove it -- which is what keeps the
+    profitability prune loss-free. The raw clauses' sub-bodies come from
+    the search space's enumeration."""
     classes: dict = {}  # key -> [size, set of raw clause indices, [sc vars]]
     for cl in sorted(space.foldings):
         for idxs, key in space.subbodies[cl]:
@@ -191,7 +192,7 @@ def _encode_redundancy(m: CopModel, space, red_group_cap: int, new_var, add):
     groups = [
         (size, key, len(raw_cls), members)
         for key, (size, raw_cls, members) in classes.items()
-        if len(raw_cls) + len(members) >= 2
+        if len(raw_cls) <= 1 and len(raw_cls) + len(members) >= 2
     ]
     groups.sort(key=lambda g: (-g[0], g[1]))
     for gid, (size, key, base, members) in enumerate(groups[:red_group_cap]):

@@ -482,17 +482,18 @@ def _match_atoms(a1: Atom, a2: Atom, fwd: dict, bwd: dict, trail: list) -> bool:
     return all(_match_terms(t1, t2, fwd, bwd, trail) for t1, t2 in zip(a1.args, a2.args))
 
 
-def _atom_skeleton(a: Atom):
+def _shape(t: Term) -> tuple:
     # every shape is a tuple headed by a string, so skeletons of one
     # predicate sort even when a variable and a compound share a position
-    def shape(t: Term):
-        if isinstance(t, Var):
-            return ("V",)
-        if isinstance(t, Const):
-            return ("c", t.name)
-        return ("f", t.functor, tuple(shape(x) for x in t.args))
+    if isinstance(t, Var):
+        return ("V",)
+    if isinstance(t, Const):
+        return ("c", t.name)
+    return ("f", t.functor, tuple(map(_shape, t.args)))
 
-    return (a.pred, tuple(shape(t) for t in a.args))
+
+def _atom_skeleton(a: Atom):
+    return (a.pred, tuple(map(_shape, a.args)))
 
 
 def variant_equal(c1: Clause, c2: Clause) -> bool:
@@ -514,30 +515,50 @@ def variant_equal(c1: Clause, c2: Clause) -> bool:
         return False
     body1, body2 = c1.body, c2.body
     used = [False] * len(body2)
+    # body2's literals by the name of each top-level variable they hold:
+    # a literal of body1 with a bound top-level variable can only map onto
+    # a holder of that variable's image
+    holders: dict = {}
+    for idx, lit in enumerate(body2):
+        for t in lit.args:
+            if isinstance(t, Var):
+                held = holders.setdefault(t.name, [])
+                if not held or held[-1] != idx:
+                    held.append(idx)
     # depth-first search for the literal bijection without recursion, so
-    # that long bodies fit the stack: body1[k] is placed next, trying
-    # body2[start:]; `placed` holds each placed literal's (body2 index,
-    # trail length before it)
+    # that long bodies fit the stack: body1[k] is placed next, trying its
+    # options (the holders of its first bound top-level variable's image,
+    # or all of body2) from `start` on; `placed` holds each placed
+    # literal's (body2 index, position among its options, trail length
+    # before it)
     placed: list = []
     k = start = 0
     while k < len(body1):
-        for idx in range(start, len(body2)):
+        opts = range(len(body2))
+        for t in body1[k].args:
+            if isinstance(t, Var) and t in fwd:
+                opts = holders.get(fwd[t].name, ())
+                break
+        for pos in range(start, len(opts)):
+            idx = opts[pos]
             if used[idx]:
                 continue
             mark = len(trail)
             if _match_atoms(body1[k], body2[idx], fwd, bwd, trail):
                 used[idx] = True
-                placed.append((idx, mark))
+                placed.append((idx, pos, mark))
                 k, start = k + 1, 0
                 break
             _unbind(trail, mark, fwd, bwd)
         else:
             if not placed:
                 return False
-            idx, mark = placed.pop()
+            idx, pos, mark = placed.pop()
             used[idx] = False
+            # undoing body1[k-1]'s bindings restores the state its
+            # options were read in, so they are read again unchanged
             _unbind(trail, mark, fwd, bwd)
-            k, start = k - 1, idx + 1
+            k, start = k - 1, pos + 1
     return True
 
 

@@ -79,7 +79,7 @@ def assignment_from_selection(model: CopModel, chosen_sc: set) -> Optional[Assig
 
 def _greedy_selection(model: CopModel, deadline: Optional[float] = None):
     """Greedy add/drop over support clauses, guided by the exact objective.
-    Yields each (selection, assignment) improvement as soon as it is found."""
+    Yields each improving assignment as soon as it is found."""
     sc_vars = sorted(model.sc_vars.values())
     # order additions by potential savings: weight ascending is a cheap proxy
     ordered = sorted(sc_vars, key=lambda v: (model.objective.get(v, 0), v))
@@ -87,7 +87,7 @@ def _greedy_selection(model: CopModel, deadline: Optional[float] = None):
     base = assignment_from_selection(model, chosen)
     if base is None:
         return
-    yield set(chosen), base
+    yield base
     best = base.objective_value
     improved = True
     rounds = 0
@@ -116,7 +116,7 @@ def _greedy_selection(model: CopModel, deadline: Optional[float] = None):
             if a is not None and a.objective_value < best:
                 chosen = trial
                 best = a.objective_value
-                yield set(chosen), a
+                yield a
                 improved = True
 
 
@@ -140,10 +140,11 @@ class _Search:
     order, lightest first down to one that requires no SC (checked here);
     an option is available while none of the SCs it requires is 0, so the
     first available one is the cheapest, and there always is one. A
-    RED group charges its weight once its base count plus its selected
-    members reach 2. The bound, committed cost plus each clause's cheapest
-    available option, is kept up to date, so it costs O(1) a node, and it
-    is the exact objective once every SC is set."""
+    RED group charges its weight once its base count (0 or 1, as copmodel
+    encodes it) plus its selected members reach 2. The bound, committed
+    cost plus each clause's cheapest available option, is kept up to
+    date, so it costs O(1) a node, and it is the exact objective once
+    every SC is set."""
 
     def __init__(self, model: CopModel, budget: SolverBudget):
         for v, tag in enumerate(model.vars):
@@ -199,11 +200,8 @@ class _Search:
         self.red_count, self.red_weight = [], []
         self.red_of = [[] for _ in range(n)]  # SC var -> its groups
         for g, (rvar, members) in enumerate(model.red_members.items()):
-            base = model.red_base.get(rvar, 0)
-            self.red_count.append(base)
+            self.red_count.append(model.red_base.get(rvar, 0))
             self.red_weight.append(self.weights[rvar])
-            if base >= 2:
-                self.cost += self.weights[rvar]
             for sv in members:
                 self.red_of[sv].append(g)
         self.trail: list = []  # assigned vars, in order
@@ -377,7 +375,7 @@ def solve(model: CopModel, budget: SolverBudget) -> tuple:
     """Branch-and-bound minimisation. Returns (Assignment, SolveTrace)."""
     search = _Search(model, budget)
     greedy_deadline = search.start + 0.5 * budget.wall_time
-    for _, a in _greedy_selection(model, greedy_deadline):
+    for a in _greedy_selection(model, greedy_deadline):
         if check_assignment(model, a.values):
             search.seed_incumbent(a)
     status = search.run()

@@ -134,12 +134,12 @@ def rename_apart(c: Clause) -> Clause:
 # ---------------------------------------------------------------------------
 # Unfold
 
-def unfold(p: Program, cap: int = DEFAULT_UNFOLD_CAP) -> UnfoldedProgram:
+def unfold(p: Program) -> UnfoldedProgram:
     """Inline every support predicate until task-clause bodies mention
     primitives only. One output clause per complete inlining choice.
     Primitive-headed clauses are kept as they are, so their bodies may
     not call support predicates."""
-    reg = p.registry
+    reg, cap = p.registry, DEFAULT_UNFOLD_CAP
     defs: dict = {}
     for c in p.clauses:
         defs.setdefault(c.head.pred, []).append(c)

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface: exit codes, file
 outputs, and agreement between the refactor and verify subcommands."""
 
+import random
+
 import pytest
 
 from refold import cli
@@ -60,13 +62,16 @@ def _support_chain(length: int, wraps: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _chain(length: int, swapped: int = -1) -> str:
+def _chain(length: int, swapped: int = -1, shuffled: bool = False) -> str:
     """A task clause with a `length`-literal chain body; the literal at
-    `swapped` has its two arguments swapped."""
+    `swapped` has its two arguments swapped, and a `shuffled` body is in
+    a fixed random order."""
     lits = [
         f"p(X{k + 1},X{k})" if k == swapped else f"p(X{k},X{k + 1})"
         for k in range(length)
     ]
+    if shuffled:
+        random.Random(0).shuffle(lits)
     return f"#primitive p/2.\n#task t/2.\nt(X0,X{length}) :- {', '.join(lits)}.\n"
 
 
@@ -302,8 +307,14 @@ class TestDeepInputs:
         path.write_text(_chain(1500))
         changed = tmp_path / "changed.pl"
         changed.write_text(_chain(1500, swapped=750))
+        shuffled = tmp_path / "shuffled.pl"
+        shuffled.write_text(_chain(1500, shuffled=True))
+        both = tmp_path / "both.pl"
+        both.write_text(_chain(1500, swapped=750, shuffled=True))
         assert cli.main(["verify", str(path), str(path)]) == cli.EXIT_OK
         assert cli.main(["verify", str(path), str(changed)]) == cli.EXIT_VERIFY_FAILED
+        assert cli.main(["verify", str(path), str(shuffled)]) == cli.EXIT_OK
+        assert cli.main(["verify", str(path), str(both)]) == cli.EXIT_VERIFY_FAILED
 
     @pytest.mark.parametrize("command", ["refactor", "baseline", "verify", "stats"])
     def test_term_nesting_limit(self, tmp_path, capsys, command):

@@ -21,7 +21,7 @@ from refold.copmodel import (
     objective_value,
     render_model,
 )
-from refold.logic import parse_program
+from refold.logic import connected_index_subsets, parse_program, variant_key
 from refold.solver import assignment_from_selection
 from refold.transform import syntactic_equiv, unfold
 
@@ -57,16 +57,26 @@ def encoded(prog, **kw):
     return space, u, encode(space, u, **kw)
 
 
+def red_encoded(**kw):
+    """A model with RED groups: six random chains, unpruned, two levels."""
+    u = unfold(random_chain_program(random.Random(0), 3, 6, lambda: 5))
+    space = build_search_space(u, i=2, j=3, prune=False, max_levels=2)
+    return space, u, encode(space, u, **kw)
+
+
 class TestEncode:
     def test_variable_families_present(self):
         space, u, model = encoded(chain_program(4))
-        assert model.sc_vars and pick_vars(model) and red_vars(model)
-        # only the families the objective charges: SC, PICK and RED
-        assert {tag[0] for tag in model.vars} == {"SC", "PICK", "RED"}
+        # each sub-body class of the shared chain is in all 4 clauses, a
+        # constant penalty, so the model has no RED var
+        assert {tag[0] for tag in model.vars} == {"SC", "PICK"}
         # every clause keeps a PICK var for its raw option (TestRanking
         # checks that each option without one is never taken)
         for cl in space.foldings:
             assert (cl, 0, 0) in pick_vars(model)
+        # only the families the objective charges: SC, PICK and RED
+        _, _, model = red_encoded()
+        assert {tag[0] for tag in model.vars} == {"SC", "PICK", "RED"}
 
     def test_constraints_reference_only_objective_families(self):
         _, _, model = encoded(chain_program(4))
@@ -189,6 +199,49 @@ class TestRanking:
             assert dropped > 0
 
 
+class TestRedundancyGroups:
+    """encode gives a RED var to each sub-body class a selection can
+    change, and to no other."""
+
+    @pytest.mark.parametrize("name", sorted(RANKED_MODELS))
+    def test_groups_are_the_classes_a_selection_can_change(self, name):
+        prog, kw = RANKED_MODELS[name]()
+        u = unfold(prog)
+        space = build_search_space(u, 2, 3, **kw)
+        model = encode(space, u)
+        classes: dict = {}  # variant key -> (literal count, raw clauses, SC vars)
+
+        def occurrences(body):
+            for idxs in connected_index_subsets(body, 2, 3):
+                key = variant_key(body[k] for k in idxs)
+                yield classes.setdefault(key, (len(idxs), set(), set()))
+
+        for cl in space.foldings:
+            for _, raw, _ in occurrences(space.foldings[cl][0][0].literals):
+                raw.add(cl)
+        for cand in space.candidates:
+            for _, _, members in occurrences(cand.clause.body):
+                members.add(model.sc_vars[cand.id])
+        shared = [key for key, (_, raw, _) in classes.items() if len(raw) >= 2]
+        assert shared  # constant penalties, which get no RED var
+        changeable = sorted(
+            (-size, key, len(raw), tuple(sorted(members)))
+            for key, (size, raw, members) in classes.items()
+            if len(raw) <= 1 and len(raw) + len(members) >= 2
+        )
+        assert len(changeable) <= copmodel.DEFAULT_RED_GROUP_CAP
+
+        def groups(m):
+            return sorted((m.red_base[r], tuple(sorted(ms))) for r, ms in m.red_members.items())
+
+        assert groups(model) == sorted(g[2:] for g in changeable)
+        # under a cap, the largest classes keep their vars
+        cap = len(changeable) // 2
+        assert groups(encode(space, u, red_group_cap=cap)) == sorted(
+            g[2:] for g in changeable[:cap]
+        )
+
+
 def single_chain_program():
     """One clause, so every sub-body class occurs in exactly one input
     clause and redundancy can only come from selected candidates."""
@@ -200,15 +253,18 @@ def single_chain_program():
 
 class TestRedundancy:
     def test_members_are_candidate_vars_with_clause_base(self):
+        # every sub-body class of the shared chain occurs in all 4 clauses
         _, _, model = encoded(chain_program(4))
+        assert not red_vars(model) and not model.red_members
+        _, _, model = red_encoded()
         assert red_vars(model)
         sc = set(model.sc_vars.values())
         for rvar, members in model.red_members.items():
-            # a group needs two possible occurrences: input clauses or candidates
+            # a group needs two possible occurrences: input clauses or
+            # candidates, and a selection must be able to change it
+            assert model.red_base[rvar] in (0, 1)
             assert model.red_base[rvar] + len(members) >= 2
             assert all(m in sc for m in members)
-            # every sub-body class of the shared chain occurs in all 4 clauses
-            assert model.red_base[rvar] == 4
 
     def test_red_var_forced_by_clause_plus_candidate(self):
         # one input occurrence + one selected candidate containing the
@@ -252,8 +308,8 @@ class TestRedundancy:
     def test_penalty_monotone_in_selection(self):
         # adding a candidate never lowers the penalty term, the property
         # that keeps profitability pruning exact
-        space, u, model = encoded(chain_program(4))
-        from refold.solver import assignment_from_selection
+        space, u, model = red_encoded()
+        assert len(red_vars(model)) >= 2
 
         def penalties(sel):
             a = assignment_from_selection(model, sel)
@@ -267,8 +323,16 @@ class TestRedundancy:
             assert penalties(sel) >= base
 
     def test_group_cap(self):
-        _, _, model = encoded(chain_program(6), red_group_cap=1)
-        assert len(red_vars(model)) <= 1
+        _, _, model = red_encoded()
+        groups = list(model.red_members.items())
+        assert len(groups) >= 2
+        for cap in (0, 1, len(groups) - 1):
+            _, _, capped = red_encoded(red_group_cap=cap)
+            assert len(red_vars(capped)) == cap
+            # the cap keeps the first groups, with their members and bases
+            assert [
+                (members, capped.red_base[r]) for r, members in capped.red_members.items()
+            ] == [(members, model.red_base[r]) for r, members in groups[:cap]]
 
 
 class TestObjectiveInvariant:

@@ -218,7 +218,7 @@ def reference_encode_redundancy(m, space, red_group_cap, new_var, add):
     groups = [
         (size, key, len(raw_cls), members)
         for key, (size, raw_cls, members) in classes.items()
-        if len(raw_cls) + len(members) >= 2
+        if len(raw_cls) <= 1 and len(raw_cls) + len(members) >= 2
     ]
     groups.sort(key=lambda g: (-g[0], g[1]))
     for gid, (size, key, base, members) in enumerate(groups[:red_group_cap]):

@@ -1,10 +1,15 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from refold import logic
 from refold.logic import (
     ArityError,
     Atom,
     Clause,
+    Compound,
     Const,
     LogicError,
     ParseError,
@@ -14,6 +19,7 @@ from refold.logic import (
     connected,
     connected_index_subsets,
     parse_program,
+    rename_clause,
     render_program,
     variant_equal,
     variant_key,
@@ -137,6 +143,79 @@ class TestVariantEqual:
     def test_constant_mismatch(self):
         assert not variant_equal(cl("h(X) :- q(X, foo)."), cl("h(X) :- q(X, bar)."))
 
+    @pytest.mark.parametrize(
+        "swapped, shuffled", [(750, False), (-1, True), (750, True)]
+    )
+    def test_long_chain_takes_a_linear_number_of_matches(self, monkeypatch, swapped, shuffled):
+        # each literal of the chain shares a variable with the one before,
+        # so it is tried only against the holders of that variable's image
+        def chain(n, swapped=-1, shuffled=False):
+            lits = [
+                Atom("q", (Var(f"X{k + 1}"), Var(f"X{k}")) if k == swapped
+                     else (Var(f"X{k}"), Var(f"X{k + 1}")))
+                for k in range(n)
+            ]
+            if shuffled:
+                random.Random(0).shuffle(lits)
+            return Clause(Atom("h", (Var("X0"), Var(f"X{n}"))), tuple(lits))
+
+        calls = []
+        match_atoms = logic._match_atoms
+
+        def counted(*args):
+            calls.append(1)
+            return match_atoms(*args)
+
+        monkeypatch.setattr(logic, "_match_atoms", counted)
+        n = 1500
+        assert variant_equal(chain(n), chain(n, swapped, shuffled)) == (swapped < 0)
+        assert len(calls) <= 2 * n
+
+    def test_backtracks_to_a_later_holder(self):
+        # q(D,A) is tried against A's holders, q(C,A) and then q(D,A); the
+        # first is a dead end, so the search resumes at the second
+        assert variant_equal(
+            cl("h(A) :- q(D,A), q(C,A), q(B,B), q(D,B), r(D,D)."),
+            cl("h(A) :- q(D,B), q(C,A), q(B,B), r(D,D), q(D,A)."),
+        )
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_agrees_with_every_body_order(self, data):
+        # against a reference that tries each order of the second body
+        # literal by literal, with constants and nested terms
+        terms = st.recursive(
+            st.sampled_from([Var("A"), Var("B"), Var("C"), Var("D"), Const("a")]),
+            lambda inner: st.builds(lambda x: Compound("f", (x,)), inner),
+            max_leaves=2,
+        )
+        atoms = st.builds(
+            lambda p, x, y: Atom(p, (x, y)), st.sampled_from(["q", "q", "r"]), terms, terms
+        )
+        head = Atom("h", (Var("A"),))
+        c1 = Clause(head, tuple(data.draw(st.lists(atoms, max_size=5))))
+        # c2: c1 renamed, reordered and perhaps with one literal redrawn
+        body = list(c1.body)
+        if body and data.draw(st.booleans()):
+            body[data.draw(st.integers(0, len(body) - 1))] = data.draw(atoms)
+        body = data.draw(st.permutations(body))
+        rename = dict(zip(
+            [Var(n) for n in "ABCD"], data.draw(st.permutations([Var(n) for n in "WXYZ"]))
+        ))
+        c2 = rename_clause(Clause(head, tuple(body)), rename)
+
+        def reference(c1, c2):
+            return len(c1.body) == len(c2.body) and any(
+                all(
+                    logic._match_atoms(a, b, fwd, bwd, [])
+                    for a, b in zip((c1.head,) + c1.body, (c2.head,) + order)
+                )
+                for order in itertools.permutations(c2.body)
+                for fwd, bwd in [({}, {})]
+            )
+
+        assert variant_equal(c1, c2) == reference(c1, c2)
+
     def test_variant_key_matches_variant_equal(self):
         b1 = cl("h(X) :- q(X,Y), r(Y,X).").body
         b2 = cl("h(A) :- r(B,A), q(A,B).").body
@@ -184,8 +263,6 @@ class TestVariantProperties:
     @settings(max_examples=100)
     def test_invariant_under_renaming(self, c):
         mapping = {Var(f"V{i}"): Var(f"W{i + 7}") for i in range(5)}
-        from refold.logic import rename_clause
-
         assert variant_equal(c, rename_clause(c, mapping))
 
 

@@ -45,8 +45,8 @@ def random_clause_model(rng: random.Random, n_sc: int = 5) -> CopModel:
     """A random model with the encoding's constraint families, where each
     clause's level-0 option requires nothing, as the raw option does in
     encoded models, but its other options often require SCs, and a RED
-    group's base count is below 2, so options drop out and groups charge
-    as SCs are set (in encoded models most groups charge at the root).
+    group's base count is below 2, as in encoded models, so options drop
+    out and groups charge as SCs are set.
     Each clause's options are ranked as encode ranks them, and those after
     the first one that requires no SC, which are never taken, are left
     out."""
@@ -90,7 +90,7 @@ def random_clause_model(rng: random.Random, n_sc: int = 5) -> CopModel:
         m.clause_picks[cl] = picks
     for g in range(rng.randint(0, 3)):
         members = tuple(rng.sample(sc, rng.randint(1, min(3, n_sc))))
-        base = rng.randint(0, 2)
+        base = rng.randint(0, 1)
         r = new_var(("RED", g), 1)
         m.red_members[r], m.red_base[r] = members, base
         k = base + len(members)
@@ -544,6 +544,25 @@ class TestContract:
         m.clause_picks[0].pop()
         with pytest.raises(SolverError, match="clause 0's options are not"):
             solve(m, SolverBudget(wall_time=5.0))
+
+    def test_red_group_with_a_base_of_two_rejected(self):
+        # encode gives no group a base of 2 or more: such a group charges
+        # at every leaf but not in the bound, so the first leaf the search
+        # reaches completes above its bound
+        for seed in range(30):
+            m = random_clause_model(random.Random(seed), n_sc=3)
+            solve(m, SolverBudget(wall_time=5.0))
+            r = len(m.vars)
+            m.vars.append(("RED", len(m.red_members)))
+            m.objective[r] = 1
+            members = (m.sc_vars[seed % 3],)
+            m.red_members[r], m.red_base[r] = members, 2
+            m.constraints += [
+                LinearConstraint(((2, r), (-1, members[0])), 1, "red-force"),
+                LinearConstraint(((1, members[0]), (-2, r)), -2, "red-honest"),
+            ]
+            with pytest.raises(SolverError, match="not to its bound"):
+                solve(m, SolverBudget(wall_time=5.0))
 
     def test_unranked_options_rejected(self):
         # the search and the completion take each list as lightest first

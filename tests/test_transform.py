@@ -4,6 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from refold import transform
 from refold.logic import (
     MAX_TERM_DEPTH,
     Atom,
@@ -154,15 +155,16 @@ class TestUnfold:
         with pytest.raises(MissingDefinitionError):
             unfold(prog)
 
-    def test_explosion_cap(self):
+    def test_explosion_cap(self, monkeypatch):
         # 2 choices per support literal, 12 literals -> 4096 unfoldings
+        monkeypatch.setattr(transform, "DEFAULT_UNFOLD_CAP", 100)
         lines = ["#primitive a/1.", "#task t/1."]
         lines += ["s(X) :- a(X).", "s(X) :- a(X)."]
         body = ", ".join("s(X)" for _ in range(12))
         lines.append(f"t(X) :- {body}.")
         prog = parse_program("\n".join(lines))
         with pytest.raises(UnfoldExplosionError):
-            unfold(prog, cap=100)
+            unfold(prog)
 
     def test_primitive_clauses_pass_through(self):
         prog = parse_program(
