@@ -10,11 +10,12 @@ from typing import Optional
 from .logic import (
     Atom,
     Clause,
-    connected_index_subsets,
     first_occurrence_vars,
-    variant_key,
+    keyed_subsets,
 )
 from .transform import (
+    IndexedBody,
+    Pattern,
     UnfoldedProgram,
     _disjoint_subsets,
     apply_match_set,
@@ -96,15 +97,6 @@ def make_candidate_clause(subset: tuple, pred: str) -> Clause:
     return Clause(head, subset)
 
 
-def keyed_subsets(body: tuple, lo: int, hi: int) -> list:
-    """(index tuple, variant key) of each connected sub-body of `body`
-    with lo..hi literals, in connected_index_subsets order."""
-    return [
-        (idxs, variant_key(body[k] for k in idxs))
-        for idxs in connected_index_subsets(body, lo, hi)
-    ]
-
-
 def variant_classes(bodies: list, subbodies: list, lo: int, hi: int) -> dict:
     """Variant key -> the first sub-body of lo..hi literals with that key,
     in body order; `subbodies[k]` is keyed_subsets of bodies[k]."""
@@ -153,12 +145,14 @@ def _max_disjoint_count(matches: list) -> int:
 
 class UsageIndex:
     """Inverted gate index over groups of alternative bodies (a group is
-    one clause's bodies). find_body_matches(body, pattern, head) is empty
-    unless pred_counts(pattern) <= pred_counts(body): each pattern literal
-    needs its own body literal of the same predicate and arity. So each
+    one clause's bodies). A pattern matches a body only if
+    pred_counts(pattern) <= pred_counts(body): each pattern literal needs
+    its own body literal of the same predicate and arity. So each
     (pred, arity, k) maps to the bodies with k or more such literals, and
     the only bodies a pattern can match are an intersection of posting
-    sets, found without a scan."""
+    sets, found without a scan. A body's IndexedBody is built on its
+    first match and serves every later one; the index, and with it the
+    IndexedBody forms, lives for one level."""
 
     def __init__(self, groups: list):
         self.bodies: list = []  # (group, body, pred_counts of body)
@@ -170,6 +164,14 @@ class UsageIndex:
                     for k in range(1, n + 1):
                         self.postings.setdefault((p, a, k), set()).add(len(self.bodies))
                 self.bodies.append((g, body, have))
+        self._indexed: list = [None] * len(self.bodies)
+
+    def indexed(self, bid: int) -> IndexedBody:
+        """The IndexedBody of body `bid`, built on the first call."""
+        form = self._indexed[bid]
+        if form is None:
+            form = self._indexed[bid] = IndexedBody(self.bodies[bid][1])
+        return form
 
     def gated(self, need: dict) -> set:
         """Ids of the bodies with need[pa] or more literals of each pa."""
@@ -193,15 +195,16 @@ class UsageIndex:
             g, body, have = self.bodies[bid]
             cap = len(body) // len(pattern)
             cap = min(cap, *(have[pa] // n for pa, n in need.items()))
-            caps.append((g, body, cap))
+            caps.append((g, bid, cap))
             best[g] = max(best.get(g, 0), cap)
         bound = sum(best.values())
         if not worth(bound):
             return bound
+        form = Pattern(pattern, head)
         exact: dict = {}
-        for g, body, cap in caps:
+        for g, bid, cap in caps:
             if cap > exact.get(g, 0):
-                found = _max_disjoint_count(find_body_matches(body, pattern, head))
+                found = _max_disjoint_count(find_body_matches(self.indexed(bid), form))
                 exact[g] = max(exact.get(g, 0), min(cap, found))
         return sum(exact.values())
 
@@ -333,11 +336,13 @@ def build_search_space(
         for c in cands:
             all_cands.append(c)
             pred_to_id[c.pred] = c.id
-        # the candidates each base body can match, in id order
+        # the (id, Pattern) of each candidate a base body can match, in id
+        # order
         fold_with: list = [[] for _ in index.bodies]
         for c in cands:
-            for bid in index.gated(pred_counts(c.clause.body)):
-                fold_with[bid].append(c)
+            form = Pattern(c.clause.body, c.clause.head)
+            for bid in index.gated(form.need):
+                fold_with[bid].append((c.id, form))
         by_clause = itertools.groupby(enumerate(index.bodies), key=lambda e: e[1][0])
         for idx, bases in by_clause:
             opts_here: list = []
@@ -345,12 +350,15 @@ def build_search_space(
             # the clause counts as truncated once, if the cap cut a base
             # body's options or left a base body unfolded
             cut = False
-            for bid, (_, body, _) in bases:
+            for bid, _ in bases:
                 if len(opts_here) >= folding_cap:
                     cut = True
                     break
+                if not fold_with[bid]:
+                    continue  # no options, and no IndexedBody built
                 opts, truncated = _fold_one(
-                    body, fold_with[bid], folding_cap - len(opts_here), pred_to_id
+                    index.indexed(bid), fold_with[bid], folding_cap - len(opts_here),
+                    pred_to_id,
                 )
                 cut = cut or truncated
                 for o in opts:
@@ -376,15 +384,16 @@ def build_search_space(
     )
 
 
-def _fold_one(body: tuple, cands: list, cap: int, pred_to_id: dict) -> tuple:
-    """Fold one base body with `cands`, the level's candidates that the
-    level's UsageIndex gates it to, into at most `cap` (>= 1) options;
-    leftovers stay raw. `pred_to_id` maps every invented predicate so far
-    to its candidate id. Returns (options, whether the cap cut some)."""
+def _fold_one(body: IndexedBody, patterns: list, cap: int, pred_to_id: dict) -> tuple:
+    """Fold one base body with `patterns`, the (id, Pattern) of each of
+    the level's candidates that the level's UsageIndex gates it to, into
+    at most `cap` (>= 1) options; leftovers stay raw. `pred_to_id` maps
+    every invented predicate so far to its candidate id. Returns
+    (options, whether the cap cut some)."""
     matches = []
-    for cand in cands:
-        for idxs, head in find_body_matches(body, cand.clause.body, cand.clause.head):
-            matches.append((idxs, head, cand.id))
+    for cid, form in patterns:
+        for idxs, head in find_body_matches(body, form):
+            matches.append((idxs, head, cid))
     if not matches:
         return [], False
     matches.sort(key=lambda m: (sorted(m[0]), m[2]))
@@ -393,7 +402,7 @@ def _fold_one(body: tuple, cands: list, cap: int, pred_to_id: dict) -> tuple:
     truncated = len(subsets) > cap
     options = []
     for sub in subsets[:cap]:
-        folded = apply_match_set(Clause(Atom("h"), body), sub)
+        folded = apply_match_set(Clause(Atom("h"), body.literals), sub)
         lits = folded.body
         required = frozenset(
             pred_to_id[l.pred] for l in lits if l.pred in pred_to_id

@@ -35,6 +35,11 @@ EXIT_INPUT_ERROR = 2
 EXIT_NO_GAIN = 3
 EXIT_INTERNAL = 4
 
+# hypothesis_space_size builds p**body_len exactly and sums `clauses`
+# logarithms: at this bound, with 100 000 predicates, that takes under
+# 0.1 s, and at ten times it, seconds
+STATS_ARG_MAX = 10_000
+
 
 class InputError(Exception):
     pass
@@ -161,8 +166,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    if args.body_len < 1 or args.clauses < 1:
-        raise InputError("--body-len and --clauses must be >= 1")
+    if not (1 <= args.body_len <= STATS_ARG_MAX and 1 <= args.clauses <= STATS_ARG_MAX):
+        raise InputError(f"--body-len and --clauses must be in 1..{STATS_ARG_MAX}")
     program = _read_program(args.input)
     preds = program.predicates()
     lines = [

@@ -34,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .logic import Clause, Program
+from .logic import Clause, Program, keyed_subsets
 from .transform import UnfoldedProgram
-from .candidates import RED_SUBBODY_MAX, LevelledSearchSpace, keyed_subsets
+from .candidates import RED_SUBBODY_MAX, LevelledSearchSpace
 
 DEFAULT_RED_GROUP_CAP = 2000
 # a model over either size makes refactor() return its input

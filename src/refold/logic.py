@@ -397,12 +397,14 @@ def parse_program(text: str) -> Program:
 # ---------------------------------------------------------------------------
 # Printing
 
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
 def _canonical_names() -> Iterator[str]:
-    letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    for ch in letters:
+    for ch in _LETTERS:
         yield ch
     for k in itertools.count(1):
-        for ch in letters:
+        for ch in _LETTERS:
             yield f"{ch}{k}"
 
 
@@ -572,36 +574,66 @@ VARIANT_KEY_CAP = 6
 
 
 def variant_key(body: Iterable[Atom]) -> str:
-    """Exact canonical key for variant equality of small bodies.
-
-    Minimises the canonical rendering over all literal orderings, so two
-    bodies get the same key iff they are variant-equal (as multisets).
-    Each ordering is rendered straight to the string that
+    """Exact canonical key for variant equality of small bodies: the
+    smallest, over all literal orderings, of the string that
     render_clause(canonicalize_clause(...)) gives for the clause
-    `k :- body` in that order. Exponential in the body length; intended
-    for candidate-sized bodies.
+    `k :- body` in that order. Two bodies get the same key iff they are
+    variant-equal (as multisets).
+
+    Each literal is laid out once (_layout's format string and variable
+    names), and the smallest string is found by an ordering search, not
+    by rendering every permutation. A partial ordering renders to a
+    fixed prefix of each of its completions: its literals with the
+    canonical names of their variables in first occurrence order, each
+    followed by its separator (", ", or "." after the last literal).
+    Orderings grow one literal at a time, and after each step only those
+    whose rendering starts with the smallest one are kept: any other
+    differs from that smallest one at a position inside both, where it
+    is larger, so all its completions are larger than the smallest
+    one's. Exponential in the worst case (repeated literals keep every
+    ordering); meant for candidate-sized bodies.
     """
-    lits = tuple(body)
-    if len(lits) > VARIANT_KEY_CAP:
-        raise LogicError(
-            f"variant_key limited to {VARIANT_KEY_CAP} literals, got {len(lits)}"
-        )
-    if not lits:
+    return _ordered_key([_literal_layout(a) for a in body])
+
+
+def _literal_layout(a: Atom) -> tuple:
+    names: list = []
+    return _layout(a.pred, a.args, names), names
+
+
+def _ordered_key(layouts: list) -> str:
+    """variant_key of the literals whose _literal_layout forms are
+    `layouts`."""
+    n = len(layouts)
+    if n > VARIANT_KEY_CAP:
+        raise LogicError(f"variant_key limited to {VARIANT_KEY_CAP} literals, got {n}")
+    if not n:
         return "k."
-    layouts = []
-    for a in lits:
-        names: list = []
-        layouts.append((_layout(a.pred, a.args, names), names))
-    canonical = list(itertools.islice(_canonical_names(), len(set(
-        itertools.chain(*(names for _, names in layouts))
-    ))))
-    best = None
-    for perm in itertools.permutations(layouts):
-        rename = dict(zip(dict.fromkeys(itertools.chain(*(n for _, n in perm))), canonical))
-        s = "k :- " + ", ".join(f.format(*[rename[v] for v in n]) for f, n in perm) + "."
-        if best is None or s < best:
-            best = s
-    return best
+    # (rendering so far, bitmask of the literals placed, variable name ->
+    # canonical name, the k-th new name being _canonical_names()'s k-th);
+    # a map is copied only when a literal adds to it
+    partials = [("", 0, {})]
+    for step in range(n):
+        sep = ", " if step < n - 1 else "."
+        grown = []
+        for text, used, rename in partials:
+            for i, (fmt, names) in enumerate(layouts):
+                if used >> i & 1:
+                    continue
+                r = rename
+                args = []
+                for v in names:
+                    c = r.get(v)
+                    if c is None:
+                        if r is rename:
+                            r = dict(rename)
+                        k = len(r)
+                        c = r[v] = _LETTERS[k] if k < 26 else f"{_LETTERS[k % 26]}{k // 26}"
+                    args.append(c)
+                grown.append((text + fmt.format(*args) + sep, used | 1 << i, r))
+        best = min(g[0] for g in grown)
+        partials = [g for g in grown if g[0].startswith(best)]
+    return "k :- " + best
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +692,17 @@ def connected_index_subsets(body: tuple, min_size: int, max_size: int) -> list:
         for size in range(max(1, min_size), min(n, max_size) + 1)
         for idxs in itertools.combinations(range(n), size)
         if _reaches_all(adj, idxs)
+    ]
+
+
+def keyed_subsets(body: tuple, lo: int, hi: int) -> list:
+    """(index tuple, variant key) of each connected sub-body of `body`
+    with lo..hi literals, in connected_index_subsets order. Each literal
+    is laid out once for all the sub-bodies holding it."""
+    layouts = [_literal_layout(a) for a in body]
+    return [
+        (idxs, _ordered_key([layouts[k] for k in idxs]))
+        for idxs in connected_index_subsets(body, lo, hi)
     ]
 
 

@@ -7,11 +7,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .logic import VARIANT_KEY_CAP, Program
+from .logic import VARIANT_KEY_CAP, Program, keyed_subsets
 from .transform import (
+    Pattern,
     apply_match_set,
     find_body_matches,
-    pred_counts,
     syntactic_equiv,
     unfold,
 )
@@ -21,7 +21,6 @@ from .candidates import (
     UsageIndex,
     build_search_space,
     fresh_name,
-    keyed_subsets,
     make_candidate_clause,
     variant_classes,
 )
@@ -266,8 +265,9 @@ def remove_redundancy_baseline(p: Program) -> Program:
         support = make_candidate_clause(sub, fresh_name(f"red_{counter}", registry.entries))
         counter += 1
         registry.declare(support.head.pred, support.head.arity, "support")
-        for k in sorted(index.gated(pred_counts(sub))):
-            chosen = _greedy_disjoint(find_body_matches(clauses[k].body, sub, support.head))
+        form = Pattern(sub, support.head)
+        for k in sorted(index.gated(form.need)):
+            chosen = _greedy_disjoint(find_body_matches(index.indexed(k), form))
             if chosen:
                 clauses[k] = apply_match_set(clauses[k], chosen)
                 subbodies[k] = keyed_subsets(clauses[k].body, 2, RED_SUBBODY_MAX)

@@ -280,23 +280,66 @@ def pred_counts(lits) -> Counter:
     return Counter((lit.pred, lit.arity) for lit in lits)
 
 
+class IndexedBody:
+    """A body's matching facts, built once and read by every pattern
+    matched against it: its literals, the indices of each (pred, arity)
+    bucket in body order, and each variable's bitmask (by name) of the
+    literals it occurs in."""
+
+    __slots__ = ("literals", "buckets", "occurs")
+
+    def __init__(self, literals: tuple):
+        self.literals = literals
+        self.buckets: dict = {}
+        self.occurs: dict = {}
+        for i, lit in enumerate(literals):
+            self.buckets.setdefault((lit.pred, len(lit.args)), []).append(i)
+            for v in lit.variables():
+                self.occurs[v.name] = self.occurs.get(v.name, 0) | 1 << i
+
+
+class Pattern:
+    """A support clause's body and head with its matching facts, built
+    once and matched against many bodies: each literal's bucket key and
+    arguments (a plain variable by its name), the variables absent from
+    the head (internal) and the head's variables absent from the body,
+    in order, and pred_counts of the body (`need`)."""
+
+    __slots__ = ("head", "keys", "args", "internal", "missing", "need")
+
+    def __init__(self, literals: tuple, head: Atom):
+        self.head = head
+        self.keys = [(lit.pred, len(lit.args)) for lit in literals]
+        self.args = [
+            tuple(t.name if isinstance(t, Var) else t for t in lit.args) for lit in literals
+        ]
+        head_vars = dict.fromkeys(v.name for v in head.variables())
+        names = dict.fromkeys(v.name for lit in literals for v in lit.variables())
+        self.internal = [v for v in names if v not in head_vars]
+        self.missing = [v for v in head_vars if v not in names]
+        self.need = Counter(self.keys)
+
+
 def _bind(p: Term, t: Term, s: dict) -> bool:
     """Extend s, a binding of pattern variable names to body terms, so
-    that pattern term p becomes body term t. Body variables are never
-    bound, and a bound pattern variable must equal t."""
-    if isinstance(p, Var):
-        b = s.get(p.name)
-        if b is None:
-            s[p.name] = t
-            return True
-        return b == t
+    that pattern term p, a constant or a compound term, becomes body term
+    t. Body variables are never bound, and a bound pattern variable must
+    equal t."""
     if isinstance(p, Compound):
-        return (
-            isinstance(t, Compound)
-            and p.functor == t.functor
-            and len(p.args) == len(t.args)
-            and all(_bind(a, b, s) for a, b in zip(p.args, t.args))
-        )
+        if not (
+            isinstance(t, Compound) and p.functor == t.functor and len(p.args) == len(t.args)
+        ):
+            return False
+        for a, b in zip(p.args, t.args):
+            if isinstance(a, Var):
+                bound = s.get(a.name)
+                if bound is None:
+                    s[a.name] = b
+                elif bound != b:
+                    return False
+            elif not _bind(a, b, s):
+                return False
+        return True
     return p == t
 
 
@@ -308,59 +351,50 @@ def _instantiate(t: Term, s: dict, fresh: dict) -> Term:
     return t
 
 
-def find_body_matches(body: tuple, pattern: tuple, pattern_head: Atom) -> list:
-    """All sub-multiset matches of `pattern` (a support-clause body) in
-    `body`, with a consistent substitution of the pattern's variables.
+def find_body_matches(body: IndexedBody, pattern: Pattern) -> list:
+    """All sub-multiset matches of `pattern` (a support clause's body and
+    head) in `body`, with a consistent substitution of the pattern's
+    variables.
 
     Matching is one-way: pattern variables bind to body terms and body
     literals are never instantiated, so the two clauses' variable names
     need not be disjoint. Each pattern literal tries only the body
     literals of its own (pred, arity), in body order.
 
-    A valid fold match maps every pattern variable absent from
-    `pattern_head` to a distinct variable that occurs nowhere in `body`
-    outside the matched literals, so that unfolding restores the
-    original clause. Returns (frozenset of matched indices, instantiated
-    head) pairs; a head variable absent from the pattern gets a fresh
+    A valid fold match maps every pattern variable absent from the
+    pattern's head to a distinct variable that occurs nowhere in the body
+    outside the matched literals, so that unfolding restores the original
+    clause. Returns (frozenset of matched indices, instantiated head)
+    pairs; a head variable absent from the pattern's body gets a fresh
     name, as rename_apart gives.
     """
-    buckets: dict = {}
-    for i, lit in enumerate(body):
-        buckets.setdefault((lit.pred, len(lit.args)), []).append(i)
     tries = []
-    for lit in pattern:
-        idxs = buckets.get((lit.pred, len(lit.args)))
+    for key in pattern.keys:
+        idxs = body.buckets.get(key)
         if idxs is None:
             return []
         tries.append(idxs)
-    head_vars = {v.name for v in pattern_head.variables()}
-    pattern_vars = dict.fromkeys(v.name for lit in pattern for v in lit.variables())
-    internal = [v for v in pattern_vars if v not in head_vars]
     fresh: dict = {}
-    if not head_vars <= pattern_vars.keys():
+    if pattern.missing:
         n = next(_fresh_counter)
-        fresh = {v: Var(f"_R{n}~{v}") for v in head_vars - pattern_vars.keys()}
-    # variable -> bitmask of the body literals where it occurs
-    occurs: dict = {}
-    if internal:
-        for i, lit in enumerate(body):
-            for v in lit.variables():
-                occurs[v] = occurs.get(v, 0) | 1 << i
+        fresh = {v: Var(f"_R{n}~{v}") for v in pattern.missing}
+    lits, occurs, internal, pargs = body.literals, body.occurs, pattern.internal, pattern.args
+    depth, pattern_head = len(pargs), pattern.head
 
     matches = []
     seen = set()
     chosen: list = []
 
     def rec(k: int, used: int, s: dict):
-        if k == len(pattern):
+        if k == depth:
             # internal variables must be bound to distinct variables local
             # to the matched literals
-            bound = [s[v] for v in internal]
-            if len(set(bound)) != len(bound):
-                return
-            for img in bound:
-                if not isinstance(img, Var) or occurs[img] & ~used:
+            images = set()
+            for v in internal:
+                img = s[v]
+                if not isinstance(img, Var) or img.name in images or occurs[img.name] & ~used:
                     return
+                images.add(img.name)
             head = Atom(pattern_head.pred,
                         tuple(_instantiate(t, s, fresh) for t in pattern_head.args))
             key = (frozenset(chosen), head)
@@ -368,13 +402,19 @@ def find_body_matches(body: tuple, pattern: tuple, pattern_head: Atom) -> list:
                 seen.add(key)
                 matches.append(key)
             return
-        args = pattern[k].args
+        args = pargs[k]
         for i in tries[k]:
             if used >> i & 1:
                 continue
             s2 = dict(s)
-            for p, t in zip(args, body[i].args):
-                if not _bind(p, t, s2):
+            for p, t in zip(args, lits[i].args):
+                if p.__class__ is str:
+                    b = s2.get(p)
+                    if b is None:
+                        s2[p] = t
+                    elif b is not t and b != t:
+                        break
+                elif not _bind(p, t, s2):
                     break
             else:
                 chosen.append(i)
@@ -428,7 +468,7 @@ def fold_clause(c: Clause, s: Clause) -> list:
     """Fold c with the support clause s: one result per maximal set of
     pairwise-disjoint matches of s's body in c's body. Empty when there
     is no match."""
-    matches = find_body_matches(c.body, s.body, s.head)
+    matches = find_body_matches(IndexedBody(c.body), Pattern(s.body, s.head))
     if not matches:
         return []
     subsets = _disjoint_subsets(matches)

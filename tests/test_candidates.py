@@ -25,7 +25,7 @@ from refold.logic import (
     parse_program,
     variant_equal,
 )
-from refold.transform import find_body_matches, pred_counts, unfold
+from refold.transform import IndexedBody, Pattern, find_body_matches, pred_counts, unfold
 
 from tests.conftest import dense_program
 from tests.test_acceptance import random_program
@@ -113,7 +113,10 @@ def _gate_groups(max_body: int):
 def _reference_usage(pattern: tuple, head: Atom, groups: list) -> int:
     """Ungated, unbounded: every body of every group goes to the matcher."""
     return sum(
-        max(_max_disjoint_count(find_body_matches(b, pattern, head)) for b in g)
+        max(
+            _max_disjoint_count(find_body_matches(IndexedBody(b), Pattern(pattern, head)))
+            for b in g
+        )
         for g in groups
     )
 
@@ -136,7 +139,7 @@ class TestMatcherGate:
     def test_no_match_outside_the_gate(self, pattern, body):
         head = make_candidate_clause(pattern, "inv").head
         if not pred_counts(pattern) <= pred_counts(body):
-            assert find_body_matches(body, pattern, head) == []
+            assert find_body_matches(IndexedBody(body), Pattern(pattern, head)) == []
 
     @settings(max_examples=150, deadline=None)
     @given(patterns=st.lists(_gate_bodies(3), min_size=1, max_size=3), groups=_gate_groups(4))
@@ -157,11 +160,12 @@ class TestMatcherGate:
             assert index.usage(c.clause.body, c.clause.head, lambda u: True) == reference
         gated = [index.gated(pred_counts(c.clause.body)) for c in cands]
         pred_to_id = {c.pred: c.id for c in cands}
+        forms = [(c.id, Pattern(c.clause.body, c.clause.head)) for c in cands]
         for bid, (_, body, _) in enumerate(index.bodies):
             # the gated candidates fold a body as all candidates do
-            mine = [c for c, ids in zip(cands, gated) if bid in ids]
-            assert _fold_one(body, mine, 20, pred_to_id) == _fold_one(
-                body, cands, 20, pred_to_id
+            mine = [f for f, ids in zip(forms, gated) if bid in ids]
+            assert _fold_one(IndexedBody(body), mine, 20, pred_to_id) == _fold_one(
+                IndexedBody(body), forms, 20, pred_to_id
             )
 
 
@@ -196,7 +200,8 @@ class TestUsageIndex:
         body = tuple(Atom("p", (Var(f"X{k}"),)) for k in range(8))
         pattern = (Atom("p", (Var("A"),)), Atom("p", (Var("B"),)))
         head = make_candidate_clause(pattern, "inv").head
-        assert _max_disjoint_count(find_body_matches(body, pattern, head)) == 56
+        matches = find_body_matches(IndexedBody(body), Pattern(pattern, head))
+        assert _max_disjoint_count(matches) == 56
         assert UsageIndex([[body]]).usage(pattern, head, lambda u: True) == 4
 
     def test_bound_returned_without_matching(self, monkeypatch):
@@ -406,7 +411,9 @@ def _expand(literals: tuple, by_pred: dict) -> tuple:
         if definition is None:
             out.append(lit)
             continue
-        matches = find_body_matches((lit,), (definition.head,), definition.head)
+        matches = find_body_matches(
+            IndexedBody((lit,)), Pattern((definition.head,), definition.head)
+        )
         # instantiate the definition body against this literal
         from refold.transform import rename_apart, subst_atom, unify_atoms
 

@@ -1,7 +1,10 @@
 """End-to-end tests for the command-line interface: exit codes, file
 outputs, and agreement between the refactor and verify subcommands."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -394,6 +397,24 @@ class TestStatsCommand:
         assert "predicates: 6" in out
         assert "log_hypothesis_space" in out
 
+    def test_huge_flags_end_within_seconds(self, kb_path):
+        # the statistic would build 6**1000000000 and sum 10**9 terms; a
+        # child process, so that a stall fails the test instead of hanging it
+        argv = ["stats", str(kb_path), "--body-len", "1000000000", "--clauses", "1000000000"]
+        main = "import sys; from refold import cli; sys.exit(cli.main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", main, *argv], capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == cli.EXIT_INPUT_ERROR
+        assert done.stderr.startswith("error:")
+
+    def test_flags_at_the_bound_are_accepted(self, kb_path, capsys):
+        bound = str(cli.STATS_ARG_MAX)
+        assert cli.main(["stats", str(kb_path), "--body-len", bound, "--clauses", bound]) == 0
+        out = capsys.readouterr().out
+        assert f"log_hypothesis_space(body_len={bound}, clauses={bound})" in out
+
 
 class TestBenchCommand:
     def test_unknown_condition(self, capsys):
@@ -442,6 +463,8 @@ TINY_BENCH = ["--background-tasks", "1", "--target-tasks", "1", "--max-depth", "
     [
         ["stats", "{kb}", "--body-len", "0"],
         ["stats", "{kb}", "--clauses", "0"],
+        ["stats", "{kb}", "--body-len", "10001"],
+        ["stats", "{kb}", "--clauses", "10001"],
         ["bench", "--width", "1"] + TINY_BENCH,
         ["bench", "--conditions", ","] + TINY_BENCH,
         ["bench", "--refactor-seconds", "nan"] + TINY_BENCH,
@@ -452,7 +475,8 @@ TINY_BENCH = ["--background-tasks", "1", "--target-tasks", "1", "--max-depth", "
         ["bench"] + TINY_BENCH + ["--background-tasks", "-1"],
         ["bench"] + TINY_BENCH + ["--target-tasks", "0"],
     ],
-    ids=["stats-body-len", "stats-clauses", "bench-width", "bench-no-condition",
+    ids=["stats-body-len", "stats-clauses", "stats-body-len-past-bound",
+         "stats-clauses-past-bound", "bench-width", "bench-no-condition",
          "bench-refactor-seconds", "bench-task-seconds-nan", "bench-task-seconds-negative",
          "bench-max-nodes", "bench-max-depth", "bench-background-tasks",
          "bench-target-tasks"],

@@ -20,6 +20,7 @@ from refold.candidates import (
     make_candidate_clause,
 )
 from refold.logic import (
+    VARIANT_KEY_CAP,
     Atom,
     Clause,
     Compound,
@@ -34,6 +35,8 @@ from refold.logic import (
     variant_key,
 )
 from refold.transform import (
+    IndexedBody,
+    Pattern,
     _disjoint_subsets,
     apply_match_set,
     find_body_matches,
@@ -147,7 +150,7 @@ def reference_count_usage(body: tuple, head: Atom, clause_groups: list) -> int:
     for group in clause_groups:
         n += max(
             (
-                _max_disjoint_count(find_body_matches(b, body, head))
+                _max_disjoint_count(find_body_matches(IndexedBody(b), Pattern(body, head)))
                 for b, have in group
                 if need <= have
             ),
@@ -272,11 +275,10 @@ def _bodies(max_size: int, min_size: int = 1):
 
 
 @st.composite
-def _match_cases(draw):
-    """A body, and a pattern drawn partly from the body's own literals
-    (so matches are common), with a head over the pattern's variables,
-    possibly missing some and adding others."""
-    body = draw(_bodies(5))
+def _patterns_for(draw, body):
+    """A pattern drawn partly from the literals of `body` (so matches are
+    common), with a head over the pattern's variables, possibly missing
+    some and adding others."""
     pattern = tuple(
         draw(st.one_of(st.sampled_from(body), _atoms()))
         for _ in range(draw(st.integers(1, 3)))
@@ -284,7 +286,13 @@ def _match_cases(draw):
     pvars = list(dict.fromkeys(v for lit in pattern for v in lit.variables()))
     head_args = draw(st.lists(st.one_of(st.sampled_from(pvars) if pvars else _VARS, _TERMS),
                               max_size=3))
-    return body, pattern, Atom("h", tuple(head_args))
+    return pattern, Atom("h", tuple(head_args))
+
+
+@st.composite
+def _match_cases(draw):
+    body = draw(_bodies(5))
+    return (body, *draw(_patterns_for(body)))
 
 
 class TestMatcher:
@@ -292,16 +300,37 @@ class TestMatcher:
     @given(_match_cases())
     def test_equals_unify_based_reference(self, case):
         body, pattern, head = case
-        assert _normalised(find_body_matches(body, pattern, head)) == _normalised(
-            reference_matches(body, pattern, head)
-        )
+        got = find_body_matches(IndexedBody(body), Pattern(pattern, head))
+        assert _normalised(got) == _normalised(reference_matches(body, pattern, head))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_indexed_body_serves_many_patterns(self, data):
+        body = data.draw(_bodies(5))
+        indexed = IndexedBody(body)
+        cases = data.draw(st.lists(_patterns_for(body), min_size=1, max_size=5))
+        # each pattern twice, the second time after all the others: a
+        # match leaves the shared form as it found it
+        for pattern, head in cases + cases:
+            got = find_body_matches(indexed, Pattern(pattern, head))
+            assert _normalised(got) == _normalised(reference_matches(body, pattern, head))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_pattern_serves_many_bodies(self, data):
+        bodies = data.draw(st.lists(_bodies(5), min_size=1, max_size=5))
+        pattern, head = data.draw(_patterns_for(data.draw(st.sampled_from(bodies))))
+        form = Pattern(pattern, head)
+        for body in bodies + bodies:
+            got = find_body_matches(IndexedBody(body), form)
+            assert _normalised(got) == _normalised(reference_matches(body, pattern, head))
 
     def test_shared_names_do_not_chain(self):
         # pattern variable X is named like a body variable it must not touch
         body = (Atom("p", (Var("Y"), Var("X"))), Atom("p", (Var("X"), Var("Z"))))
         pattern = (Atom("p", (Var("X"), Var("Y"))),)
         head = Atom("h", (Var("X"), Var("Y")))
-        got = find_body_matches(body, pattern, head)
+        got = find_body_matches(IndexedBody(body), Pattern(pattern, head))
         assert got == [
             (frozenset({0}), Atom("h", (Var("Y"), Var("X")))),
             (frozenset({1}), Atom("h", (Var("X"), Var("Z")))),
@@ -315,7 +344,7 @@ class TestMatcher:
             "t(A,W) :- p(A,B), q(B,C), p(W,A)."
         )
         s, c = prog.clauses
-        [(idxs, head)] = find_body_matches(c.body, s.body, s.head)
+        [(idxs, head)] = find_body_matches(IndexedBody(c.body), Pattern(s.body, s.head))
         assert idxs == frozenset({0, 1}) and head.args[0] == Var("A")
         assert "~" in head.args[1].name  # cannot capture the body's W
         [folded] = fold_clause(c, s)
@@ -350,11 +379,78 @@ class TestConnectivity:
         assert connected(c) == (not body or reference_connected([head, *body]))
 
 
+# predicate names that prefix each other ("p1(" sorts before "p10(" on
+# "(" against "0", and "p1, " before "p10" on "," against "0") or hold
+# the braces that layouts escape
+_KEY_NAMES = ["p", "p1", "p10", "q{", "}q", "{}"]
+_KEY_TERMS = st.one_of(
+    _VARS,
+    st.sampled_from([Const("a"), Const("a{"), Const("}")]),
+    st.builds(Compound, st.sampled_from(["f", "f}"]), st.tuples(_VARS)),
+)
+
+
+@st.composite
+def _key_atoms(draw):
+    arity = draw(st.integers(0, 3))  # arity 0 renders without parentheses
+    return Atom(draw(st.sampled_from(_KEY_NAMES)),
+                tuple(draw(_KEY_TERMS) for _ in range(arity)))
+
+
+@st.composite
+def _key_bodies(draw, min_size: int, max_size: int):
+    """Bodies drawn from a small pool of literals, so literals repeat."""
+    pool = draw(st.lists(_key_atoms(), min_size=1, max_size=4))
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=max_size)))
+
+
+# few predicates over three variables: different literals often render
+# alike under their own canonical names, so the search keeps ties
+_TIE_LITERALS = st.builds(
+    lambda pred, args: Atom(pred, args[: 1 if pred == "q" else 2]),
+    st.sampled_from(["p", "q"]),
+    st.tuples(*[st.sampled_from([Var("X"), Var("Y"), Var("Z")])] * 2),
+)
+
+
 class TestVariantKey:
     @settings(max_examples=500, deadline=None)
     @given(body=_bodies(4, min_size=0))
     def test_equals_rendered_canonical_clause(self, body):
         assert variant_key(body) == reference_variant_key(body)
+
+    @settings(max_examples=400, deadline=None)
+    @given(body=_key_bodies(0, 4))
+    def test_prefix_names_braces_arity_0_and_repeats(self, body):
+        assert variant_key(body) == reference_variant_key(body)
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.lists(_TIE_LITERALS, min_size=2, max_size=4).map(tuple))
+    def test_tied_partial_orderings(self, body):
+        assert variant_key(body) == reference_variant_key(body)
+
+    def test_a_tie_is_settled_by_a_later_literal(self):
+        # both p literals open as "p(A,B)"; only the second one's naming
+        # makes q(X) render as q(A)
+        x, y = Var("X"), Var("Y")
+        body = (Atom("p", (y, x)), Atom("p", (x, y)), Atom("q", (x,)))
+        assert variant_key(body) == reference_variant_key(body) == "k :- p(A,B), p(B,A), q(A)."
+
+    @settings(max_examples=60, deadline=None)
+    @given(body=st.one_of(_key_bodies(5, VARIANT_KEY_CAP), _bodies(VARIANT_KEY_CAP, 5)))
+    def test_bodies_up_to_the_cap(self, body):
+        assert variant_key(body) == reference_variant_key(body)
+
+    def test_prefix_names_order_as_rendered(self):
+        x = Var("X")
+        for body in [
+            (Atom("p10", (x,)), Atom("p1", (x,))),
+            (Atom("p10"), Atom("p1")),
+            (Atom("p1"), Atom("p10", (x,)), Atom("p", (x,))),
+        ]:
+            assert variant_key(body) == reference_variant_key(body)
+        assert variant_key((Atom("p10", (x,)), Atom("p1", (x,)))) == "k :- p1(A), p10(A)."
+        assert variant_key((Atom("p10"), Atom("p1"))) == "k :- p1, p10."
 
     def test_variable_names_past_z(self):
         # 28 + 3 variables: canonical names run past Z to A1, B1, ...
