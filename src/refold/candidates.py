@@ -362,9 +362,8 @@ def build_search_space(
                 )
                 cut = cut or truncated
                 for o in opts:
-                    sig = tuple(map(repr, o.literals))
-                    if sig not in seen_sigs:
-                        seen_sigs.add(sig)
+                    if o.literals not in seen_sigs:
+                        seen_sigs.add(o.literals)
                         opts_here.append(o)
             st.truncated_clauses += cut
             if opts_here:

@@ -8,7 +8,6 @@ multisets up to variable renaming (variant equality).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -400,21 +399,18 @@ def parse_program(text: str) -> Program:
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def _canonical_names() -> Iterator[str]:
-    for ch in _LETTERS:
-        yield ch
-    for k in itertools.count(1):
-        for ch in _LETTERS:
-            yield f"{ch}{k}"
+def _canonical_name(k: int) -> str:
+    """The k-th canonical variable name (from 0): A, ..., Z, A1, ..., Z1,
+    A2, ..."""
+    return _LETTERS[k] if k < 26 else f"{_LETTERS[k % 26]}{k // 26}"
 
 
 def canonical_renaming(clause: Clause) -> dict:
     """Variable -> fresh Var named A, B, C, ... by first occurrence."""
-    names = _canonical_names()
     mapping = {}
     for v in clause.variables():
         if v not in mapping:
-            mapping[v] = Var(next(names))
+            mapping[v] = Var(_canonical_name(len(mapping)))
     return mapping
 
 
@@ -610,7 +606,7 @@ def _ordered_key(layouts: list) -> str:
     if not n:
         return "k."
     # (rendering so far, bitmask of the literals placed, variable name ->
-    # canonical name, the k-th new name being _canonical_names()'s k-th);
+    # canonical name, the k-th new name being _canonical_name(k));
     # a map is copied only when a literal adds to it
     partials = [("", 0, {})]
     for step in range(n):
@@ -627,8 +623,7 @@ def _ordered_key(layouts: list) -> str:
                     if c is None:
                         if r is rename:
                             r = dict(rename)
-                        k = len(r)
-                        c = r[v] = _LETTERS[k] if k < 26 else f"{_LETTERS[k % 26]}{k // 26}"
+                        c = r[v] = _canonical_name(len(r))
                     args.append(c)
                 grown.append((text + fmt.format(*args) + sep, used | 1 << i, r))
         best = min(g[0] for g in grown)
@@ -684,15 +679,40 @@ def connected(c: Clause) -> bool:
 def connected_index_subsets(body: tuple, min_size: int, max_size: int) -> list:
     """Index tuples of the connected subsets of the body literals with
     min_size..max_size literals, by size and then lexicographically.
-    Connectivity is over body literals only."""
-    n = len(body)
+    Connectivity is over body literals only. Subsets grow from single
+    literals, one adjacent literal at a time, so the work follows the
+    number of connected subsets, not of all subsets."""
     adj = _adjacency(body)
-    return [
-        idxs
-        for size in range(max(1, min_size), min(n, max_size) + 1)
-        for idxs in itertools.combinations(range(n), size)
-        if _reaches_all(adj, idxs)
-    ]
+    top = min(len(body), max_size)
+    # each connected subset of the current size, as a bitmask -> the
+    # bitmask of the literals sharing a variable with one of its own
+    level = {1 << i: mask for i, mask in enumerate(adj)}
+    out = []
+    for size in range(1, top + 1):
+        if size >= min_size:
+            out.extend(sorted(map(_indices, level)))
+        if size == top:
+            break
+        grown: dict = {}
+        for sub, near in level.items():
+            rest = near & ~sub
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if sub | bit not in grown:
+                    grown[sub | bit] = near | adj[bit.bit_length() - 1]
+        level = grown
+    return out
+
+
+def _indices(mask: int) -> tuple:
+    """The positions of mask's set bits, ascending."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit.bit_length() - 1)
+        mask ^= bit
+    return tuple(out)
 
 
 def keyed_subsets(body: tuple, lo: int, hi: int) -> list:

@@ -143,73 +143,18 @@ def unfold(p: Program) -> UnfoldedProgram:
     defs: dict = {}
     for c in p.clauses:
         defs.setdefault(c.head.pred, []).append(c)
-
-    # cycle check over support predicates reachable from task clauses
-    support_graph = {}
-    for pred, cs in defs.items():
-        if reg.role(pred) != "support":
-            continue
-        deps = []
-        for c in cs:
-            for lit in c.body:
-                if reg.role(lit.pred) == "support":
-                    deps.append(lit.pred)
-        support_graph[pred] = deps
-
-    # depth-first, with the path and its iterators on explicit stacks, so
-    # that long support chains need no Python recursion
-    state: dict = {}  # 0 = on the path, 1 = done
-    for root in support_graph:
-        if root in state:
-            continue
-        state[root] = 0
-        path, deps = [root], [iter(support_graph[root])]
-        while path:
-            d = next(deps[-1], None)
-            if d is None:
-                state[path.pop()] = 1
-                deps.pop()
-            elif state.get(d) == 0:
-                raise CycleError(path[path.index(d):] + [d])
-            elif d not in state:
-                state[d] = 0
-                path.append(d)
-                deps.append(iter(support_graph.get(d, ())))
-
+    calls = {
+        pred: [lit.pred for c in cs for lit in c.body if reg.role(lit.pred) == "support"]
+        for pred, cs in defs.items()
+        if reg.role(pred) == "support"
+    }
     expanded: dict = {}  # support pred -> list of primitive-body clauses
 
-    def expand_pred(pred: str):
-        if pred not in defs:
-            raise MissingDefinitionError(f"support predicate {pred} has no clauses")
-        out = []
-        for c in defs[pred]:
-            out.extend((yield from expand_clause(c)))
-        expanded[pred] = out
-        return out
-
-    def expand(c: Clause) -> list:
-        """expand_clause(c), run with its chain of support predicates on
-        an explicit stack: a generator yields the predicate whose clauses
-        it needs and is sent them, once expanded."""
-        stack, sent = [expand_clause(c)], None
-        while True:
-            try:
-                pred = stack[-1].send(sent)
-            except StopIteration as done:
-                stack.pop()
-                if not stack:
-                    return done.value
-                sent = done.value
-                continue
-            sent = expanded.get(pred)
-            if sent is None:
-                stack.append(expand_pred(pred))
-
-    def expand_clause(c: Clause):
-        # a generator (see expand) returning the primitive-body clauses c
-        # unfolds to; each round inlines the next support literal of every
-        # partial clause r, which comes with the position before which its
-        # body holds primitives only
+    def expand_clause(c: Clause) -> list:
+        # the primitive-body clauses c unfolds to, read off `expanded`;
+        # each round inlines the next support literal of every partial
+        # clause r, which comes with the position before which its body
+        # holds primitives only
         done: list = []
         todo = [(c, 0)]
         while todo:
@@ -232,7 +177,7 @@ def unfold(p: Program) -> UnfoldedProgram:
                 else:
                     done.append(r)
                     continue
-                for d in (yield lit.pred):
+                for d in expanded[lit.pred]:
                     d = rename_apart(d)
                     s = unify_atoms(d.head, lit, {})
                     if s is None:
@@ -251,11 +196,41 @@ def unfold(p: Program) -> UnfoldedProgram:
             todo = nxt
         return done
 
+    # one depth-first walk over support calls, with the path and its
+    # iterators on explicit stacks, so that long support chains need no
+    # Python recursion. It runs first from the support predicates that
+    # task clauses call, expanding each predicate it finishes (after every
+    # predicate that one calls), and then over the other support
+    # predicates, which no task clause reaches, as a cycle check only
+    tasks = [c for c in p.clauses if reg.role(c.head.pred) == "task"]
+    roots = [(lit.pred, True) for c in tasks for lit in c.body if reg.role(lit.pred) == "support"]
+    state: dict = {}  # 0 = on the path, 1 = done
+    for root, reached in roots + [(pred, False) for pred in calls]:
+        if root in state:
+            continue
+        state[root] = 0
+        path, deps = [root], [iter(calls.get(root, ()))]
+        while path:
+            d = next(deps[-1], None)
+            if d is None:
+                pred = path.pop()
+                deps.pop()
+                state[pred] = 1
+                if reached:
+                    if pred not in defs:
+                        raise MissingDefinitionError(f"support predicate {pred} has no clauses")
+                    expanded[pred] = [u for c in defs[pred] for u in expand_clause(c)]
+            elif state.get(d) == 0:
+                raise CycleError(path[path.index(d):] + [d])
+            elif d not in state:
+                state[d] = 0
+                path.append(d)
+                deps.append(iter(calls.get(d, ())))
+
     out_clauses = []
     primitive_clauses = []
     for c in p.clauses:
-        role = reg.role(c.head.pred)
-        if role == "primitive":
+        if reg.role(c.head.pred) == "primitive":
             for lit in c.body:
                 if reg.role(lit.pred) == "support":
                     raise TransformError(
@@ -263,9 +238,8 @@ def unfold(p: Program) -> UnfoldedProgram:
                         f"primitive {c.head.pred}"
                     )
             primitive_clauses.append(c)
-        if role != "task":
-            continue
-        for u in expand(c):
+    for c in tasks:
+        for u in expand_clause(c):
             out_clauses.append(u)
             if len(out_clauses) > cap:
                 raise UnfoldExplosionError(f"unfolding exceeded the cap of {cap} clauses")

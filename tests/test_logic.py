@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,3 +311,21 @@ class TestConnectedPowerSet:
     def test_upper_bound(self):
         c = cl("h(X,Y) :- a(X,Y), b(Y,Z), r(Z,Y).")
         assert len(connected_index_subsets(c.body, 1, 3)) <= 2 ** 3 - 1
+
+    def test_long_chain_ends_within_seconds(self):
+        # testing each of the 5.6e8 3-subsets of a 1 500-literal chain for
+        # connectivity would stall; a child process, so that a stall fails
+        # the test instead of hanging it
+        main = (
+            "from refold.logic import Atom, Var, connected_index_subsets\n"
+            "body = tuple(Atom('p', (Var(f'V{k}'), Var(f'V{k + 1}'))) for k in range(1500))\n"
+            "subsets = connected_index_subsets(body, 2, 3)\n"
+            "assert subsets[0] == (0, 1) and subsets[-1] == (1497, 1498, 1499)\n"
+            "print(len(subsets))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", main], capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["2997"]

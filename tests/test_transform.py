@@ -13,7 +13,9 @@ from refold.logic import (
     ParseError,
     Var,
     _tokenize,
+    canonicalize_clause,
     parse_program,
+    render_clause,
     variant_equal,
 )
 from refold.transform import (
@@ -154,6 +156,46 @@ class TestUnfold:
         )
         with pytest.raises(MissingDefinitionError):
             unfold(prog)
+
+    def test_cycle_no_task_clause_calls_detected(self):
+        prog = parse_program(
+            "#primitive a/1.\n#task t/1.\nt(X) :- a(X).\n"
+            "s(X) :- r(X).\nr(X) :- s(X)."
+        )
+        with pytest.raises(CycleError) as err:
+            unfold(prog)
+        assert err.value.cycle == ["s", "r", "s"]
+
+    def test_uncalled_support_without_clauses_ignored(self):
+        prog = parse_program(
+            "#primitive a/1.\n#support r/1.\n#task t/1.\nt(X) :- a(X)."
+        )
+        assert [repr(c) for c in unfold(prog).clauses] == ["t(X) :- a(X)."]
+
+    def test_called_support_without_clauses_rejected_on_a_dead_branch(self):
+        # no unfolding of s(a) survives, so r(X) is never inlined; r is
+        # still expanded, as every support predicate a task clause calls is
+        prog = parse_program(
+            "#primitive p/1.\n#support r/1.\n#task t/1.\n"
+            "t(X) :- s(a), r(X).\ns(b) :- p(b)."
+        )
+        with pytest.raises(MissingDefinitionError, match="support predicate r has no clauses"):
+            unfold(prog)
+
+    def test_diamond_expands_shared_support_once_per_call(self):
+        prog = parse_program(
+            "#primitive a/1.\n#primitive b/1.\n#primitive c/1.\n#task t/1.\n#task u/1.\n"
+            "t(X) :- s(X), r(X).\nu(X) :- r(X).\ns(X) :- r(X), c(X).\n"
+            "r(X) :- a(X).\nr(X) :- b(X)."
+        )
+        assert [render_clause(canonicalize_clause(c)) for c in unfold(prog).clauses] == [
+            "t(A) :- a(A), c(A), a(A).",
+            "t(A) :- a(A), c(A), b(A).",
+            "t(A) :- b(A), c(A), a(A).",
+            "t(A) :- b(A), c(A), b(A).",
+            "u(A) :- a(A).",
+            "u(A) :- b(A).",
+        ]
 
     def test_explosion_cap(self, monkeypatch):
         # 2 choices per support literal, 12 literals -> 4096 unfoldings
