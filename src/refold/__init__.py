@@ -11,7 +11,6 @@ from .logic import (
     PredicateRegistry,
     Program,
     Var,
-    connected,
     parse_program,
     render_program,
     variant_equal,
@@ -58,7 +57,6 @@ __all__ = [
     "Var",
     "accumulate_background",
     "build_search_space",
-    "connected",
     "decode",
     "encode",
     "extract_candidates",

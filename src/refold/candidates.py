@@ -121,26 +121,25 @@ def prune_unprofitable(cands: list) -> list:
 def _max_disjoint_count(matches: list) -> int:
     """Maximum number of pairwise index-disjoint matches, or len(matches)
     (a safe over-estimate) past DISJOINT_NODE_CAP search nodes."""
-    best = 0
-    nodes = 0
-
-    def rec(start: int, used: frozenset, depth: int) -> bool:
-        nonlocal best, nodes
-        best = max(best, depth)
-        for k in range(start, len(matches)):
-            nodes += 1
-            if nodes > DISJOINT_NODE_CAP:
-                return False
-            idxs, _ = matches[k]
-            if idxs & used:
-                continue
-            if not rec(k + 1, used | idxs, depth + 1):
-                return False
-        return True
-
-    if rec(0, frozenset(), 0):
-        return best
-    return len(matches)
+    best = nodes = 0
+    # a depth-first search without recursion, so that long bodies fit the
+    # stack: each frame is (the next match to try, the literals its chosen
+    # matches hold), and its number of chosen matches is the number of
+    # frames below it
+    stack = [(0, frozenset())]
+    while stack:
+        k, used = stack.pop()
+        if k == len(matches):
+            continue
+        nodes += 1
+        if nodes > DISJOINT_NODE_CAP:
+            return len(matches)
+        stack.append((k + 1, used))
+        idxs = matches[k][0]
+        if not idxs & used:
+            stack.append((k + 1, used | idxs))
+            best = max(best, len(stack) - 1)
+    return best
 
 
 class UsageIndex:

@@ -8,6 +8,7 @@ multisets up to variable renaming (variant equality).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -198,50 +199,31 @@ class Program:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_SYMS = {":-", "(", ")", ",", ".", "/"}
+_SYMS = {":-", "(", ")", ",", ".", "/", "#"}
 # compound terms nest at most this deep in an atom's arguments, so that
 # every recursive walk over a term stays far inside Python's stack
 MAX_TERM_DEPTH = 100
+# one lexeme: blanks, a comment, a newline (group 1), a token (group 2) or
+# any other character (group 3); "\w" is a character for which
+# str.isalnum() holds, or "_"
+_LEXEME = re.compile(r"[ \t\r]+|%[^\n]*|(\n)|(:-|[().,/#]|\w+)|(.)")
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """(text, line, column) of each token, columns counting characters
+    from 1, then an empty end-of-input token at the last token's
+    position."""
     toks = []
-    line, col = 1, 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 0
-            i += 1
-            continue
-        col += 1
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith(":-", i):
-            toks.append((":-", line, col))
-            i += 2
-            col += 1
-            continue
-        if ch in "().,/#":
-            toks.append((ch, line, col))
-            i += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append((text[i:j], line, col))
-            col += j - i - 1
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+    line, start = 1, 0
+    for m in _LEXEME.finditer(text):
+        if m.lastindex == 1:
+            line, start = line + 1, m.end()
+        elif m.lastindex:
+            col = m.start() - start + 1
+            if m.lastindex == 3:
+                raise ParseError(f"unexpected character {m[3]!r}", line, col)
+            toks.append((m[2], line, col))
+    toks.append(("", *(toks[-1][1:] if toks else (1, 1))))
     return toks
 
 
@@ -254,38 +236,43 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def peek(self) -> str:
+        return self.toks[self.pos][0]
 
-    def next(self):
-        t = self.peek()
-        if t is None:
-            last = self.toks[-1] if self.toks else ("", 1, 1)
-            raise ParseError("unexpected end of input", last[1], last[2])
+    def next(self) -> tuple:
+        tok = self.toks[self.pos]
+        if not tok[0]:
+            raise ParseError("unexpected end of input", tok[1], tok[2])
         self.pos += 1
-        return t
+        return tok
 
     def expect(self, sym: str):
         tok, line, col = self.next()
         if tok != sym:
             raise ParseError(f"expected {sym!r}, found {tok!r}", line, col)
 
+    def name(self, what: str) -> tuple:
+        """The next token, which must be a name: `what` is what an error
+        says was expected."""
+        tok, line, col = self.next()
+        if tok in _SYMS:
+            raise ParseError(f"expected {what}, found {tok!r}", line, col)
+        return tok, line, col
+
     def parse_args(self, depth: int) -> tuple:
         """The parenthesised terms after a name, each inside `depth`
         compound terms."""
         self.expect("(")
         args = [self.parse_term(depth)]
-        while self.peek() and self.peek()[0] == ",":
+        while self.peek() == ",":
             self.next()
             args.append(self.parse_term(depth))
         self.expect(")")
         return tuple(args)
 
     def parse_term(self, depth: int) -> Term:
-        tok, line, col = self.next()
-        if tok in _SYMS or tok == "#":
-            raise ParseError(f"expected a term, found {tok!r}", line, col)
-        if self.peek() and self.peek()[0] == "(":
+        tok, line, col = self.name("a term")
+        if self.peek() == "(":
             if is_variable_name(tok):
                 raise ParseError(f"variable {tok} cannot take arguments", line, col)
             if depth == MAX_TERM_DEPTH:
@@ -293,34 +280,45 @@ class _Parser:
                     f"compound terms nest deeper than {MAX_TERM_DEPTH} levels", line, col
                 )
             return Compound(tok, self.parse_args(depth + 1))
-        if is_variable_name(tok):
-            return Var(tok)
-        return Const(tok)
+        return Var(tok) if is_variable_name(tok) else Const(tok)
 
     def parse_atom(self) -> Atom:
-        tok, line, col = self.next()
-        if tok in _SYMS or tok == "#":
-            raise ParseError(f"expected a predicate, found {tok!r}", line, col)
+        tok, line, col = self.name("a predicate")
         if is_variable_name(tok):
             raise ParseError(f"predicate name {tok} must not be a variable", line, col)
-        if self.peek() and self.peek()[0] == "(":
-            return Atom(tok, self.parse_args(0))
-        return Atom(tok)
+        return Atom(tok, self.parse_args(0) if self.peek() == "(" else ())
 
-    def parse_directive(self):
-        # already consumed '#'
-        role_tok, line, col = self.next()
-        if role_tok not in ROLES:
-            raise ParseError(f"unknown directive #{role_tok}", line, col)
-        name_tok, line, col = self.next()
-        if is_variable_name(name_tok):
+    def parse_clause(self) -> Clause:
+        head = self.parse_atom()
+        body = []
+        tok, line, col = self.next()
+        if tok == ":-":
+            body.append(self.parse_atom())
+            tok, line, col = self.next()
+            while tok == ",":
+                body.append(self.parse_atom())
+                tok, line, col = self.next()
+            if tok != ".":
+                raise ParseError(f"expected ',' or '.', found {tok!r}", line, col)
+        elif tok != ".":
+            raise ParseError(f"expected ':-' or '.', found {tok!r}", line, col)
+        return Clause(head, tuple(body))
+
+    def parse_directive(self) -> tuple:
+        """(role, name, arity) of the declaration after a "#"."""
+        role, line, col = self.next()
+        if role not in ROLES:
+            raise ParseError(f"unknown directive #{role}", line, col)
+        name, line, col = self.next()
+        if is_variable_name(name):
             raise ParseError("predicate name must not be a variable", line, col)
         self.expect("/")
-        arity_tok, line, col = self.next()
-        if not arity_tok.isdigit():
-            raise ParseError(f"expected an arity, found {arity_tok!r}", line, col)
+        arity, line, col = self.next()
+        # below 10**9: int() reads it, and no clause could use a larger one
+        if not (arity.isdecimal() and len(arity.lstrip("0")) < 10):
+            raise ParseError(f"expected an arity, found {arity!r}", line, col)
         self.expect(".")
-        return role_tok, name_tok, int(arity_tok)
+        return role, name, int(arity)
 
 
 def parse_program(text: str) -> Program:
@@ -333,63 +331,39 @@ def parse_program(text: str) -> Program:
     parser = _Parser(text)
     registry = PredicateRegistry()
     clauses = []
-    declared_somewhere = set()
-    while parser.peek() is not None:
-        tok, line, col = parser.peek()
-        if tok == "#":
-            parser.next()
-            role, name, arity = parser.parse_directive()
-            if name in declared_somewhere:
-                raise ParseError(f"duplicate role declaration for {name}", line, col)
-            declared_somewhere.add(name)
-            registry.declare(name, arity, role)
+    while parser.peek():
+        if parser.peek() != "#":
+            clauses.append(parser.parse_clause())
             continue
-        head = parser.parse_atom()
-        body = []
-        tok2 = parser.next()
-        if tok2[0] == ":-":
-            body.append(parser.parse_atom())
-            while True:
-                t = parser.next()
-                if t[0] == ".":
-                    break
-                if t[0] != ",":
-                    raise ParseError(f"expected ',' or '.', found {t[0]!r}", t[1], t[2])
-                body.append(parser.parse_atom())
-        elif tok2[0] != ".":
-            raise ParseError(f"expected ':-' or '.', found {tok2[0]!r}", tok2[1], tok2[2])
-        clauses.append(Clause(head, tuple(body)))
+        _, line, col = parser.next()
+        role, name, arity = parser.parse_directive()
+        if name in registry.entries:
+            raise ParseError(f"duplicate role declaration for {name}", line, col)
+        registry.declare(name, arity, role)
 
-    # arity consistency and registry completion
+    # every use of a predicate has one arity, its declared one if any
     arities: dict = {}
-
-    def note(atom: Atom):
-        old = arities.get(atom.pred)
-        if old is not None and old != atom.arity:
-            raise ArityError(
-                f"{atom.pred} used with arity {atom.arity} but also with arity {old}"
-            )
-        arities[atom.pred] = atom.arity
-
     for c in clauses:
-        note(c.head)
-        for lit in c.body:
-            note(lit)
+        for atom in (c.head, *c.body):
+            old = arities.setdefault(atom.pred, atom.arity)
+            if old != atom.arity:
+                raise ArityError(
+                    f"{atom.pred} used with arity {atom.arity} but also with arity {old}"
+                )
     for pred, arity in arities.items():
         declared = registry.arity(pred)
-        if declared is not None and declared != arity:
+        if declared not in (None, arity):
             raise ArityError(
                 f"{pred} declared with arity {declared} but used with arity {arity}"
             )
     defined = {c.head.pred for c in clauses}
     for pred, arity in arities.items():
         if registry.role(pred) is None:
-            if pred in defined:
-                registry.declare(pred, arity, "support")
-            else:
+            if pred not in defined:
                 raise LogicError(
                     f"predicate {pred}/{arity} is used but neither declared nor defined"
                 )
+            registry.declare(pred, arity, "support")
     return Program(tuple(clauses), registry)
 
 
@@ -648,32 +622,6 @@ def _adjacency(lits) -> list:
             mask |= owners[v]
         adj.append(mask)
     return adj
-
-
-def _reaches_all(adj: list, idxs) -> bool:
-    """True iff the literals idxs form one component of the graph adj."""
-    mask = 0
-    for i in idxs:
-        mask |= 1 << i
-    reach = 1 << idxs[0]
-    frontier = reach
-    while frontier:
-        grown = reach
-        for i in idxs:
-            if frontier >> i & 1:
-                grown |= adj[i] & mask
-        frontier = grown & ~reach
-        reach = grown
-    return reach == mask
-
-
-def connected(c: Clause) -> bool:
-    """True iff the variable-sharing graph over the head plus all body
-    literals forms a single component."""
-    if not c.body:
-        return True
-    lits = [c.head, *c.body]
-    return _reaches_all(_adjacency(lits), range(len(lits)))
 
 
 def connected_index_subsets(body: tuple, min_size: int, max_size: int) -> list:

@@ -401,22 +401,22 @@ def find_body_matches(body: IndexedBody, pattern: Pattern) -> list:
 
 def _disjoint_subsets(matches: list, cap: Optional[int] = None) -> list:
     """All nonempty sets of pairwise index-disjoint matches, in a
-    deterministic order."""
+    deterministic order (at most `cap` of them, the first ones)."""
     out = []
-
-    def rec(start: int, chosen: list, used: frozenset):
-        if cap is not None and len(out) >= cap:
-            return
-        for i in range(start, len(matches)):
-            idxs, head = matches[i]
-            if idxs & used:
-                continue
-            out.append(chosen + [matches[i]])
-            rec(i + 1, chosen + [matches[i]], used | idxs)
-            if cap is not None and len(out) >= cap:
-                return
-
-    rec(0, [], frozenset())
+    # a depth-first search without recursion, so that long bodies fit the
+    # stack: each frame is (the next match to try, the matches chosen, the
+    # literals they hold)
+    stack = [(0, [], frozenset())]
+    while stack and (cap is None or len(out) < cap):
+        i, chosen, used = stack.pop()
+        if i == len(matches):
+            continue
+        stack.append((i + 1, chosen, used))
+        idxs = matches[i][0]
+        if not idxs & used:
+            grown = chosen + [matches[i]]
+            out.append(grown)
+            stack.append((i + 1, grown, used | idxs))
     return out
 
 

@@ -1,9 +1,11 @@
 """Exhaustive oracles for the tests: the optimum of a small model by
-enumerating every support-clause selection, and the task atoms a program
-derives bottom-up within a bounded number of rounds."""
+enumerating every support-clause selection that can complete, and the
+task atoms a program derives bottom-up within a bounded number of
+rounds."""
 
 from __future__ import annotations
 
+from graphlib import TopologicalSorter
 from typing import Optional
 
 from refold.copmodel import Assignment, CopModel, check_assignment
@@ -20,15 +22,25 @@ BRUTE_FORCE_SC_CAP = 20
 
 
 def brute_force_solve(model: CopModel) -> Assignment:
-    """Exhaustive optimum: enumerate every support-clause subset and
-    complete it deterministically. Correctness oracle for solve()."""
+    """Exhaustive optimum: enumerate every support-clause subset that can
+    complete, and complete it deterministically; of the optima, the one
+    with the lowest selection bitmask. Correctness oracle for solve()."""
     sc_vars = sorted(model.sc_vars.values())
     if len(sc_vars) > BRUTE_FORCE_SC_CAP:
         raise InstanceTooLarge(
             f"{len(sc_vars)} support-clause variables exceed the brute-force cap"
         )
+    bit = {v: 1 << k for k, v in enumerate(sc_vars)}
+    need = {v: sum(bit[d] for d in model.sc_deps.get(v, ())) for v in sc_vars}
+    cap = len(sc_vars) if model.sc_cap is None else model.sc_cap
+    # the selections that hold each chosen var's dependencies and at most
+    # `cap` vars, the only ones that complete: a var joins a selection
+    # only after its dependencies have had their turn
+    masks = [0]
+    for v in TopologicalSorter({v: model.sc_deps.get(v, ()) for v in sc_vars}).static_order():
+        masks += [m | bit[v] for m in masks if m & need[v] == need[v] and m.bit_count() < cap]
     best: Optional[Assignment] = None
-    for mask in range(1 << len(sc_vars)):
+    for mask in sorted(masks):
         chosen = {v for k, v in enumerate(sc_vars) if mask >> k & 1}
         a = assignment_from_selection(model, chosen)
         # only a completion that beats the best so far needs the check

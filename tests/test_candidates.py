@@ -25,7 +25,14 @@ from refold.logic import (
     parse_program,
     variant_equal,
 )
-from refold.transform import IndexedBody, Pattern, find_body_matches, pred_counts, unfold
+from refold.transform import (
+    IndexedBody,
+    Pattern,
+    _disjoint_subsets,
+    find_body_matches,
+    pred_counts,
+    unfold,
+)
 
 from tests.conftest import dense_program
 from tests.test_acceptance import random_program
@@ -42,6 +49,15 @@ SHARED_CHAIN = (
     "t1(A,D) :- p(A,B), q(B,C), r(C,D).\n"
     "t2(A,D) :- p(A,B), q(B,C), r(C,D), z(D)."
 )
+
+
+def _long_chain_matches() -> list:
+    """The matches of p(A,B), p(B,C) in p(V0,V1), ..., p(V2099,V2100),
+    as find_body_matches gives them: literals k and k + 1 for each k."""
+    return [
+        (frozenset({k, k + 1}), Atom("inv", tuple(Var(f"V{k + d}") for d in range(3))))
+        for k in range(2099)
+    ]
 
 
 class TestExtraction:
@@ -203,6 +219,20 @@ class TestUsageIndex:
         matches = find_body_matches(IndexedBody(body), Pattern(pattern, head))
         assert _max_disjoint_count(matches) == 56
         assert UsageIndex([[body]]).usage(pattern, head, lambda u: True) == 4
+
+    def test_long_chain_passes_the_node_cap_without_recursing(self):
+        # a recursion one level per chosen match would pass Python's stack
+        # limit on the 1 050 disjoint pairs of this chain
+        matches = _long_chain_matches()
+        assert len(matches) == 2099
+        assert _max_disjoint_count(matches) == len(matches)
+
+    def test_long_chain_disjoint_subsets_stop_at_the_cap(self):
+        subsets = _disjoint_subsets(_long_chain_matches(), cap=2000)
+        assert len(subsets) == 2000
+        # depth first, the 1 050th set is the deepest: every other pair
+        assert len(subsets[1049]) == 1050
+        assert all(not a[0] & b[0] for a, b in zip(subsets[1049], subsets[1049][1:]))
 
     def test_bound_returned_without_matching(self, monkeypatch):
         calls = []

@@ -153,6 +153,13 @@ class TestRefactorCommand:
         code = cli.main(["refactor", str(path)])
         assert code == cli.EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("arity", ["²", "1" * 5000], ids=["digit-not-decimal", "5000-digits"])
+    def test_arity_that_int_cannot_read(self, tmp_path, capsys, arity):
+        path = tmp_path / "bad.pl"
+        path.write_text(f"#task t/{arity}.\n")
+        assert cli.main(["stats", str(path)]) == cli.EXIT_INPUT_ERROR
+        assert "expected an arity, found" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "source, message",
         [

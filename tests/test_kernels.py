@@ -27,7 +27,6 @@ from refold.logic import (
     Const,
     Var,
     canonicalize_clause,
-    connected,
     connected_index_subsets,
     parse_program,
     render_clause,
@@ -371,12 +370,6 @@ class TestConnectivity:
         got = [tuple(body[i] for i in idxs)
                for idxs in connected_index_subsets(body, lo, lo + span)]
         assert got == reference_connected_subsets(body, lo, lo + span)
-
-    @settings(max_examples=300, deadline=None)
-    @given(head=_atoms(), body=_bodies(5, min_size=0))
-    def test_connected_equals_union_find_reference(self, head, body):
-        c = Clause(head, body)
-        assert connected(c) == (not body or reference_connected([head, *body]))
 
 
 # predicate names that prefix each other ("p1(" sorts before "p10(" on

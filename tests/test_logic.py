@@ -19,7 +19,6 @@ from refold.logic import (
     Program,
     Var,
     canonicalize_clause,
-    connected,
     connected_index_subsets,
     parse_program,
     rename_clause,
@@ -88,6 +87,37 @@ class TestParse:
     def test_duplicate_role_declaration(self):
         with pytest.raises(ParseError):
             parse_program("#primitive q/1.\n#task q/1.")
+
+    @pytest.mark.parametrize("text, error, message", [
+        # columns count characters from 1; a tab or a "\r" is one column
+        ("p(a).\n\t$", ParseError, "unexpected character '$' (line 2, column 2)"),
+        ("p(a).\r$", ParseError, "unexpected character '$' (line 1, column 7)"),
+        ("% c\n$", ParseError, "unexpected character '$' (line 2, column 1)"),
+        ("foo(X) :- bar(X) $", ParseError, "unexpected character '$' (line 1, column 18)"),
+        ("p(X) :- ).", ParseError, "expected a predicate, found ')' (line 1, column 9)"),
+        ("p(a) q(b).", ParseError, "expected ':-' or '.', found 'q' (line 1, column 6)"),
+        # end of input is reported at the last token
+        ("p(X) :- q(X", ParseError, "unexpected end of input (line 1, column 11)"),
+        ("#", ParseError, "unexpected end of input (line 1, column 1)"),
+        # a name is a run of str.isalnum() characters or "_"
+        ("é(a).", None, "#support é/1.\né(a).\n"),
+        ("²", ParseError, "unexpected end of input (line 1, column 1)"),
+        ("p(a).\x0c", ParseError, "unexpected character '\\x0c' (line 1, column 6)"),
+        ("#task t/x.", ParseError, "expected an arity, found 'x' (line 1, column 9)"),
+        ("#primitive q/1.\n  #task q/1.", ParseError,
+         "duplicate role declaration for q (line 2, column 3)"),
+        ("p(X) :- q(X,Y), q(X).", ArityError, "q used with arity 1 but also with arity 2"),
+        ("#primitive q/0.\np(X) :- q(X,Y).", ArityError,
+         "q declared with arity 0 but used with arity 2"),
+    ])
+    def test_exact_messages(self, text, error, message):
+        if error is None:
+            assert render_program(parse_program(text)) == message
+        else:
+            with pytest.raises(error) as e:
+                parse_program(text)
+            assert type(e.value) is error
+            assert str(e.value) == message
 
     def test_paper_clauses(self, folded_program):
         assert len(folded_program.clauses) == 2
@@ -269,20 +299,6 @@ class TestVariantProperties:
         assert variant_equal(c, rename_clause(c, mapping))
 
 
-class TestConnected:
-    def test_disconnected_example(self):
-        assert not connected(cl("h(X,Y) :- q(X,Y), c(Z)."))
-
-    def test_chain_is_connected(self):
-        assert connected(cl("h(X,Y) :- q(X,Z), r(Z,Y)."))
-
-    def test_single_literal(self):
-        assert connected(cl("h(X) :- p(X)."))
-
-    def test_fact_connected(self):
-        assert connected(cl("h(X)."))
-
-
 class TestConnectedPowerSet:
     def test_chain_of_three(self):
         # a(X,Y), b(Y,Z), c(Z): only {a, c} is not connected
@@ -302,11 +318,12 @@ class TestConnectedPowerSet:
 
     def test_every_subset_connected_with_fresh_head(self):
         from refold.candidates import make_candidate_clause
+        from tests.test_kernels import reference_connected
 
         c = cl("h(X,Y) :- a(X,Y), b(Y,Z), r(Z,W).")
         for idxs in connected_index_subsets(c.body, 1, 3):
             wrapped = make_candidate_clause(tuple(c.body[i] for i in idxs), "fresh")
-            assert connected(wrapped)
+            assert reference_connected([wrapped.head, *wrapped.body])
 
     def test_upper_bound(self):
         c = cl("h(X,Y) :- a(X,Y), b(Y,Z), r(Z,Y).")
