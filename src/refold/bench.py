@@ -11,7 +11,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .logic import Atom, Clause, Program, Var
 
@@ -75,6 +75,15 @@ LEGO_TESTS = {
 }
 
 
+def _lego_reached(state: LegoWorld, goal: LegoWorld) -> bool:
+    return state.heights == goal.heights
+
+
+def _lego_viable(state: LegoWorld, goal: LegoWorld) -> bool:
+    # bricks are never removed
+    return all(h <= g for h, g in zip(state.heights, goal.heights))
+
+
 @dataclass(frozen=True)
 class StringState:
     """One left-to-right pass over an input string: (input, read position,
@@ -127,30 +136,50 @@ STRING_TESTS = {
 }
 
 
-def lego_primitives() -> Program:
-    """Primitive declarations for the brick-board domain."""
+def _string_reached(state: StringState, goal: StringState) -> bool:
+    return state.out == goal.out
+
+
+def _string_viable(state: StringState, goal: StringState) -> bool:
+    return goal.out.startswith(state.out)
+
+
+class _Domain(NamedTuple):
+    """One task kind: its state transformers and tests by name, whether a
+    state has reached a goal, and whether it can still reach it."""
+
+    transforms: dict
+    tests: dict
+    reached: Callable
+    viable: Callable
+
+
+_DOMAINS = {
+    "lego": _Domain(LEGO_TRANSFORMS, LEGO_TESTS, _lego_reached, _lego_viable),
+    "string": _Domain(STRING_TRANSFORMS, STRING_TESTS, _string_reached, _string_viable),
+}
+
+
+def _primitives(kind: str) -> Program:
+    """Primitive declarations for one domain, transforms first. Every
+    refactored knowledge base renders this registry, so the order is
+    part of its output."""
     p = Program.empty()
-    for name in LEGO_TRANSFORMS:
+    for name in _DOMAINS[kind].transforms:
         p.registry.declare(name, 2, "primitive")
-    for name in LEGO_TESTS:
+    for name in _DOMAINS[kind].tests:
         p.registry.declare(name, 1, "primitive")
     return p
+
+
+def lego_primitives() -> Program:
+    """Primitive declarations for the brick-board domain."""
+    return _primitives("lego")
 
 
 def string_primitives() -> Program:
     """Primitive declarations for the string-edit domain."""
-    p = Program.empty()
-    for name in STRING_TRANSFORMS:
-        p.registry.declare(name, 2, "primitive")
-    for name in STRING_TESTS:
-        p.registry.declare(name, 1, "primitive")
-    return p
-
-
-_DOMAIN_TABLES = {
-    "lego": (LEGO_TRANSFORMS, LEGO_TESTS),
-    "string": (STRING_TRANSFORMS, STRING_TESTS),
-}
+    return _primitives("string")
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +195,13 @@ class SynthesisTask:
     def __post_init__(self):
         if not self.examples:
             raise ValueError("a task needs at least one example")
-        if self.kind not in _DOMAIN_TABLES:
+        if self.kind not in _DOMAINS:
             raise ValueError(f"unknown task kind: {self.kind}")
+
+
+def _blank_board_task(name: str, heights: tuple) -> SynthesisTask:
+    """The task of building the stacks `heights` on a blank board."""
+    return SynthesisTask(name, ((blank_board(len(heights)), LegoWorld(heights, 0)),), "lego")
 
 
 def gen_lego_tasks(
@@ -184,18 +218,12 @@ def gen_lego_tasks(
     if max_height < 0:
         raise ValueError("need max_height >= 0")
     rng = random.Random(seed)
-    tasks = []
-    for k in range(n):
-        heights = tuple(rng.randint(0, max_height) for _ in range(width))
-        goal = LegoWorld(heights, cursor=0)
-        tasks.append(
-            SynthesisTask(
-                name=f"{prefix}_{k}",
-                examples=((blank_board(width), goal),),
-                kind="lego",
-            )
+    return [
+        _blank_board_task(
+            f"{prefix}_{k}", tuple(rng.randint(0, max_height) for _ in range(width))
         )
-    return tasks
+        for k in range(n)
+    ]
 
 
 def gen_tower_tasks(
@@ -217,16 +245,8 @@ def gen_tower_tasks(
     tasks = []
     while len(tasks) < n:
         heights = tuple(rng.choice((0, height)) for _ in range(width))
-        if 0 not in heights or sum(heights) < height:
-            continue
-        goal = LegoWorld(heights, cursor=0)
-        tasks.append(
-            SynthesisTask(
-                name=f"{prefix}_{len(tasks)}",
-                examples=((blank_board(width), goal),),
-                kind="lego",
-            )
-        )
+        if 0 in heights and sum(heights) >= height:
+            tasks.append(_blank_board_task(f"{prefix}_{len(tasks)}", heights))
     return tasks
 
 
@@ -253,15 +273,7 @@ def gen_string_tasks(n: int, seed: int, prefix: str = "str") -> list:
             for op in seq:
                 state = STRING_TRANSFORMS[op](state)
             examples.append((StringState(w), StringState(w, 0, state.out)))
-        tasks.append(
-            SynthesisTask(
-                name=f"{prefix}_{k}",
-                examples=tuple(
-                    (inp, out) for inp, out in examples
-                ),
-                kind="string",
-            )
-        )
+        tasks.append(SynthesisTask(f"{prefix}_{k}", tuple(examples), "string"))
     return tasks
 
 
@@ -309,21 +321,14 @@ class Interpreter:
     as their flattened primitive sequences."""
 
     def __init__(self, bk: Program, kind: str):
-        transforms, tests = _DOMAIN_TABLES[kind]
-        self.kind = kind
-        self.transforms = transforms
-        self.tests = tests
+        domain = _DOMAINS[kind]
+        self.transforms, self.tests = domain.transforms, domain.tests
         self.flat = flatten_definitions(bk)
         # vocabulary: learned definitions first, longest flattened
         # sequence first (prefer the biggest steps), then primitives in
         # canonical order
-        prim = [p for p in sorted(transforms) if p in bk.registry.entries]
-        seen = set(prim)
-        defined = []
-        for c in bk.clauses:
-            if c.head.pred not in seen:
-                seen.add(c.head.pred)
-                defined.append(c.head.pred)
+        prim = [p for p in sorted(self.transforms) if p in bk.registry.entries]
+        defined = [p for p in dict.fromkeys(c.head.pred for c in bk.clauses) if p not in prim]
         defined.sort(key=lambda p: -len(self.flat[p]))
         self.vocabulary = defined + prim
 
@@ -337,29 +342,6 @@ class Interpreter:
             if state is None:
                 return None
         return state
-
-
-def _lego_reached(state: LegoWorld, goal: LegoWorld) -> bool:
-    return state.heights == goal.heights
-
-
-def _lego_viable(state: LegoWorld, goal: LegoWorld) -> bool:
-    # bricks are never removed
-    return all(h <= g for h, g in zip(state.heights, goal.heights))
-
-
-def _string_reached(state: StringState, goal: StringState) -> bool:
-    return state.out == goal.out
-
-
-def _string_viable(state: StringState, goal: StringState) -> bool:
-    return goal.out.startswith(state.out)
-
-
-_DOMAIN_CHECKS = {
-    "lego": (_lego_reached, _lego_viable),
-    "string": (_string_reached, _string_viable),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +388,7 @@ def synthesize(task: SynthesisTask, bk: Program, limits: SynthesisLimits):
     (solution Program or None, nodes expanded); a node is one candidate
     sequence prefix executed."""
     interp = Interpreter(bk, task.kind)
-    reached, viable = _DOMAIN_CHECKS[task.kind]
+    reached, viable = _DOMAINS[task.kind].reached, _DOMAINS[task.kind].viable
     vocab = interp.vocabulary
     starts = [inp for inp, _ in task.examples]
     goals = [out for _, out in task.examples]
@@ -480,18 +462,10 @@ def accumulate_background(tasks: list, base: Program, limits: SynthesisLimits):
         solution, _ = synthesize(task, bk, limits)
         if solution is None:
             continue
-        interp = Interpreter(bk, task.kind)
-        clause = solution.clauses[0]
-        seq: list = []
-        for lit in clause.body:
-            if lit.pred in interp.flat:
-                seq.extend(interp.flat[lit.pred])
-            else:
-                seq.append(lit.pred)
+        flat = flatten_definitions(bk)
+        seq = [op for lit in solution.clauses[0].body for op in flat.get(lit.pred, (lit.pred,))]
         flat_prog = _sequence_to_program(task, seq, bk)
-        registry = bk.registry.copy()
-        registry.declare(task.name, 2, "task")
-        bk = Program(bk.clauses + flat_prog.clauses, registry)
+        bk = Program(bk.clauses + flat_prog.clauses, flat_prog.registry)
         solved.append(task.name)
     return bk, solved
 

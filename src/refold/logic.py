@@ -309,7 +309,7 @@ class _Parser:
         role, line, col = self.next()
         if role not in ROLES:
             raise ParseError(f"unknown directive #{role}", line, col)
-        name, line, col = self.next()
+        name, line, col = self.name("a predicate")
         if is_variable_name(name):
             raise ParseError("predicate name must not be a variable", line, col)
         self.expect("/")

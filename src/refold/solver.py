@@ -77,12 +77,28 @@ def assignment_from_selection(model: CopModel, chosen_sc: set) -> Optional[Assig
     return Assignment(values=values, objective_value=obj, status="feasible")
 
 
+def _closure(v: int, edges: dict) -> set:
+    """v and every var reachable from it along `edges` (var -> vars)."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        for d in edges.get(stack.pop(), ()):
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
+    return seen
+
+
 def _greedy_selection(model: CopModel, deadline: Optional[float] = None):
     """Greedy add/drop over support clauses, guided by the exact objective.
     Yields each improving assignment as soon as it is found."""
     sc_vars = sorted(model.sc_vars.values())
     # order additions by potential savings: weight ascending is a cheap proxy
     ordered = sorted(sc_vars, key=lambda v: (model.objective.get(v, 0), v))
+    dependents: dict = {}
+    for sv, deps in model.sc_deps.items():
+        for d in deps:
+            dependents.setdefault(d, []).append(sv)
     chosen: set = set()
     base = assignment_from_selection(model, chosen)
     if base is None:
@@ -97,21 +113,12 @@ def _greedy_selection(model: CopModel, deadline: Optional[float] = None):
         for v in ordered:
             if deadline is not None and time.monotonic() > deadline:
                 return
-            trial = set(chosen)
-            if v in trial:
-                trial.discard(v)
-                # drop dependents too
-                for sv, deps in model.sc_deps.items():
-                    if sv in trial and v in deps:
-                        trial.discard(sv)
+            # an addition brings what v needs, at every depth; a drop takes
+            # what needs v
+            if v in chosen:
+                trial = chosen - _closure(v, dependents)
             else:
-                trial.add(v)
-                stack = [v]
-                while stack:
-                    for d in model.sc_deps.get(stack.pop(), ()):
-                        if d not in trial:
-                            trial.add(d)
-                            stack.append(d)
+                trial = chosen | _closure(v, model.sc_deps)
             a = assignment_from_selection(model, trial)
             if a is not None and a.objective_value < best:
                 chosen = trial

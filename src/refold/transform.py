@@ -256,9 +256,9 @@ def pred_counts(lits) -> Counter:
 
 class IndexedBody:
     """A body's matching facts, built once and read by every pattern
-    matched against it: its literals, the indices of each (pred, arity)
-    bucket in body order, and each variable's bitmask (by name) of the
-    literals it occurs in."""
+    matched against it: its literals, each (pred, arity) bucket's bitmask
+    of literals, and each variable's bitmask (by name) of the literals it
+    occurs in."""
 
     __slots__ = ("literals", "buckets", "occurs")
 
@@ -267,7 +267,8 @@ class IndexedBody:
         self.buckets: dict = {}
         self.occurs: dict = {}
         for i, lit in enumerate(literals):
-            self.buckets.setdefault((lit.pred, len(lit.args)), []).append(i)
+            key = (lit.pred, len(lit.args))
+            self.buckets[key] = self.buckets.get(key, 0) | 1 << i
             for v in lit.variables():
                 self.occurs[v.name] = self.occurs.get(v.name, 0) | 1 << i
 
@@ -332,8 +333,9 @@ def find_body_matches(body: IndexedBody, pattern: Pattern) -> list:
 
     Matching is one-way: pattern variables bind to body terms and body
     literals are never instantiated, so the two clauses' variable names
-    need not be disjoint. Each pattern literal tries only the body
-    literals of its own (pred, arity), in body order.
+    need not be disjoint. Each pattern literal tries, in body order, only
+    the unused body literals of its own (pred, arity) that hold each body
+    variable its bound plain variables stand for.
 
     A valid fold match maps every pattern variable absent from the
     pattern's head to a distinct variable that occurs nowhere in the body
@@ -342,12 +344,9 @@ def find_body_matches(body: IndexedBody, pattern: Pattern) -> list:
     pairs; a head variable absent from the pattern's body gets a fresh
     name, as rename_apart gives.
     """
-    tries = []
-    for key in pattern.keys:
-        idxs = body.buckets.get(key)
-        if idxs is None:
-            return []
-        tries.append(idxs)
+    tries = [body.buckets.get(key, 0) for key in pattern.keys]
+    if not all(tries):
+        return []
     fresh: dict = {}
     if pattern.missing:
         n = next(_fresh_counter)
@@ -377,9 +376,14 @@ def find_body_matches(body: IndexedBody, pattern: Pattern) -> list:
                 matches.append(key)
             return
         args = pargs[k]
-        for i in tries[k]:
-            if used >> i & 1:
-                continue
+        cands = tries[k] & ~used
+        for p in args:
+            if p.__class__ is str and s.get(p).__class__ is Var:
+                cands &= occurs[s[p].name]
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            i = low.bit_length() - 1
             s2 = dict(s)
             for p, t in zip(args, lits[i].args):
                 if p.__class__ is str:

@@ -9,9 +9,9 @@ from graphlib import TopologicalSorter
 from typing import Optional
 
 from refold.copmodel import Assignment, CopModel, check_assignment
-from refold.logic import Program
+from refold.logic import Atom, Compound, Program, Var
 from refold.solver import SolverError, assignment_from_selection
-from refold.transform import TransformError, subst_atom, unify_atoms
+from refold.transform import TransformError
 
 
 class InstanceTooLarge(SolverError):
@@ -57,7 +57,9 @@ def brute_force_solve(model: CopModel) -> Assignment:
 
 def restricted_consequences(p: Program, tasks: set, depth: int) -> set:
     """Ground atoms with a task predicate derivable bottom-up within
-    `depth` rounds. Requires derived heads to come out ground."""
+    `depth` rounds. Requires derived heads to come out ground. Body
+    literals are matched one way against the ground facts, by a matcher
+    of its own, so the oracle does not share the unifier unfolding uses."""
     if depth is None:
         raise TransformError("restricted_consequences needs a finite depth bound")
     facts: set = set()
@@ -65,8 +67,8 @@ def restricted_consequences(p: Program, tasks: set, depth: int) -> set:
         new = set()
         for c in p.clauses:
             for s in _ground_body(c.body, facts, {}):
-                head = subst_atom(c.head, s)
-                if any(head_vars for head_vars in head.variables()):
+                head = Atom(c.head.pred, tuple(_substitute(t, s) for t in c.head.args))
+                if any(head.variables()):
                     raise TransformError(
                         f"derived non-ground atom {head}; program is not range-restricted"
                     )
@@ -84,6 +86,32 @@ def _ground_body(body: tuple, facts: set, s: dict):
         return
     lit = body[0]
     for f in facts:
-        s2 = unify_atoms(subst_atom(lit, s), f, dict(s))
-        if s2 is not None:
+        s2 = dict(s)
+        if (f.pred, len(f.args)) == (lit.pred, len(lit.args)) and all(
+            _match(a, b, s2) for a, b in zip(lit.args, f.args)
+        ):
             yield from _ground_body(body[1:], facts, s2)
+
+
+def _match(p, t, s: dict) -> bool:
+    """Extend s so that term p, under s, equals the ground term t."""
+    if isinstance(p, Var):
+        if p not in s:
+            s[p] = t
+        return s[p] == t
+    if isinstance(p, Compound):
+        return (
+            isinstance(t, Compound)
+            and (p.functor, len(p.args)) == (t.functor, len(t.args))
+            and all(_match(a, b, s) for a, b in zip(p.args, t.args))
+        )
+    return p == t
+
+
+def _substitute(t, s: dict):
+    """t with each variable bound in s replaced by its ground value."""
+    if isinstance(t, Var):
+        return s.get(t, t)
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_substitute(a, s) for a in t.args))
+    return t

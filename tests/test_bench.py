@@ -149,6 +149,16 @@ class TestFlattening:
         out = interp.apply("pr", blank_board(2))
         assert out == LegoWorld((1, 0), 1)
 
+    def test_interpreter_runs_tests_in_defined_ops(self):
+        # a test primitive passes its state on, or blocks the call
+        prog = parse_program(
+            "#primitive right/2.\n#primitive at_left/1.\n#task edge_right/2.\n"
+            "edge_right(A,B) :- at_left(A), right(A,B)."
+        )
+        interp = Interpreter(prog, "lego")
+        assert interp.apply("edge_right", blank_board(3)) == LegoWorld((0, 0, 0), 1)
+        assert interp.apply("edge_right", LegoWorld((0, 0, 0), 1)) is None
+
 
 class TestSynthesize:
     LIMITS = SynthesisLimits(max_depth=8, max_nodes=50_000, wall_time=10.0)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,6 +186,30 @@ class TestMatcherGate:
             assert _fold_one(IndexedBody(body), mine, 20, pred_to_id) == _fold_one(
                 IndexedBody(body), forms, 20, pred_to_id
             )
+
+    def test_long_chain_matches_within_seconds(self):
+        # a pattern literal whose variable is already bound tries only the
+        # body literals that hold its image, so the 2 099 matches take a
+        # linear walk, not one over every p/2 literal for each; a child
+        # process, so that a slow matcher fails the test instead of
+        # stalling it
+        main = (
+            "from refold.logic import Atom, Var\n"
+            "from refold.transform import IndexedBody, Pattern, find_body_matches\n"
+            "body = tuple(Atom('p', (Var(f'V{k}'), Var(f'V{k + 1}'))) for k in range(2100))\n"
+            "a, b, c = Var('A'), Var('B'), Var('C')\n"
+            "pattern = Pattern((Atom('p', (a, b)), Atom('p', (b, c))), Atom('inv', (a, b, c)))\n"
+            "matches = find_body_matches(IndexedBody(body), pattern)\n"
+            "assert matches == [(frozenset({k, k + 1}), "
+            "Atom('inv', tuple(Var(f'V{k + d}') for d in range(3)))) for k in range(2099)]\n"
+            "print(len(matches))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", main], capture_output=True, text=True, timeout=3,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["2099"]
 
 
 class TestUsageIndex:

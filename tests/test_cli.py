@@ -160,6 +160,13 @@ class TestRefactorCommand:
         assert cli.main(["stats", str(path)]) == cli.EXIT_INPUT_ERROR
         assert "expected an arity, found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["(", ":-"], ids=["paren", "neck"])
+    def test_symbol_as_declared_name(self, tmp_path, capsys, name):
+        path = tmp_path / "bad.pl"
+        path.write_text(f"#task {name}/1.\n")
+        assert cli.main(["stats", str(path)]) == cli.EXIT_INPUT_ERROR
+        assert f"expected a predicate, found '{name}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "source, message",
         [
@@ -458,6 +465,21 @@ class TestBenchCommand:
         text = out.read_text()
         assert "original" in text
         assert "solved" in text
+
+    def test_string_domain_under_every_condition(self, tmp_path):
+        out = tmp_path / "bench.txt"
+        code = cli.main(
+            [
+                "bench", "--domain", "string", "--background-tasks", "6",
+                "--target-tasks", "3", "--conditions", "original,baseline,refactored",
+                "--refactor-seconds", "1", "-o", str(out),
+            ]
+        )
+        assert code == cli.EXIT_OK
+        text = out.read_text()
+        for label in ("original", "baseline", "refactored"):
+            assert f"bk[{label}]:" in text
+            assert sum(line.startswith(f"{label}\ttg_") for line in text.splitlines()) == 3
 
 
 # tiny synthesis limits, so that a run that gets past its options ends fast

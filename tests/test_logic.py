@@ -104,6 +104,9 @@ class TestParse:
         ("²", ParseError, "unexpected end of input (line 1, column 1)"),
         ("p(a).\x0c", ParseError, "unexpected character '\\x0c' (line 1, column 6)"),
         ("#task t/x.", ParseError, "expected an arity, found 'x' (line 1, column 9)"),
+        # a directive declares a name, never a symbol
+        ("#task (/1.", ParseError, "expected a predicate, found '(' (line 1, column 7)"),
+        ("#task :-/1.", ParseError, "expected a predicate, found ':-' (line 1, column 7)"),
         ("#primitive q/1.\n  #task q/1.", ParseError,
          "duplicate role declaration for q (line 2, column 3)"),
         ("p(X) :- q(X,Y), q(X).", ArityError, "q used with arity 1 but also with arity 2"),

@@ -742,6 +742,26 @@ class TestSelectionCompletion:
                         stack.append(d)
             assert assignment_from_selection(model, closure) is not None
 
+    def test_greedy_drop_takes_dependents_at_every_depth(self):
+        # SCs a <- b <- c (b needs a, c needs b) and d, weight 1 each; the
+        # one clause costs 1 with d, 3 with c and 100 raw. Greedy adds c
+        # (with b and a), then d; dropping a must take b and c with it,
+        # or the selection keeps c without a and cannot complete
+        m = CopModel(vars=[], constraints=[], objective={})
+        for k, weight in enumerate([1, 1, 1, 1, 1, 3, 100]):
+            m.vars.append(("SC", k) if k < 4 else ("PICK", 0, 1, k))
+            m.objective[k] = weight
+        a, b, c, d = range(4)
+        m.sc_vars = {k: k for k in range(4)}
+        m.sc_deps = {a: (), b: (a,), c: (b,), d: ()}
+        m.clause_picks[0] = [4, 5, 6]
+        m.pick_required = {4: (d,), 5: (c,), 6: ()}
+        steps = [
+            ({v for v in range(4) if x.values[v]}, x.objective_value)
+            for x in solver_mod._greedy_selection(m)
+        ]
+        assert steps == [(set(), 100), ({a, b, c}, 6), ({a, b, c, d}, 5), ({d}, 2)]
+
 
 class TestTrace:
     def test_record_keeps_improvements_only(self):
