@@ -368,9 +368,6 @@ def build_search_space(
             if opts_here:
                 foldings[idx][level] = opts_here
                 st.folding_options += len(opts_here)
-        if st.folding_options == 0:
-            stop_reason = "no foldings at the new level"
-            break
 
     return LevelledSearchSpace(
         candidates=all_cands,

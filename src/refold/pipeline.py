@@ -153,12 +153,22 @@ def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
     report.original_literals = p.size
     report.original_predicates = len(p.predicates())
     report.hyp_log_size_before = _hyp_log_size(p, HYP_CLAUSES)
-    if not p.clauses:
-        report.refactored_literals = 0
-        report.equivalence_verified = True
-        report.hyp_log_size_after = report.hyp_log_size_before
-        return p, report
+    out = _smaller_program(p, cfg, report) if p.clauses else p
+    report.equivalence_verified = True
+    report.no_gain_fallback = bool(p.clauses) and out is p
+    report.refactored_literals = out.size
+    report.refactored_predicates = len(out.predicates())
+    report.invented_predicates = len(
+        set(out.registry.by_role("support")) - set(p.registry.entries)
+    )
+    report.hyp_log_size_after = _hyp_log_size(out, HYP_CLAUSES)
+    return out, report
 
+
+def _smaller_program(p: Program, cfg: RefactorConfig, report: RefactorReport) -> Program:
+    """Unfold, search space, encode, solve, decode and verify, each
+    stage's facts recorded in `report`: a program smaller than `p` and
+    verified equivalent to it, or `p` itself."""
     u = unfold(p)
     report.unfolded_literals = u.size
     space = build_search_space(
@@ -180,31 +190,19 @@ def refactor(p: Program, cfg: Optional[RefactorConfig] = None):
         )
     except ModelError as exc:
         report.stop_reason = f"model cap: {exc}"
-        return _unchanged(p, report)
+        return p
     if cfg.model_dump_path:
         write_text(cfg.model_dump_path, render_model(model))
-    assignment, trace = solve(model, cfg.budget)
+    assignment, report.trace = solve(model, cfg.budget)
     report.solver_status = assignment.status
     report.objective_value = assignment.objective_value
-    report.trace = trace
 
     out = decode(model, assignment, space, u)
     if not syntactic_equiv(p, out):
         raise VerificationError(
             "decoded program is not syntactically equivalent to the input"
         )
-    report.equivalence_verified = True
-
-    if out.size >= p.size:
-        return _unchanged(p, report)
-
-    report.refactored_literals = out.size
-    report.refactored_predicates = len(out.predicates())
-    report.invented_predicates = len(
-        set(out.registry.by_role("support")) - set(p.registry.entries)
-    )
-    report.hyp_log_size_after = _hyp_log_size(out, HYP_CLAUSES)
-    return out, report
+    return out if out.size < p.size else p
 
 
 def write_text(path: str, text: str):
@@ -216,34 +214,8 @@ def write_text(path: str, text: str):
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
-def _unchanged(p: Program, report: RefactorReport):
-    """The input as the result, reported as giving no gain."""
-    report.no_gain_fallback = True
-    report.equivalence_verified = True
-    report.refactored_literals = p.size
-    report.refactored_predicates = report.original_predicates
-    report.hyp_log_size_after = report.hyp_log_size_before
-    return p, report
-
-
 # ---------------------------------------------------------------------------
 # Greedy deduplication baseline
-
-def _shared_subbody_classes(clauses: list, subbodies: list, index: UsageIndex) -> list:
-    """Variant classes of connected sub-bodies with >= 2 disjoint
-    occurrences program-wide; `subbodies[k]` is keyed_subsets of
-    clauses[k]'s body and `index` indexes one group per clause. Returns
-    (size, -occurrences, key, body) sorted for greedy folding."""
-    classes = variant_classes([c.body for c in clauses], subbodies, 2, RED_SUBBODY_MAX)
-    ranked = []
-    for key, sub in classes.items():
-        probe = make_candidate_clause(sub, "probe")
-        occ = index.usage(sub, probe.head, lambda u: u >= 2)
-        if occ >= 2:
-            ranked.append((-len(sub), -occ, key, sub))
-    ranked.sort()
-    return ranked
-
 
 def remove_redundancy_baseline(p: Program) -> Program:
     """One support clause, named red_<n> fresh against the input's
@@ -258,10 +230,17 @@ def remove_redundancy_baseline(p: Program) -> Program:
     counter = 0
     while counter < 1000:
         index = UsageIndex([[c.body] for c in clauses])
-        ranked = _shared_subbody_classes(clauses, subbodies, index)
-        if not ranked:
+        classes = variant_classes([c.body for c in clauses], subbodies, 2, RED_SUBBODY_MAX)
+        shared = []
+        for key, sub in classes.items():
+            occ = index.usage(sub, make_candidate_clause(sub, "probe").head, lambda u: u >= 2)
+            if occ >= 2:
+                shared.append((-len(sub), -occ, key, sub))
+        if not shared:
             break
-        _, _, _, sub = ranked[0]
+        # the largest class, then the one with most disjoint occurrences;
+        # variant keys are unique, so no two bodies are compared
+        sub = min(shared)[3]
         support = make_candidate_clause(sub, fresh_name(f"red_{counter}", registry.entries))
         counter += 1
         registry.declare(support.head.pred, support.head.arity, "support")

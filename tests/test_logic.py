@@ -16,6 +16,7 @@ from refold.logic import (
     Const,
     LogicError,
     ParseError,
+    PredicateRegistry,
     Program,
     Var,
     canonicalize_clause,
@@ -107,6 +108,13 @@ class TestParse:
         # a directive declares a name, never a symbol
         ("#task (/1.", ParseError, "expected a predicate, found '(' (line 1, column 7)"),
         ("#task :-/1.", ParseError, "expected a predicate, found ':-' (line 1, column 7)"),
+        ("#task X/1.", ParseError, "predicate name must not be a variable (line 1, column 7)"),
+        ("#task t 1.", ParseError, "expected '/', found '1' (line 1, column 9)"),
+        ("#foo p/1.", ParseError, "unknown directive #foo (line 1, column 2)"),
+        ("p(a b).", ParseError, "expected ')', found 'b' (line 1, column 5)"),
+        ("p(X(a)).", ParseError, "variable X cannot take arguments (line 1, column 3)"),
+        ("X(a).", ParseError, "predicate name X must not be a variable (line 1, column 1)"),
+        ("p(a) :- q(a) r(a).", ParseError, "expected ',' or '.', found 'r' (line 1, column 14)"),
         ("#primitive q/1.\n  #task q/1.", ParseError,
          "duplicate role declaration for q (line 2, column 3)"),
         ("p(X) :- q(X,Y), q(X).", ArityError, "q used with arity 1 but also with arity 2"),
@@ -130,6 +138,25 @@ class TestParse:
         assert len(ver.body) == 3
         pillar = folded_program.clauses[1]
         assert any(l.pred == "ver" for l in pillar.body)
+
+
+class TestRegistry:
+    def test_redeclaration(self):
+        reg = PredicateRegistry()
+        reg.declare("p", 2, "primitive")
+        reg.declare("p", 2, "primitive")
+        assert reg.entries == {"p": (2, "primitive")}
+        for (pred, arity, role), error, message in [
+            (("p", 3, "primitive"), ArityError,
+             "p declared with arity 3 but already has arity 2"),
+            (("p", 2, "task"), LogicError, "p/2 declared task but already declared primitive"),
+            (("q", 1, "macro"), LogicError, "unknown role 'macro' for q/1"),
+        ]:
+            with pytest.raises(error) as e:
+                reg.declare(pred, arity, role)
+            assert type(e.value) is error
+            assert str(e.value) == message
+        assert reg.entries == {"p": (2, "primitive")}
 
 
 class TestRender:

@@ -71,6 +71,10 @@ class TestRefactor:
         assert out is prog
         assert report.no_gain_fallback
         assert report.stop_reason.startswith("model cap:") and "(cap 1)" in report.stop_reason
+        assert report.refactored_literals == prog.size
+        assert report.refactored_predicates == report.original_predicates == 8
+        assert report.invented_predicates == 0
+        assert report.hyp_log_size_after == report.hyp_log_size_before
         path = tmp_path / "kb.pl"
         path.write_text(render_program(prog))
         code = cli.main(["refactor", str(path), "-o", str(tmp_path / "out.pl")])
@@ -87,8 +91,10 @@ class TestRefactor:
     def test_empty_program(self):
         prog = parse_program("#primitive p/2.\n#task t/2.")
         out, report = refactor(prog)
-        assert out.clauses == ()
+        assert out is prog
         assert report.equivalence_verified
+        assert not report.no_gain_fallback
+        assert report.refactored_literals == report.refactored_predicates == 0
 
     def test_worked_example_compresses_on_repetition(
         self, pillar_program
