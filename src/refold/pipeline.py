@@ -101,6 +101,7 @@ class RefactorReport:
         return "\n".join(lines) + "\n"
 
     def to_records(self) -> list:
+        trace = self.trace or SolveTrace()
         return [
             ("original_literals", self.original_literals),
             ("unfolded_literals", self.unfolded_literals),
@@ -113,7 +114,8 @@ class RefactorReport:
             ("stop_reason", self.stop_reason),
             ("solver_status", self.solver_status),
             ("objective_value", self.objective_value),
-            ("decisions", self.trace.decisions if self.trace is not None else 0),
+            ("decisions", trace.decisions),
+            ("search_s", f"{trace.search_s:.4f}"),
             ("equivalence_verified", self.equivalence_verified),
             ("no_gain_fallback", self.no_gain_fallback),
             ("hyp_log_size_before", f"{self.hyp_log_size_before:.4f}"),

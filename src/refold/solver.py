@@ -41,6 +41,7 @@ class SolverBudget:
 class SolveTrace:
     history: list = field(default_factory=list)  # (elapsed_seconds, objective)
     decisions: int = 0  # support-clause branches tried
+    search_s: float = 0.0  # seconds in branch and bound, after greedy
 
     def record(self, elapsed: float, objective: int):
         if self.history and objective >= self.history[-1][1]:
@@ -144,14 +145,24 @@ class _Search:
 
     The constraints with a PICK or RED var are the encoding's, and only
     feed the bound. A clause's folding options run in copmodel's rank
-    order, lightest first down to one that requires no SC (checked here);
-    an option is available while none of the SCs it requires is 0, so the
-    first available one is the cheapest, and there always is one. A
-    RED group charges its weight once its base count (0 or 1, as copmodel
-    encodes it) plus its selected members reach 2. The bound, committed
-    cost plus each clause's cheapest available option, is kept up to
+    order, lightest first down to one that requires no SC (checked here).
+    An option is blocked while one of the SCs it requires is 0: each
+    clause keeps a bitmask of its blocked options, and setting an SC to 0
+    ORs in the (clause, mask) pairs of the options that require it. The
+    clause's cheapest option is its first unblocked one, the lowest zero
+    bit, and there always is one, since the last option is never blocked.
+    Each change of a mask is logged with the clause's old mask, its old
+    first option and the old bound sum, so undo restores them from the
+    log. A RED group charges its weight once its base count (0 or 1, as
+    copmodel encodes it) plus its selected members reach 2. The bound,
+    committed cost plus each clause's cheapest option, is kept up to
     date, so it costs O(1) a node, and it is the exact objective once
-    every SC is set."""
+    every SC is set.
+
+    `run` checks the decision cap before every decision, and reads the
+    clock before every CLOCK_EVERY-th."""
+
+    CLOCK_EVERY = 32
 
     def __init__(self, model: CopModel, budget: SolverBudget):
         for v, tag in enumerate(model.vars):
@@ -185,24 +196,27 @@ class _Search:
         # the root is not yet a fixpoint: every SC constraint starts queued
         self.queue = list(range(len(self.constraints)))
         self.queued = [True] * len(self.constraints)
-        # folding options of all clauses in one run, each clause's in rank
-        # order; zeros[o] counts the SCs option o requires set to 0
-        self.opt_weight, self.opt_clause = [], []
-        self.needed_by = [[] for _ in range(n)]  # SC var -> options requiring it
-        self.cheapest = []  # per clause
+        # each clause's option weights in rank order, its blocked-option
+        # bitmask and its first unblocked option
+        self.opt_weights = []
+        self.blocks = [[] for _ in range(n)]  # SC var -> (clause, mask)
         for c, cl in enumerate(sorted(model.clause_picks)):
             picks = model.clause_picks[cl]
             weights = [self.weights[p] for p in picks]
             if not picks or weights != sorted(weights) or model.pick_required[picks[-1]]:
                 raise SolverError(f"clause {cl}'s options are not ranked down to a free one")
-            self.cheapest.append(len(self.opt_weight))
-            for o, p in enumerate(picks, len(self.opt_weight)):
+            masks: dict = {}
+            for bit, p in enumerate(picks):
                 for sv in model.pick_required[p]:
-                    self.needed_by[sv].append(o)
-            self.opt_weight += weights
-            self.opt_clause += [c] * len(picks)
-        self.zeros = [0] * len(self.opt_weight)
-        self.open_sum = sum(self.opt_weight[o] for o in self.cheapest)
+                    masks[sv] = masks.get(sv, 0) | 1 << bit
+            for sv, mask in masks.items():
+                self.blocks[sv].append((c, mask))
+            self.opt_weights.append(weights)
+        self.blocked = [0] * len(self.opt_weights)
+        self.first = [0] * len(self.opt_weights)
+        self.open_sum = sum(weights[0] for weights in self.opt_weights)
+        # (trail length, clause, old mask, old first, old open_sum) per change
+        self.mask_log: list = [(-1, 0, 0, 0, 0)]  # a sentinel, never undone
         # each RED group's base count plus selected members
         self.red_count, self.red_weight = [], []
         self.red_of = [[] for _ in range(n)]  # SC var -> its groups
@@ -223,20 +237,13 @@ class _Search:
     def elapsed(self) -> float:
         return time.monotonic() - self.start
 
-    def out_of_budget(self) -> bool:
-        if self.elapsed() >= self.budget.wall_time:
-            return True
-        return (
-            self.budget.max_decisions is not None
-            and self.trace.decisions >= self.budget.max_decisions
-        )
-
     def assign(self, var: int, val: int):
         """Sets SC var, updates the cost, the RED counts and the clauses'
-        cheapest options, and queues each SC constraint whose slack fell
+        blocked options, and queues each SC constraint whose slack fell
         below its largest |coef| (a conflict, slack below 0, included)."""
         self.values[var] = val
-        self.trail.append(var)
+        trail = self.trail
+        trail.append(var)
         slack, max_coef, queued = self.slack, self.max_coef, self.queued
         for ci, drop in self.falls[val][var]:
             slack[ci] -= drop
@@ -251,67 +258,73 @@ class _Search:
                 if counts[g] == 2:
                     self.cost += self.red_weight[g]
             return
-        zeros, cheapest = self.zeros, self.cheapest
-        for o in self.needed_by[var]:
-            zeros[o] += 1
-            c = self.opt_clause[o]
-            if cheapest[c] == o:
-                # the scan stops at the clause's last option at the latest
-                nxt = o + 1
-                while zeros[nxt]:
-                    nxt += 1
-                cheapest[c] = nxt
-                self.open_sum += self.opt_weight[nxt] - self.opt_weight[o]
+        blocked, first, log = self.blocked, self.first, self.mask_log
+        depth = len(trail)
+        open_sum = self.open_sum
+        for c, mask in self.blocks[var]:
+            old = blocked[c]
+            new = old | mask
+            if new != old:
+                f = first[c]
+                log.append((depth, c, old, f, open_sum))
+                blocked[c] = new
+                if mask >> f & 1:
+                    # the lowest zero bit; the last option's is never set
+                    nf = (~new & (new + 1)).bit_length() - 1
+                    first[c] = nf
+                    weights = self.opt_weights[c]
+                    open_sum += weights[nf] - weights[f]
+        self.open_sum = open_sum
 
     def undo_to(self, mark: int):
         # every mark is taken at a propagation fixpoint, so whatever a
         # conflict left queued can go
-        for ci in self.queue:
-            self.queued[ci] = False
-        self.queue.clear()
-        trail, values, slack = self.trail, self.values, self.slack
-        zeros, cheapest, counts = self.zeros, self.cheapest, self.red_count
-        opt_clause = self.opt_clause
-        while len(trail) > mark:
-            var = trail.pop()
+        queue = self.queue
+        if queue:
+            for ci in queue:
+                self.queued[ci] = False
+            queue.clear()
+        trail, values, falls, slack = self.trail, self.values, self.falls, self.slack
+        weights, red_of, counts = self.weights, self.red_of, self.red_count
+        cost = self.cost
+        for var in trail[mark:]:
             val = values[var]
             values[var] = -1
-            for ci, drop in self.falls[val][var]:
+            for ci, drop in falls[val][var]:
                 slack[ci] += drop
             if val:
-                self.cost -= self.weights[var]
-                for g in self.red_of[var]:
+                cost -= weights[var]
+                for g in red_of[var]:
                     if counts[g] == 2:
-                        self.cost -= self.red_weight[g]
+                        cost -= self.red_weight[g]
                     counts[g] -= 1
-                continue
-            for o in self.needed_by[var]:
-                zeros[o] -= 1
-                c = opt_clause[o]
-                if not zeros[o] and o < cheapest[c]:
-                    self.open_sum += self.opt_weight[o] - self.opt_weight[cheapest[c]]
-                    cheapest[c] = o
+        self.cost = cost
+        del trail[mark:]
+        log = self.mask_log
+        if log[-1][0] > mark:
+            blocked, first = self.blocked, self.first
+            while log[-1][0] > mark:
+                _, c, blocked[c], first[c], open_sum = log.pop()
+            self.open_sum = open_sum
 
     def propagate(self) -> bool:
         """Forces the terms of queued SC constraints to a fixpoint; False
         on conflict, which the caller undoes. A term is forced when its
         |coef| exceeds the slack; forcing it leaves that slack as it is."""
         queue, queued, values, slack = self.queue, self.queued, self.values, self.slack
+        max_coef, terms = self.max_coef, self.terms
         while queue:
             ci = queue.pop()
             queued[ci] = False
             s = slack[ci]
             if s < 0:
                 return False
-            if s >= self.max_coef[ci]:
+            if s >= max_coef[ci]:
                 continue
-            for coef, v in self.terms[ci]:
+            for coef, v in terms[ci]:
                 if values[v] == -1 and (s < coef or s < -coef):
                     self.assign(v, int(coef > 0))
         return True
-
-    def beats_incumbent(self) -> bool:
-        return self.best_cost is None or self.cost + self.open_sum < self.best_cost
 
     def record_leaf(self):
         """Completes the selection of a leaf, where every SC is set, by the
@@ -332,50 +345,54 @@ class _Search:
             self.best_values = assignment.values
             self.trace.record(self.elapsed(), cost)
 
-    def next_unassigned(self, hint: int) -> int:
-        for k in range(hint, len(self.order)):
-            if self.values[self.order[k]] == -1:
-                return k
-        return len(self.order)
-
     def run(self) -> str:
-        """Returns proof status: optimal | timeout | infeasible."""
+        """Returns proof status: optimal | timeout | infeasible. Each node
+        sets one var (propagating only when a constraint is queued) and
+        each backtrack undoes once, to the deepest true branch left, which
+        is then flipped to 0."""
         mark0 = len(self.trail)
         if not self.propagate():
             return "infeasible" if self.best_cost is None else "optimal"
-        # stack entries: (order index, var, trail mark, whether flipped to 0)
-        stack = []
+        values, order, trail, queue = self.values, self.order, self.trail, self.queue
+        assign, undo_to, propagate = self.assign, self.undo_to, self.propagate
+        cap, every = self.budget.max_decisions, self.CLOCK_EVERY
+        deadline = self.start + self.budget.wall_time
+        monotonic = time.monotonic
+        size = len(order)
+        best = self.best_cost
+        decisions = 0
+        stack = []  # (order index, var, trail mark) of each true branch taken
+        k = 0  # no var before order[k] is free
+        descend = True
         while True:
-            if self.out_of_budget():
-                return "timeout"
-            k = self.next_unassigned(stack[-1][0] if stack else 0)
-            if k == len(self.order):
-                self.record_leaf()
+            if descend:
+                while k < size and values[order[k]] != -1:
+                    k += 1
+                if k == size:
+                    self.record_leaf()
+                    best = self.best_cost
+                    descend = False
+            if descend:  # true branch first
+                var, val = order[k], 1
+                stack.append((k, var, len(trail)))
+            elif stack:  # flip the deepest true branch left
+                k, var, mark = stack.pop()
+                undo_to(mark)
+                val = 0
             else:
-                var = self.order[k]
-                mark = len(self.trail)
-                self.trace.decisions += 1
-                self.assign(var, 1)  # true branch first
-                stack.append((k, var, mark, False))
-                if self.propagate() and self.beats_incumbent():
-                    continue
-            # backtrack / flip
-            while True:
-                if not stack:
-                    self.undo_to(mark0)
-                    return "optimal" if self.best_cost is not None else "infeasible"
-                k, var, mark, flipped = stack.pop()
-                self.undo_to(mark)
-                if flipped:
-                    continue
-                self.trace.decisions += 1
-                self.assign(var, 0)
-                if self.propagate() and self.beats_incumbent():
-                    stack.append((k, var, mark, True))
-                    break
-                self.undo_to(mark)
-            if self.out_of_budget():
-                return "timeout"
+                undo_to(mark0)
+                status = "optimal" if best is not None else "infeasible"
+                break
+            if decisions == cap or (not decisions % every and monotonic() >= deadline):
+                status = "timeout"
+                break
+            decisions += 1
+            assign(var, val)
+            descend = (not queue or propagate()) and (
+                best is None or self.cost + self.open_sum < best
+            )
+        self.trace.decisions = decisions
+        return status
 
 
 def solve(model: CopModel, budget: SolverBudget) -> tuple:
@@ -385,7 +402,9 @@ def solve(model: CopModel, budget: SolverBudget) -> tuple:
     for a in _greedy_selection(model, greedy_deadline):
         if check_assignment(model, a.values):
             search.seed_incumbent(a)
+    t0 = time.monotonic()
     status = search.run()
+    search.trace.search_s = time.monotonic() - t0
     if search.best_cost is None:
         return Assignment(values=[], objective_value=0, status="infeasible"), search.trace
     assignment = Assignment(

@@ -52,6 +52,14 @@ def random_chain_program(rng: random.Random, n_prims: int, n_clauses: int, body_
     return parse_program("\n".join(lines))
 
 
+def random_program(rng: random.Random):
+    """Criterion 1's generator: 2-20 task clauses with 1-8 literal chain
+    bodies over 3-8 binary primitives."""
+    return random_chain_program(
+        rng, rng.randint(3, 8), rng.randint(2, 20), lambda: rng.randint(1, 8)
+    )
+
+
 def dense_program():
     """Criterion 5's instance: 30 clauses of 6 literals over 4 primitives."""
     return random_chain_program(random.Random(5), 4, 30, lambda: 6)

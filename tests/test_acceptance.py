@@ -27,7 +27,7 @@ from tests.conftest import (
     FOLDED_SOURCE,
     PILLAR_SOURCE,
     dense_program,
-    random_chain_program,
+    random_program,
 )
 from tests.oracles import InstanceTooLarge, brute_force_solve
 from tests.test_copmodel import chain_program
@@ -41,14 +41,6 @@ def _report(capsys, criterion: int, label: str, ok: bool, detail: str = ""):
     with capsys.disabled():
         print(line, flush=True)
     assert ok, f"criterion {criterion} ({label}) failed: {detail}"
-
-
-def random_program(rng: random.Random):
-    """2-20 task clauses with 1-8 literal chain bodies over 3-8 binary
-    primitives."""
-    return random_chain_program(
-        rng, rng.randint(3, 8), rng.randint(2, 20), lambda: rng.randint(1, 8)
-    )
 
 
 def _benchmark_oracle():

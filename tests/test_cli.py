@@ -119,6 +119,7 @@ class TestRefactorCommand:
         text = report.read_text()
         assert "original_literals: 16" in text
         assert "solver_status:" in text
+        assert "\nsearch_s: " in text
         model = dump.read_text()
         assert model.startswith("min:")
         assert ">=" in model

@@ -48,8 +48,7 @@ from refold.transform import (
     unify_atoms,
 )
 
-from tests.conftest import dense_program
-from tests.test_acceptance import random_program
+from tests.conftest import dense_program, random_program
 
 # ---------------------------------------------------------------------------
 # Reference implementations

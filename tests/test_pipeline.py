@@ -139,9 +139,10 @@ class TestRefactor:
         records = dict(report.to_records())
         assert records["original_literals"] == prog.size
         assert records["decisions"] == report.trace.decisions
+        assert records["search_s"] == f"{report.trace.search_s:.4f}"
         text = report.to_text()
         assert "original_literals" in text and "solver_status" in text
-        assert f"decisions: {report.trace.decisions}" in text
+        assert f"decisions: {report.trace.decisions}\nsearch_s: " in text
 
 
 class TestBaseline:

@@ -17,9 +17,9 @@ from refold.solver import (
 )
 from refold.transform import unfold
 
-from tests.conftest import random_chain_program
+from tests.conftest import random_chain_program, random_program
 from tests.oracles import InstanceTooLarge, brute_force_solve
-from tests.test_copmodel import chain_program, encoded
+from tests.test_copmodel import chain_program, encoded, lego_bk_program
 
 
 def random_model(rng: random.Random, n_sc: int = 6) -> CopModel:
@@ -156,9 +156,10 @@ class _PickBranchingSearch:
     """Reference: the search before it branched on SC vars only. It
     branches on every SC var, then on every PICK var, then on the rest,
     propagating all constraints by counters, and bounds by summing each
-    clause's cheapest open pick. One change: `sc_decisions` counts the
+    clause's cheapest open pick. Two changes: `sc_decisions` counts the
     branches on SC vars, and the decision budget counts those, as the
-    solver's own `decisions` does."""
+    solver's own `decisions` does; and the budget is checked before
+    every SC decision, as the solver checks its cap."""
 
     def __init__(self, model: CopModel, budget: SolverBudget):
         self.model = model
@@ -201,11 +202,13 @@ class _PickBranchingSearch:
     def elapsed(self) -> float:
         return time.monotonic() - self.start
 
-    def out_of_budget(self) -> bool:
+    def out_of_budget(self, var: int) -> bool:
+        """Checked before each decision; the cap counts SC decisions."""
         if self.elapsed() >= self.budget.wall_time:
             return True
         return (
-            self.budget.max_decisions is not None
+            self.model.vars[var][0] == "SC"
+            and self.budget.max_decisions is not None
             and self.sc_decisions >= self.budget.max_decisions
         )
 
@@ -293,13 +296,13 @@ class _PickBranchingSearch:
             return "infeasible" if self.best_cost is None else "optimal"
         stack = []
         while True:
-            if self.out_of_budget():
-                return "timeout"
             k = self.next_unassigned(stack[-1][0] if stack else 0)
             if k == len(self.order):
                 self.record_incumbent()
             else:
                 var = self.order[k]
+                if self.out_of_budget(var):
+                    return "timeout"
                 mark = len(self.trail)
                 self.decide(var, 1)
                 ok = self.propagate()
@@ -313,14 +316,14 @@ class _PickBranchingSearch:
                 _, var, tried, mark = stack[-1]
                 self.undo_to(mark)
                 if len(tried) == 1:
+                    if self.out_of_budget(var):
+                        return "timeout"
                     tried.append(0)
                     self.decide(var, 0)
                     if self.propagate() and self.beats_incumbent():
                         break
                     self.undo_to(mark)
                 stack.pop()
-            if self.out_of_budget():
-                return "timeout"
 
 
 class _RescanSearch(_PickBranchingSearch):
@@ -514,7 +517,67 @@ class TestQueuePropagation:
         assert trace.decisions > 10
         cut, capped = solve(model, SolverBudget(wall_time=60.0, max_decisions=10))
         assert cut.status == "timeout-best"
-        assert 10 <= capped.decisions < trace.decisions
+        assert capped.decisions == 10
+
+
+def criterion_1_model(k: int) -> CopModel:
+    """The model of program k, counting from 0, of criterion 1's generator
+    (seed 20260826) under criterion 1's config, max_levels=1 and
+    folding_cap=20."""
+    rng = random.Random(20260826)
+    for _ in range(k + 1):
+        prog = random_program(rng)
+    u = unfold(prog)
+    return encode(build_search_space(u, 2, 3, max_levels=1, folding_cap=20), u)
+
+
+@pytest.fixture(scope="module")
+def lego_bk_model() -> CopModel:
+    """The model of criterion 6's lego background knowledge under
+    criterion 6's config."""
+    u = unfold(lego_bk_program())
+    space = build_search_space(u, 2, 3, max_levels=2, folding_cap=20)
+    return encode(space, u, red_group_cap=300)
+
+
+class TestPinnedTree:
+    """The search on realistic models, pinned: status, objective and
+    decisions on three of criterion 1's models, and the incumbents of
+    criterion 6's lego model under a decision cap. A change to the
+    search's state or node loop must visit the same nodes in the same
+    order, so it must reproduce every value."""
+
+    @pytest.mark.parametrize(
+        "k, want",
+        [
+            (142, ("optimal", 97, 74_978)),
+            (64, ("optimal", 108, 34_354)),
+            (33, ("optimal", 89, 32_042)),
+        ],
+    )
+    def test_criterion_1_models(self, k, want):
+        got, trace = solve(criterion_1_model(k), SolverBudget(wall_time=600.0))
+        assert (got.status, got.objective_value, trace.decisions) == want
+
+    def test_lego_bk_incumbents(self, lego_bk_model):
+        # SC rows to propagate and RED groups to charge, as well as options
+        assert any(c.label == "sc-dep" for c in lego_bk_model.constraints)
+        assert len(lego_bk_model.red_members) == 24
+        budget = SolverBudget(wall_time=600.0, max_decisions=200_000)
+        got, trace = solve(lego_bk_model, budget)
+        assert (got.status, trace.decisions) == ("timeout-best", 200_000)
+        assert [o for _, o in trace.history] == [
+            397, 360, 323, 272, 255, 253, 245, 242, 237, 236, 235,
+            229, 226, 220, 219, 215, 214, 211, 210, 209, 208,
+        ]
+
+    def test_wall_clock_budget_kept(self, lego_bk_model):
+        # the search reads the clock only every CLOCK_EVERY decisions
+        t0 = time.monotonic()
+        got, trace = solve(lego_bk_model, SolverBudget(wall_time=0.3))
+        assert got.status == "timeout-best"
+        assert time.monotonic() - t0 < 0.55
+        assert 0 < trace.search_s < 0.55
 
 
 class TestContract:
