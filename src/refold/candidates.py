@@ -18,6 +18,7 @@ from .transform import (
     Pattern,
     UnfoldedProgram,
     _disjoint_subsets,
+    _max_disjoint_count,
     apply_match_set,
     find_body_matches,
     pred_counts,
@@ -25,7 +26,6 @@ from .transform import (
 
 DEFAULT_FOLDING_CAP = 500
 RED_SUBBODY_MAX = 3  # the redundancy penalty counts sub-bodies of 2..3 literals
-DISJOINT_NODE_CAP = 10_000  # search nodes of _max_disjoint_count
 
 
 @dataclass(frozen=True)
@@ -116,30 +116,6 @@ def prune_unprofitable(cands: list) -> list:
     """Drop candidates that can never shrink the program:
     usage*(size-1) <= usage + size."""
     return [c for c in cands if is_profitable(c.size, c.usage)]
-
-
-def _max_disjoint_count(matches: list) -> int:
-    """Maximum number of pairwise index-disjoint matches, or len(matches)
-    (a safe over-estimate) past DISJOINT_NODE_CAP search nodes."""
-    best = nodes = 0
-    # a depth-first search without recursion, so that long bodies fit the
-    # stack: each frame is (the next match to try, the literals its chosen
-    # matches hold), and its number of chosen matches is the number of
-    # frames below it
-    stack = [(0, frozenset())]
-    while stack:
-        k, used = stack.pop()
-        if k == len(matches):
-            continue
-        nodes += 1
-        if nodes > DISJOINT_NODE_CAP:
-            return len(matches)
-        stack.append((k + 1, used))
-        idxs = matches[k][0]
-        if not idxs & used:
-            stack.append((k + 1, used | idxs))
-            best = max(best, len(stack) - 1)
-    return best
 
 
 class UsageIndex:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -196,36 +197,29 @@ def unfold(p: Program) -> UnfoldedProgram:
             todo = nxt
         return done
 
-    # one depth-first walk over support calls, with the path and its
-    # iterators on explicit stacks, so that long support chains need no
-    # Python recursion. It runs first from the support predicates that
-    # task clauses call, expanding each predicate it finishes (after every
-    # predicate that one calls), and then over the other support
-    # predicates, which no task clause reaches, as a cycle check only
+    # graphlib orders the support predicates callees first and finds any
+    # cycle among them, including those no task clause reaches, without
+    # Python recursion; one sweep from callers to callees marks the ones
+    # that task clauses reach, which are expanded in that order
     tasks = [c for c in p.clauses if reg.role(c.head.pred) == "task"]
-    roots = [(lit.pred, True) for c in tasks for lit in c.body if reg.role(lit.pred) == "support"]
-    state: dict = {}  # 0 = on the path, 1 = done
-    for root, reached in roots + [(pred, False) for pred in calls]:
-        if root in state:
-            continue
-        state[root] = 0
-        path, deps = [root], [iter(calls.get(root, ()))]
-        while path:
-            d = next(deps[-1], None)
-            if d is None:
-                pred = path.pop()
-                deps.pop()
-                state[pred] = 1
-                if reached:
-                    if pred not in defs:
-                        raise MissingDefinitionError(f"support predicate {pred} has no clauses")
-                    expanded[pred] = [u for c in defs[pred] for u in expand_clause(c)]
-            elif state.get(d) == 0:
-                raise CycleError(path[path.index(d):] + [d])
-            elif d not in state:
-                state[d] = 0
-                path.append(d)
-                deps.append(iter(calls.get(d, ())))
+    roots = [lit.pred for c in tasks for lit in c.body if reg.role(lit.pred) == "support"]
+    graph = graphlib.TopologicalSorter(calls)
+    for root in roots:
+        graph.add(root)
+    try:
+        order = list(graph.static_order())
+    except graphlib.CycleError as exc:
+        # graphlib's cycle lists each callee before its caller
+        raise CycleError(exc.args[1][::-1]) from None
+    reached = set(roots)
+    for pred in reversed(order):
+        if pred in reached:
+            reached.update(calls.get(pred, ()))
+    for pred in order:
+        if pred in reached:
+            if pred not in defs:
+                raise MissingDefinitionError(f"support predicate {pred} has no clauses")
+            expanded[pred] = [u for c in defs[pred] for u in expand_clause(c)]
 
     out_clauses = []
     primitive_clauses = []
@@ -403,25 +397,40 @@ def find_body_matches(body: IndexedBody, pattern: Pattern) -> list:
     return matches
 
 
-def _disjoint_subsets(matches: list, cap: Optional[int] = None) -> list:
-    """All nonempty sets of pairwise index-disjoint matches, in a
-    deterministic order (at most `cap` of them, the first ones)."""
-    out = []
-    # a depth-first search without recursion, so that long bodies fit the
-    # stack: each frame is (the next match to try, the matches chosen, the
-    # literals they hold)
+DISJOINT_NODE_CAP = 10_000  # search nodes of _max_disjoint_count
+
+
+def _disjoint_walk(matches: list):
+    """The take-first search over sets of pairwise index-disjoint
+    matches. Yields, for each match it reaches, the set that taking it
+    grows (a list), or None if the match overlaps the chosen ones. No
+    recursion, so that long bodies fit the stack: each frame is (the next
+    match to try, the matches chosen, the literals they hold)."""
     stack = [(0, [], frozenset())]
-    while stack and (cap is None or len(out) < cap):
+    while stack:
         i, chosen, used = stack.pop()
         if i == len(matches):
             continue
         stack.append((i + 1, chosen, used))
         idxs = matches[i][0]
-        if not idxs & used:
-            grown = chosen + [matches[i]]
-            out.append(grown)
+        grown = None if idxs & used else chosen + [matches[i]]
+        yield grown
+        if grown:
             stack.append((i + 1, grown, used | idxs))
-    return out
+
+
+def _disjoint_subsets(matches: list, cap: Optional[int] = None) -> list:
+    """All nonempty sets of pairwise index-disjoint matches, in a
+    deterministic order (at most `cap` of them, the first ones)."""
+    return list(itertools.islice(filter(None, _disjoint_walk(matches)), cap))
+
+
+def _max_disjoint_count(matches: list) -> int:
+    """Maximum number of pairwise index-disjoint matches, or len(matches)
+    (a safe over-estimate) past DISJOINT_NODE_CAP search nodes."""
+    walk = itertools.islice(_disjoint_walk(matches), DISJOINT_NODE_CAP + 1)
+    sizes = [len(grown or ()) for grown in walk]
+    return len(matches) if len(sizes) > DISJOINT_NODE_CAP else max(sizes, default=0)
 
 
 def apply_match_set(clause: Clause, match_set: list) -> Clause:

@@ -22,7 +22,15 @@ from refold.bench import (
     string_primitives,
     synthesize,
 )
-from refold.logic import parse_program, render_program, variant_equal
+from refold.logic import (
+    Atom,
+    Clause,
+    Program,
+    Var,
+    parse_program,
+    render_program,
+    variant_equal,
+)
 
 
 class TestLegoSemantics:
@@ -138,6 +146,27 @@ class TestFlattening:
             "t(A,B) :- loop(A,B)."
         )
         with pytest.raises(ExecutionError):
+            flatten_definitions(prog)
+
+    def test_deep_definition_chain_flattens_without_recursion(self):
+        # d<k> runs d<k-1>, then places a brick; the callers come first,
+        # so a recursive flattener would go 3 000 calls deep
+        bk = lego_primitives()
+        a, b, c = Var("A"), Var("B"), Var("C")
+        chain = [Clause(Atom("d0", (a, b)), (Atom("place_brick", (a, b)),))]
+        chain += [
+            Clause(Atom(f"d{k}", (a, b)), (Atom(f"d{k - 1}", (a, c)), Atom("place_brick", (c, b))))
+            for k in range(1, 3000)
+        ]
+        prog = Program(tuple(reversed(chain)), bk.registry)
+        assert flatten_definitions(prog)["d2999"] == ("place_brick",) * 3000
+        assert Interpreter(prog, "lego").apply("d2999", blank_board(1)) == LegoWorld((3000,), 0)
+
+    def test_call_without_definition_rejected(self):
+        prog = parse_program(
+            "#primitive right/2.\n#support s/2.\n#task t/2.\nt(A,B) :- right(A,C), s(C,B)."
+        )
+        with pytest.raises(ExecutionError, match="no definition for s"):
             flatten_definitions(prog)
 
     def test_interpreter_runs_defined_ops(self):

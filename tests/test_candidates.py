@@ -11,7 +11,6 @@ from refold.candidates import (
     CandidateSupportClause,
     UsageIndex,
     _fold_one,
-    _max_disjoint_count,
     build_search_space,
     extract_candidates,
     is_profitable,
@@ -32,6 +31,7 @@ from refold.transform import (
     IndexedBody,
     Pattern,
     _disjoint_subsets,
+    _max_disjoint_count,
     find_body_matches,
     pred_counts,
     unfold,
@@ -417,6 +417,25 @@ class TestSearchSpace:
             assert got == want
             levels.add(max(st.level for st in got[2]) if got[2] else 0)
         assert levels >= {1, 2}
+
+    @pytest.mark.parametrize(
+        "source, space_args, reason, max_level",
+        [
+            # 1-literal candidates never shorten a body, so levels go on to the cap
+            ("#primitive p/2.\n#task t/2.\nt(A,C) :- p(A,B), p(B,C).",
+             {"i": 1, "j": 1, "prune": False}, "hard level cap reached", 64),
+            (SHARED_CHAIN, {"max_levels": 1, "prune": False}, "max levels reached", 1),
+            # two copies of each sub-body cannot pay for a support clause
+            (SHARED_CHAIN, {}, "no candidates survived pruning", 0),
+            ("#primitive p/2.\n#primitive q/2.\n" + "".join(
+                f"#task t{k}/2.\nt{k}(A,C) :- p(A,B), q(B,C).\n" for k in range(4)),
+             {}, "all bodies reduced to one literal", 1),
+        ],
+        ids=["hard-level-cap", "max-levels", "all-pruned", "one-literal-bodies"],
+    )
+    def test_stop_reasons(self, source, space_args, reason, max_level):
+        space = build_search_space(unfold(parse_program(source)), **{"i": 2, "j": 3, **space_args})
+        assert (space.stop_reason, space.max_level) == (reason, max_level)
 
     def test_no_candidates_stops_cleanly(self):
         prog = parse_program("#primitive p/2.\n#task t/2.\nt(A,B) :- p(A,B).")

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from refold import cli
+from refold import cli, pipeline
 from refold.logic import MAX_TERM_DEPTH, Program, parse_program, render_program
 from refold.transform import syntactic_equiv
 
@@ -200,8 +200,15 @@ class TestRefactorCommand:
                 "t(X) :- p(X).\n",
                 "body of primitive p",
             ),
+            (
+                "#primitive p/1.\n#task t/1.\n#task u/1.\nt(X) :- u(X).\n",
+                "task predicate u occurs in a body",
+            ),
         ],
-        ids=["recursive-support", "support-without-clauses", "support-in-primitive-clause"],
+        ids=[
+            "recursive-support", "support-without-clauses", "support-in-primitive-clause",
+            "task-in-a-body",
+        ],
     )
     @pytest.mark.parametrize("command", ["refactor", "verify"])
     def test_unfolding_input_errors(self, tmp_path, capsys, source, message, command):
@@ -270,6 +277,14 @@ class TestRefactorCommand:
         lacking = tmp_path / "lacking.pl"
         lacking.write_text(FACTS_KB.replace("e(b,c).\n", ""))
         assert cli.main(["verify", str(path), str(lacking)]) == cli.EXIT_VERIFY_FAILED
+
+    def test_failed_verification_writes_no_output(self, tmp_path, kb_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "syntactic_equiv", lambda p1, p2: False)
+        out = tmp_path / "out.pl"
+        code = cli.main(["refactor", str(kb_path), "-o", str(out), "--timeout-seconds", "2"])
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert capsys.readouterr().err.startswith("verification failed:")
+        assert not out.exists()
 
     def test_internal_error_exit_code(self, kb_path, capsys, monkeypatch):
         def boom(program, cfg):

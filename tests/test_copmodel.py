@@ -140,6 +140,13 @@ class TestEncode:
             over = set(list(model.sc_vars.values())[: model.sc_cap + 1])
             assert assignment_from_selection(model, over) is None
 
+    def test_selection_missing_a_dependency_rejected(self):
+        # a level-2 candidate selected without the level-1 ones it calls
+        _, _, model = red_encoded()
+        sv, deps = next((sv, deps) for sv, deps in model.sc_deps.items() if deps)
+        assert assignment_from_selection(model, {sv, *deps}) is not None
+        assert assignment_from_selection(model, {sv}) is None
+
     def test_size_limits_enforced(self, monkeypatch):
         monkeypatch.setattr(copmodel, "MAX_VARIABLES", 3)
         with pytest.raises(ModelError):

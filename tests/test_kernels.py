@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from refold import candidates, copmodel
 from refold.candidates import (
     CandidateSupportClause,
-    _max_disjoint_count,
     build_search_space,
     make_candidate_clause,
 )
@@ -37,6 +36,7 @@ from refold.transform import (
     IndexedBody,
     Pattern,
     _disjoint_subsets,
+    _max_disjoint_count,
     apply_match_set,
     find_body_matches,
     fold_clause,

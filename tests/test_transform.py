@@ -208,6 +208,18 @@ class TestUnfold:
         with pytest.raises(UnfoldExplosionError):
             unfold(prog)
 
+    def test_explosion_cap_counts_all_task_clauses(self, monkeypatch):
+        # each clause unfolds to 2 clauses, within the cap; together, 4
+        prog = parse_program(
+            "#primitive a/1.\n#primitive b/1.\n#task t/1.\n#task u/1.\n"
+            "s(X) :- a(X).\ns(X) :- b(X).\nt(X) :- s(X).\nu(X) :- s(X)."
+        )
+        monkeypatch.setattr(transform, "DEFAULT_UNFOLD_CAP", 4)
+        assert len(unfold(prog).clauses) == 4
+        monkeypatch.setattr(transform, "DEFAULT_UNFOLD_CAP", 3)
+        with pytest.raises(UnfoldExplosionError):
+            unfold(prog)
+
     def test_primitive_clauses_pass_through(self):
         prog = parse_program(
             "#primitive e/2.\n#task t/2.\ne(a,b).\ne(X,Y) :- e(Y,X).\n"
