@@ -207,6 +207,9 @@ MAX_TERM_DEPTH = 100
 # any other character (group 3); "\w" is a character for which
 # str.isalnum() holds, or "_"
 _LEXEME = re.compile(r"[ \t\r]+|%[^\n]*|(\n)|(:-|[().,/#]|\w+)|(.)")
+# the same lexemes with one group, a token or any other character, so
+# that findall gives "" for each run of blanks, comment or newline
+_TOKEN = re.compile(r"[ \t\r\n]+|%[^\n]*|(:-|[().,/#]|\w+|.)")
 
 
 def _tokenize(text: str) -> list:
@@ -232,92 +235,101 @@ def is_variable_name(name: str) -> bool:
 
 
 class _Parser:
+    """Reads a program's tokens as plain strings; a token's line and
+    column are found from its index, and only for an error."""
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks = list(filter(None, _TOKEN.findall(text)))
+        # one Var or Const for each distinct name
+        self.terms = {}
+        for tok in set(self.toks) - _SYMS:
+            if _LEXEME.match(tok).lastindex == 3:
+                _tokenize(text)  # raises at the first unexpected character
+            self.terms[tok] = Var(tok) if is_variable_name(tok) else Const(tok)
+        # "" marks the end of input; five of them let a directive's six
+        # tokens be read as one slice wherever it starts
+        self.toks += [""] * 5
         self.pos = 0
 
-    def peek(self) -> str:
-        return self.toks[self.pos][0]
-
-    def next(self) -> tuple:
-        tok = self.toks[self.pos]
-        if not tok[0]:
-            raise ParseError("unexpected end of input", tok[1], tok[2])
-        self.pos += 1
-        return tok
-
-    def expect(self, sym: str):
-        tok, line, col = self.next()
-        if tok != sym:
-            raise ParseError(f"expected {sym!r}, found {tok!r}", line, col)
-
-    def name(self, what: str) -> tuple:
-        """The next token, which must be a name: `what` is what an error
-        says was expected."""
-        tok, line, col = self.next()
-        if tok in _SYMS:
-            raise ParseError(f"expected {what}, found {tok!r}", line, col)
-        return tok, line, col
+    def error(self, i: int, message: str) -> ParseError:
+        """`message` at token i, or "unexpected end of input" if token i
+        ends the input."""
+        tok, line, col = _tokenize(self.text)[i]
+        return ParseError(message if tok else "unexpected end of input", line, col)
 
     def parse_args(self, depth: int) -> tuple:
-        """The parenthesised terms after a name, each inside `depth`
-        compound terms."""
-        self.expect("(")
-        args = [self.parse_term(depth)]
-        while self.peek() == ",":
-            self.next()
-            args.append(self.parse_term(depth))
-        self.expect(")")
+        """The terms between the "(" at self.pos and its ")", each inside
+        `depth` compound terms."""
+        toks, terms = self.toks, self.terms
+        args = []
+        i, sep = self.pos, ","
+        while sep == ",":
+            tok = toks[i + 1]
+            term = terms.get(tok)
+            if term is None:
+                raise self.error(i + 1, f"expected a term, found {tok!r}")
+            i += 2
+            if toks[i] == "(":
+                if type(term) is Var:
+                    raise self.error(i - 1, f"variable {tok} cannot take arguments")
+                if depth == MAX_TERM_DEPTH:
+                    raise self.error(
+                        i - 1, f"compound terms nest deeper than {MAX_TERM_DEPTH} levels"
+                    )
+                self.pos = i
+                term = Compound(tok, self.parse_args(depth + 1))
+                i = self.pos
+            args.append(term)
+            sep = toks[i]
+        if sep != ")":
+            raise self.error(i, f"expected ')', found {sep!r}")
+        self.pos = i + 1
         return tuple(args)
 
-    def parse_term(self, depth: int) -> Term:
-        tok, line, col = self.name("a term")
-        if self.peek() == "(":
-            if is_variable_name(tok):
-                raise ParseError(f"variable {tok} cannot take arguments", line, col)
-            if depth == MAX_TERM_DEPTH:
-                raise ParseError(
-                    f"compound terms nest deeper than {MAX_TERM_DEPTH} levels", line, col
-                )
-            return Compound(tok, self.parse_args(depth + 1))
-        return Var(tok) if is_variable_name(tok) else Const(tok)
-
     def parse_atom(self) -> Atom:
-        tok, line, col = self.name("a predicate")
-        if is_variable_name(tok):
-            raise ParseError(f"predicate name {tok} must not be a variable", line, col)
-        return Atom(tok, self.parse_args(0) if self.peek() == "(" else ())
+        i = self.pos
+        pred = self.toks[i]
+        term = self.terms.get(pred)
+        if term is None:
+            raise self.error(i, f"expected a predicate, found {pred!r}")
+        if type(term) is Var:
+            raise self.error(i, f"predicate name {pred} must not be a variable")
+        self.pos = i + 1
+        return Atom(pred, self.parse_args(0) if self.toks[i + 1] == "(" else ())
 
     def parse_clause(self) -> Clause:
         head = self.parse_atom()
         body = []
-        tok, line, col = self.next()
-        if tok == ":-":
+        sep, more = self.toks[self.pos], ":-"
+        while sep == more:
+            self.pos += 1
             body.append(self.parse_atom())
-            tok, line, col = self.next()
-            while tok == ",":
-                body.append(self.parse_atom())
-                tok, line, col = self.next()
-            if tok != ".":
-                raise ParseError(f"expected ',' or '.', found {tok!r}", line, col)
-        elif tok != ".":
-            raise ParseError(f"expected ':-' or '.', found {tok!r}", line, col)
+            sep, more = self.toks[self.pos], ","
+        if sep != ".":
+            raise self.error(self.pos, f"expected {more!r} or '.', found {sep!r}")
+        self.pos += 1
         return Clause(head, tuple(body))
 
     def parse_directive(self) -> tuple:
-        """(role, name, arity) of the declaration after a "#"."""
-        role, line, col = self.next()
+        """(role, name, arity) of the declaration "#role name/arity." at
+        self.pos."""
+        i = self.pos
+        role, name, slash, arity, stop = self.toks[i + 1:i + 6]
         if role not in ROLES:
-            raise ParseError(f"unknown directive #{role}", line, col)
-        name, line, col = self.name("a predicate")
+            raise self.error(i + 1, f"unknown directive #{role}")
+        if name not in self.terms:
+            raise self.error(i + 2, f"expected a predicate, found {name!r}")
         if is_variable_name(name):
-            raise ParseError("predicate name must not be a variable", line, col)
-        self.expect("/")
-        arity, line, col = self.next()
+            raise self.error(i + 2, "predicate name must not be a variable")
+        if slash != "/":
+            raise self.error(i + 3, f"expected '/', found {slash!r}")
         # below 10**9: int() reads it, and no clause could use a larger one
         if not (arity.isdecimal() and len(arity.lstrip("0")) < 10):
-            raise ParseError(f"expected an arity, found {arity!r}", line, col)
-        self.expect(".")
+            raise self.error(i + 4, f"expected an arity, found {arity!r}")
+        if stop != ".":
+            raise self.error(i + 5, f"expected '.', found {stop!r}")
+        self.pos = i + 6
         return role, name, int(arity)
 
 
@@ -329,26 +341,28 @@ def parse_program(text: str) -> Program:
     declared default to role support.
     """
     parser = _Parser(text)
+    toks = parser.toks
     registry = PredicateRegistry()
     clauses = []
-    while parser.peek():
-        if parser.peek() != "#":
+    while toks[parser.pos]:
+        if toks[parser.pos] != "#":
             clauses.append(parser.parse_clause())
             continue
-        _, line, col = parser.next()
+        at = parser.pos
         role, name, arity = parser.parse_directive()
         if name in registry.entries:
-            raise ParseError(f"duplicate role declaration for {name}", line, col)
+            raise parser.error(at, f"duplicate role declaration for {name}")
         registry.declare(name, arity, role)
 
     # every use of a predicate has one arity, its declared one if any
     arities: dict = {}
     for c in clauses:
         for atom in (c.head, *c.body):
-            old = arities.setdefault(atom.pred, atom.arity)
-            if old != atom.arity:
+            arity = len(atom.args)
+            old = arities.setdefault(atom.pred, arity)
+            if old != arity:
                 raise ArityError(
-                    f"{atom.pred} used with arity {atom.arity} but also with arity {old}"
+                    f"{atom.pred} used with arity {arity} but also with arity {old}"
                 )
     for pred, arity in arities.items():
         declared = registry.arity(pred)

@@ -551,6 +551,17 @@ def test_unwritable_output_is_an_input_error(tmp_path, kb_path, capsys, argv):
     assert capsys.readouterr().err.startswith(f"error: cannot write {bad}:")
 
 
+@pytest.mark.parametrize("command", ["refactor", "baseline", "verify", "stats"])
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.pl"
+    path.write_bytes(b"\xff\xfe#primitive p/2.\n")
+    args = [str(path)] * (2 if command == "verify" else 1)
+    assert cli.main([command] + args) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff"
+    )
+
+
 def test_output_may_name_the_input(kb_path):
     code = cli.main(["refactor", str(kb_path), "-o", str(kb_path), "--timeout-seconds", "5"])
     assert code == cli.EXIT_OK

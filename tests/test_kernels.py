@@ -5,10 +5,13 @@ replaced (unify-based matching, union-find connectivity, rendering a
 canonicalized clause per ordering); and candidate extraction with the
 usage index, the literal-count bound and the shared sub-body
 enumeration, against a reference copy of extraction that scans every
-body, matches every candidate and enumerates sub-bodies at each use."""
+body, matches every candidate and enumerates sub-bodies at each use; and
+the parser, which reads plain token strings and finds positions only for
+an error, against a reference copy that reads positioned tokens."""
 
 import itertools
 import random
+import re
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,14 +22,22 @@ from refold.candidates import (
     make_candidate_clause,
 )
 from refold.logic import (
+    MAX_TERM_DEPTH,
+    ROLES,
     VARIANT_KEY_CAP,
+    ArityError,
     Atom,
     Clause,
     Compound,
     Const,
+    LogicError,
+    ParseError,
+    PredicateRegistry,
+    Program,
     Var,
     canonicalize_clause,
     connected_index_subsets,
+    is_variable_name,
     parse_program,
     render_clause,
     variant_equal,
@@ -230,6 +241,148 @@ def reference_encode_redundancy(m, space, red_group_cap, new_var, add):
         k = base + len(members)
         add([(k - 1, rvar)] + [(-1, f) for f in members], base - 1, "red-force")
         add([(1, f) for f in members] + [(-2, rvar)], -base, "red-honest")
+
+
+# the parser that reads (text, line, column) tuples, one per token
+_REFERENCE_SYMS = {":-", "(", ")", ",", ".", "/", "#"}
+_REFERENCE_LEXEME = re.compile(r"[ \t\r]+|%[^\n]*|(\n)|(:-|[().,/#]|\w+)|(.)")
+
+
+def reference_tokenize(text: str) -> list:
+    toks = []
+    line, start = 1, 0
+    for m in _REFERENCE_LEXEME.finditer(text):
+        if m.lastindex == 1:
+            line, start = line + 1, m.end()
+        elif m.lastindex:
+            col = m.start() - start + 1
+            if m.lastindex == 3:
+                raise ParseError(f"unexpected character {m[3]!r}", line, col)
+            toks.append((m[2], line, col))
+    toks.append(("", *(toks[-1][1:] if toks else (1, 1))))
+    return toks
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.toks = reference_tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> str:
+        return self.toks[self.pos][0]
+
+    def next(self) -> tuple:
+        tok = self.toks[self.pos]
+        if not tok[0]:
+            raise ParseError("unexpected end of input", tok[1], tok[2])
+        self.pos += 1
+        return tok
+
+    def expect(self, sym: str):
+        tok, line, col = self.next()
+        if tok != sym:
+            raise ParseError(f"expected {sym!r}, found {tok!r}", line, col)
+
+    def name(self, what: str) -> tuple:
+        tok, line, col = self.next()
+        if tok in _REFERENCE_SYMS:
+            raise ParseError(f"expected {what}, found {tok!r}", line, col)
+        return tok, line, col
+
+    def parse_args(self, depth: int) -> tuple:
+        self.expect("(")
+        args = [self.parse_term(depth)]
+        while self.peek() == ",":
+            self.next()
+            args.append(self.parse_term(depth))
+        self.expect(")")
+        return tuple(args)
+
+    def parse_term(self, depth: int):
+        tok, line, col = self.name("a term")
+        if self.peek() == "(":
+            if is_variable_name(tok):
+                raise ParseError(f"variable {tok} cannot take arguments", line, col)
+            if depth == MAX_TERM_DEPTH:
+                raise ParseError(
+                    f"compound terms nest deeper than {MAX_TERM_DEPTH} levels", line, col
+                )
+            return Compound(tok, self.parse_args(depth + 1))
+        return Var(tok) if is_variable_name(tok) else Const(tok)
+
+    def parse_atom(self) -> Atom:
+        tok, line, col = self.name("a predicate")
+        if is_variable_name(tok):
+            raise ParseError(f"predicate name {tok} must not be a variable", line, col)
+        return Atom(tok, self.parse_args(0) if self.peek() == "(" else ())
+
+    def parse_clause(self) -> Clause:
+        head = self.parse_atom()
+        body = []
+        tok, line, col = self.next()
+        if tok == ":-":
+            body.append(self.parse_atom())
+            tok, line, col = self.next()
+            while tok == ",":
+                body.append(self.parse_atom())
+                tok, line, col = self.next()
+            if tok != ".":
+                raise ParseError(f"expected ',' or '.', found {tok!r}", line, col)
+        elif tok != ".":
+            raise ParseError(f"expected ':-' or '.', found {tok!r}", line, col)
+        return Clause(head, tuple(body))
+
+    def parse_directive(self) -> tuple:
+        role, line, col = self.next()
+        if role not in ROLES:
+            raise ParseError(f"unknown directive #{role}", line, col)
+        name, line, col = self.name("a predicate")
+        if is_variable_name(name):
+            raise ParseError("predicate name must not be a variable", line, col)
+        self.expect("/")
+        arity, line, col = self.next()
+        if not (arity.isdecimal() and len(arity.lstrip("0")) < 10):
+            raise ParseError(f"expected an arity, found {arity!r}", line, col)
+        self.expect(".")
+        return role, name, int(arity)
+
+
+def reference_parse_program(text: str) -> Program:
+    parser = _ReferenceParser(text)
+    registry = PredicateRegistry()
+    clauses = []
+    while parser.peek():
+        if parser.peek() != "#":
+            clauses.append(parser.parse_clause())
+            continue
+        _, line, col = parser.next()
+        role, name, arity = parser.parse_directive()
+        if name in registry.entries:
+            raise ParseError(f"duplicate role declaration for {name}", line, col)
+        registry.declare(name, arity, role)
+    arities: dict = {}
+    for c in clauses:
+        for atom in (c.head, *c.body):
+            old = arities.setdefault(atom.pred, atom.arity)
+            if old != atom.arity:
+                raise ArityError(
+                    f"{atom.pred} used with arity {atom.arity} but also with arity {old}"
+                )
+    for pred, arity in arities.items():
+        declared = registry.arity(pred)
+        if declared not in (None, arity):
+            raise ArityError(
+                f"{pred} declared with arity {declared} but used with arity {arity}"
+            )
+    defined = {c.head.pred for c in clauses}
+    for pred, arity in arities.items():
+        if registry.role(pred) is None:
+            if pred not in defined:
+                raise LogicError(
+                    f"predicate {pred}/{arity} is used but neither declared nor defined"
+                )
+            registry.declare(pred, arity, "support")
+    return Program(tuple(clauses), registry)
 
 
 def _unfresh(t):
@@ -495,3 +648,101 @@ def test_extraction_and_model_equal_reference(monkeypatch):
         assert got[:3] == want[:3], name
         levels.add(got[3].max_level)
     assert levels >= {1, 2}
+
+
+# ---------------------------------------------------------------------------
+# The parser against its reference copy, which reads positioned tokens
+
+_SOURCE_TERMS = st.recursive(
+    st.sampled_from(["X", "Y", "_W", "a", "b", "é", "0"]),
+    lambda inner: st.builds(
+        "{}({})".format, st.sampled_from(["f", "g", "ß2"]),
+        st.lists(inner, min_size=1, max_size=3).map(",".join)),
+    max_leaves=4,
+)
+# one arity per predicate, so that most programs parse
+_SOURCE_SIGNATURES = st.sampled_from([("p", 2), ("q", 1), ("r", 0), ("ω", 2), ("t", 3)])
+_SOURCE_ATOMS = _SOURCE_SIGNATURES.flatmap(lambda sig: st.lists(
+    _SOURCE_TERMS, min_size=sig[1], max_size=sig[1]).map(
+        lambda args: f"{sig[0]}({', '.join(args)})" if args else sig[0]))
+_SOURCE_LINES = st.one_of(
+    st.builds(lambda role, sig, more: f"#{role}\t{sig[0]}/{sig[1] + more}.",
+              st.sampled_from(ROLES), _SOURCE_SIGNATURES, st.sampled_from([0, 0, 0, 1])),
+    st.builds("{}.".format, _SOURCE_ATOMS),
+    st.builds("{} :- {}.".format, _SOURCE_ATOMS,
+              st.lists(_SOURCE_ATOMS, min_size=1, max_size=4).map(", ".join)),
+    st.sampled_from(["% p(X) :- ).", "q(a). % $"]),
+)
+# mostly well formed: directives, facts, clauses and comments, on lines
+# that may end in "\r\n"
+_SOURCE_PROGRAMS = st.builds(
+    str.join, st.sampled_from(["\n", "\r\n", "\n  "]), st.lists(_SOURCE_LINES, max_size=8))
+
+# a token soup's pieces: names of every kind (variables, constants,
+# non-ASCII names, digits, a long arity, the roles), the symbols, and gaps
+# with tabs, "\r\n" line ends and a comment; and the characters that no
+# token may hold
+_SOUP_PIECES = ["p", "q", "t", "X", "Y", "_", "_Z", "a", "é", "Ω", "ß2", "0", "1", "2",
+                "007", "1234567890", "primitive", "task", "support",
+                ":-", "(", ")", ",", ".", "/", "#",
+                "", " ", "  ", "\t", "\n", "\r\n", "\r", " % a ) comment $\n"]
+_SOUP_BAD = ["$", "\x0c", ":", "@", "😀"]
+
+
+@st.composite
+def _token_soups(draw) -> str:
+    """Tokens and gaps drawn at random, mostly syntax errors; a quarter
+    of them hold a character that no token may hold."""
+    pieces = draw(st.lists(st.sampled_from(_SOUP_PIECES), max_size=30))
+    if draw(st.integers(0, 3)) == 0:
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(_SOUP_BAD)))
+    return "".join(pieces)
+
+
+@st.composite
+def _directive_soups(draw) -> str:
+    """A directive with one of its six tokens replaced, or none, then
+    perhaps a second directive: an error at each of a directive's tokens,
+    or at a repeated declaration."""
+    pieces = ["#", draw(st.sampled_from(ROLES)), draw(st.sampled_from(["q", "é"])), "/",
+              draw(st.sampled_from(["0", "2", "007"])), "."]
+    k = draw(st.integers(0, len(pieces)))
+    if k < len(pieces):
+        pieces[k] = draw(st.sampled_from(["", "p", "X", "(", "/", "1", "1234567890", "."]))
+    return " ".join(pieces) + draw(st.sampled_from(["", "\n#task q/1.", " #task X/1."]))
+
+
+@st.composite
+def _program_mutants(draw) -> str:
+    """A generated program with one to three of its tokens or gaps
+    deleted, replaced or preceded by another piece: errors at every
+    depth of a clause or directive."""
+    pieces = re.findall(r"\w+|:-|\s+|.", draw(_SOURCE_PROGRAMS))
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(pieces)))
+        piece = draw(st.sampled_from(_SOUP_PIECES + _SOUP_BAD))
+        edit = draw(st.sampled_from(["delete", "replace", "insert"]))
+        if edit == "insert" or k == len(pieces):
+            pieces.insert(k, piece)
+        elif edit == "replace":
+            pieces[k] = piece
+        else:
+            del pieces[k]
+    return "".join(pieces)
+
+
+def _parsed(parse, text: str):
+    try:
+        program = parse(text)
+    except LogicError as exc:
+        return type(exc), str(exc)
+    return program.clauses, list(program.registry.entries.items())
+
+
+class TestParser:
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(
+        _SOURCE_PROGRAMS, _program_mutants(), _token_soups(), _directive_soups(),
+        st.text(max_size=40)))
+    def test_equals_reference(self, text):
+        assert _parsed(parse_program, text) == _parsed(reference_parse_program, text)

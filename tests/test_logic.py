@@ -117,6 +117,28 @@ class TestParse:
         ("p(a) :- q(a) r(a).", ParseError, "expected ',' or '.', found 'r' (line 1, column 14)"),
         ("#primitive q/1.\n  #task q/1.", ParseError,
          "duplicate role declaration for q (line 2, column 3)"),
+        ("#primitive q/1.\n#task r/1. #task q/1.", ParseError,
+         "duplicate role declaration for q (line 2, column 12)"),
+        # a position is that of the erring token, not of an earlier token
+        # with the same text, on any line; comments, "\r\n" line ends, tabs
+        # and names of several bytes leave columns counting characters
+        ("#primitive p/1.\np(a).\np(a) q(b).", ParseError,
+         "expected ':-' or '.', found 'q' (line 3, column 6)"),
+        ("p(a).\np(a) p(a).", ParseError, "expected ':-' or '.', found 'p' (line 2, column 6)"),
+        ("% p(X) :- ).\np(a) % a ) comment $\n:- .", ParseError,
+         "expected a predicate, found '.' (line 3, column 4)"),
+        ("#primitive q/1.\r\np(X) :- q(X)\r\nr(X).", ParseError,
+         "expected ',' or '.', found 'r' (line 3, column 1)"),
+        ("p(a) :-\n\t\tq(a) ) .", ParseError, "expected ',' or '.', found ')' (line 2, column 8)"),
+        ("#primitive q/1.\r\n\r\nq(a). % x\r\n\tq(é) q(b).", ParseError,
+         "expected ':-' or '.', found 'q' (line 4, column 7)"),
+        ("αβγ(δ) :- ζ(δ) ε.", ParseError, "expected ',' or '.', found 'ε' (line 1, column 16)"),
+        ("p(X) :- q(X,\n% trailing comment\n", ParseError,
+         "unexpected end of input (line 1, column 12)"),
+        ("p(a) :-\n\n   ", ParseError, "unexpected end of input (line 1, column 6)"),
+        # a bad character is reported before an earlier syntax error
+        ("p(a) q(b).\n$", ParseError, "unexpected character '$' (line 2, column 1)"),
+        ("p(X :- \n\t@", ParseError, "unexpected character '@' (line 2, column 2)"),
         ("p(X) :- q(X,Y), q(X).", ArityError, "q used with arity 1 but also with arity 2"),
         ("#primitive q/0.\np(X) :- q(X,Y).", ArityError,
          "q declared with arity 0 but used with arity 2"),
