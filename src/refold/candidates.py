@@ -10,6 +10,7 @@ from typing import Optional
 from .logic import (
     Atom,
     Clause,
+    Var,
     first_occurrence_vars,
     keyed_subsets,
 )
@@ -30,9 +31,11 @@ RED_SUBBODY_MAX = 3  # the redundancy penalty counts sub-bodies of 2..3 literals
 
 @dataclass(frozen=True)
 class CandidateSupportClause:
-    """`usage` counts foldable occurrences (UsageIndex.usage). When the
-    literal-count bound already fails is_profitable, no match is run and
-    `usage` holds that bound, which is at least the true count."""
+    """`usage` counts foldable occurrences (UsageIndex.usage). A pruned
+    candidate may not have been matched: if the literal-count bound fails
+    is_profitable, `usage` holds that bound; if it passes and the join
+    bound fails, `usage` holds the join bound. Either is at least the
+    true count."""
 
     id: int
     clause: Clause
@@ -118,6 +121,59 @@ def prune_unprofitable(cands: list) -> list:
     return [c for c in cands if is_profitable(c.size, c.usage)]
 
 
+# A join signature ((key, a), (key', b)), its two slots sorted, says that
+# one literal of bucket key holds at top-level position a the term that
+# another literal of bucket key' holds at position b.
+
+def join_table(body: tuple) -> dict:
+    """Join signature -> the fewer of the distinct first and the distinct
+    second literals over the pairs of `body`'s literals that share a term
+    of any kind in those slots. Built from each term's per-slot literal
+    masks, so a term held by k literals of one slot costs no k^2 work."""
+    slots: dict = {}  # term (a variable by name) -> {slot: mask of literals}
+    for i, lit in enumerate(body):
+        key = (lit.pred, len(lit.args))
+        for a, t in enumerate(lit.args):
+            at = slots.setdefault(t.name if t.__class__ is Var else t, {})
+            at[key, a] = at.get((key, a), 0) | 1 << i
+    masks: dict = {}  # signature -> [first literals, second literals]
+    for at in slots.values():
+        items = list(at.items())
+        for n, (s1, m1) in enumerate(items):
+            for s2, m2 in items[n:]:
+                # a literal may not pair with itself: with one literal on
+                # the other side, that literal drops out of this side
+                first = m1 if m2 & (m2 - 1) else m1 & ~m2
+                second = m2 if m1 & (m1 - 1) else m2 & ~m1
+                if not first:
+                    continue
+                if s1 <= s2:
+                    pair = masks.setdefault((s1, s2), [0, 0])
+                else:
+                    pair = masks.setdefault((s2, s1), [0, 0])
+                    first, second = second, first
+                pair[0] |= first
+                pair[1] |= second
+    return {sig: min(a.bit_count(), b.bit_count()) for sig, (a, b) in masks.items()}
+
+
+def pattern_joins(pattern: tuple) -> set:
+    """The join signatures of `pattern`: pairs of slots of two of its
+    literals that hold one variable at top level."""
+    at: dict = {}  # variable -> [(literal index, slot)]
+    for k, lit in enumerate(pattern):
+        key = (lit.pred, len(lit.args))
+        for a, t in enumerate(lit.args):
+            if isinstance(t, Var):
+                at.setdefault(t, []).append((k, (key, a)))
+    return {
+        (s1, s2) if s1 <= s2 else (s2, s1)
+        for occ in at.values()
+        for (k1, s1), (k2, s2) in itertools.combinations(occ, 2)
+        if k1 != k2
+    }
+
+
 class UsageIndex:
     """Inverted gate index over groups of alternative bodies (a group is
     one clause's bodies). A pattern matches a body only if
@@ -125,9 +181,9 @@ class UsageIndex:
     its own body literal of the same predicate and arity. So each
     (pred, arity, k) maps to the bodies with k or more such literals, and
     the only bodies a pattern can match are an intersection of posting
-    sets, found without a scan. A body's IndexedBody is built on its
-    first match and serves every later one; the index, and with it the
-    IndexedBody forms, lives for one level."""
+    sets, found without a scan. A body's IndexedBody and its join_table
+    are built on first use and serve every later pattern; the index, and
+    with it those forms, lives for one level."""
 
     def __init__(self, groups: list):
         self.bodies: list = []  # (group, body, pred_counts of body)
@@ -140,6 +196,7 @@ class UsageIndex:
                         self.postings.setdefault((p, a, k), set()).add(len(self.bodies))
                 self.bodies.append((g, body, have))
         self._indexed: list = [None] * len(self.bodies)
+        self._joins: list = [None] * len(self.bodies)
 
     def indexed(self, bid: int) -> IndexedBody:
         """The IndexedBody of body `bid`, built on the first call."""
@@ -147,6 +204,13 @@ class UsageIndex:
         if form is None:
             form = self._indexed[bid] = IndexedBody(self.bodies[bid][1])
         return form
+
+    def joins(self, bid: int) -> dict:
+        """The join_table of body `bid`, built on the first call."""
+        table = self._joins[bid]
+        if table is None:
+            table = self._joins[bid] = join_table(self.bodies[bid][1])
+        return table
 
     def gated(self, need: dict) -> set:
         """Ids of the bodies with need[pa] or more literals of each pa."""
@@ -158,30 +222,52 @@ class UsageIndex:
     def usage(self, pattern: tuple, head: Atom, worth) -> int:
         """Foldable occurrences of `pattern`: per group, the most disjoint
         matches in one of its bodies, summed. Counting occurrences, not
-        clauses, keeps the profitability prune loss-free. A body of L
-        literals, with c of each (pred, arity) pa the pattern has n of,
-        holds at most min(L // len(pattern), c // n) matches. Unless
-        worth(bound) holds for the sum of each group's largest such cap,
-        that bound is returned and nothing is matched."""
+        clauses, keeps the profitability prune loss-free.
+
+        Two upper bounds come first, each summing each group's largest
+        per-body cap; the first whose sum fails `worth` is returned
+        without matching. The literal-count bound: a body of L literals,
+        with c of each (pred, arity) pa the pattern has n of, holds at
+        most min(L // len(pattern), c // n) matches. The join bound: each
+        match maps a pattern variable's two top-level slots in two
+        literals to two body literals sharing a term there, and disjoint
+        matches use distinct literals, so a body holds at most its
+        join_table count for each of pattern_joins(pattern). Only bodies
+        whose cap exceeds their group's count so far are matched."""
         need = pred_counts(pattern)
-        caps = []
-        best: dict = {}  # group -> largest cap among its gated bodies
+        caps: dict = {}  # body id -> cap
         for bid in self.gated(need):
-            g, body, have = self.bodies[bid]
-            cap = len(body) // len(pattern)
-            cap = min(cap, *(have[pa] // n for pa, n in need.items()))
-            caps.append((g, bid, cap))
-            best[g] = max(best.get(g, 0), cap)
-        bound = sum(best.values())
+            _, body, have = self.bodies[bid]
+            caps[bid] = min(
+                len(body) // len(pattern), *(have[pa] // n for pa, n in need.items())
+            )
+        bound = self._bound(caps)
         if not worth(bound):
             return bound
+        joins = pattern_joins(pattern)
+        if joins:
+            for bid, cap in caps.items():
+                table = self.joins(bid)
+                caps[bid] = min(cap, *(table.get(sig, 0) for sig in joins))
+            bound = self._bound(caps)
+            if not worth(bound):
+                return bound
         form = Pattern(pattern, head)
         exact: dict = {}
-        for g, bid, cap in caps:
+        for bid, cap in caps.items():
+            g = self.bodies[bid][0]
             if cap > exact.get(g, 0):
                 found = _max_disjoint_count(find_body_matches(self.indexed(bid), form))
                 exact[g] = max(exact.get(g, 0), min(cap, found))
         return sum(exact.values())
+
+    def _bound(self, caps: dict) -> int:
+        """The sum over groups of the largest of their bodies' caps."""
+        best: dict = {}
+        for bid, cap in caps.items():
+            g = self.bodies[bid][0]
+            best[g] = max(best.get(g, 0), cap)
+        return sum(best.values())
 
 
 def extract_candidates(

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ from refold.candidates import (
     build_search_space,
     extract_candidates,
     is_profitable,
+    join_table,
     make_candidate_clause,
     prune_unprofitable,
 )
@@ -273,6 +275,98 @@ class TestUsageIndex:
         assert calls == []
         assert index.usage(pattern, head, lambda u: True) == 2
         assert len(calls) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(pattern=_gate_bodies(3), groups=_gate_groups(6))
+    def test_join_bound_never_below_exact_usage(self, pattern, groups):
+        # worth passes the literal-count bound and fails the join bound,
+        # so usage returns the join bound unmatched, or, for a pattern
+        # without joins, matches and returns the exact count
+        head = make_candidate_clause(pattern, "inv").head
+        reference = _reference_usage(pattern, head, groups)
+        asked, calls = [], []
+
+        def worth(u):
+            asked.append(u)
+            return len(asked) == 1
+
+        def counting(*args):
+            calls.append(args)
+            return find_body_matches(*args)
+
+        saved = candidates.find_body_matches
+        candidates.find_body_matches = counting
+        try:
+            got = UsageIndex(groups).usage(pattern, head, worth)
+        finally:
+            candidates.find_body_matches = saved
+        if len(asked) == 2:
+            assert not calls
+            assert asked[0] >= asked[1] == got >= reference
+        else:
+            assert got == reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=_gate_bodies(8))
+    def test_join_table_equals_pairwise_scan(self, body):
+        # every ordered pair of distinct literals and of their top-level
+        # positions, against the table built from per-slot masks
+        firsts: dict = {}
+        seconds: dict = {}
+        for (x, lx), (y, ly) in itertools.permutations(enumerate(body), 2):
+            for a, ta in enumerate(lx.args):
+                for b, tb in enumerate(ly.args):
+                    slots = ((lx.pred, lx.arity), a), ((ly.pred, ly.arity), b)
+                    if ta == tb and slots[0] <= slots[1]:
+                        firsts.setdefault(slots, set()).add(x)
+                        seconds.setdefault(slots, set()).add(y)
+        scan = {sig: min(len(firsts[sig]), len(seconds[sig])) for sig in firsts}
+        assert join_table(body) == scan
+
+    def test_body_without_a_join_is_not_matched(self, monkeypatch):
+        # both bodies pass the literal-count gate, but only the first
+        # holds a q/2 literal whose first argument is a p/2 literal's second
+        calls = []
+        monkeypatch.setattr(candidates, "find_body_matches",
+                            lambda *a: calls.append(a) or find_body_matches(*a))
+        joined = body_of("#primitive p/2.\n#primitive q/2.\nh(A) :- p(A,B), q(B,C).")
+        apart = body_of("#primitive p/2.\n#primitive q/2.\nh(A) :- p(A,B), q(C,A).")
+        index = UsageIndex([[joined], [apart]])
+        pattern = joined
+        head = make_candidate_clause(pattern, "inv").head
+        assert index.gated(pred_counts(pattern)) == {0, 1}
+        assert index.usage(pattern, head, lambda u: True) == 1
+        assert [a[0].literals for a in calls] == [joined]
+
+    def test_shared_constant_builds_the_join_table_within_seconds(self):
+        # p(c,X0), ..., p(c,X1999): the constant c fills one slot of all
+        # 2 000 literals, which the table takes as one mask, not as
+        # 2 000^2 pairs (about 3 s a table on a 2-core machine, against
+        # 0.01 s); the chain pattern joins a second argument to a first
+        # one, which no two of these literals share, so its usage is 0
+        # and nothing is matched. Five groups hold the body, so five
+        # tables are built; a child process, so that a slow table fails
+        # the test instead of stalling it
+        main = (
+            "from refold import candidates\n"
+            "from refold.candidates import UsageIndex, is_profitable\n"
+            "from refold.logic import Atom, Const, Var\n"
+            "def no_match(*a):\n"
+            "    raise AssertionError('matched')\n"
+            "candidates.find_body_matches = no_match\n"
+            "body = tuple(Atom('p', (Const('c'), Var(f'X{k}'))) for k in range(2000))\n"
+            "a, b, c = Var('A'), Var('B'), Var('C')\n"
+            "pattern = (Atom('p', (a, b)), Atom('p', (b, c)))\n"
+            "index = UsageIndex([[body]] * 5)\n"
+            "print(index.usage(pattern, Atom('inv', (a, b, c)), lambda u: is_profitable(3, u)))\n"
+            "print(index.joins(0))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", main], capture_output=True, text=True, timeout=3,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[:2] == ["0", "{((('p', 2), 0), (('p', 2), 0)): 2000}"]
 
 
 class TestPruning:

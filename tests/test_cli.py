@@ -562,6 +562,31 @@ def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.parametrize("command", ["refactor", "baseline", "verify", "stats"])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, command):
+    # some editors start UTF-8 files with U+FEFF; it is not program text
+    def run(text: str, name: str) -> tuple:
+        plain, marked = tmp_path / f"{name}.pl", tmp_path / f"{name}-bom.pl"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        outs = []
+        for path in (plain, marked):
+            args = [str(path)] * (2 if command == "verify" else 1)
+            if command == "refactor":
+                args += ["--timeout-seconds", "5"]
+            code = cli.main([command] + args)
+            out, err = capsys.readouterr()
+            outs.append((code, out, err.replace(str(path), "KB")))
+        assert outs[0] == outs[1]
+        return outs[1]
+
+    code, _, err = run(SHARED_KB, "kb")
+    assert code == cli.EXIT_OK and err == ""
+    code, _, err = run("#primitive p/2. )\n", "bad")
+    assert code == cli.EXIT_INPUT_ERROR
+    assert err == "error: KB: expected a predicate, found ')' (line 1, column 17)\n"
+
+
 def test_output_may_name_the_input(kb_path):
     code = cli.main(["refactor", str(kb_path), "-o", str(kb_path), "--timeout-seconds", "5"])
     assert code == cli.EXIT_OK
