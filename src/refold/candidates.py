@@ -182,21 +182,39 @@ class UsageIndex:
     (pred, arity, k) maps to the bodies with k or more such literals, and
     the only bodies a pattern can match are an intersection of posting
     sets, found without a scan. A body's IndexedBody and its join_table
-    are built on first use and serve every later pattern; the index, and
-    with it those forms, lives for one level."""
+    are built on first use and serve every later pattern, until `put`
+    replaces the body or `drop_joins` the tables."""
 
     def __init__(self, groups: list):
         self.bodies: list = []  # (group, body, pred_counts of body)
         self.postings: dict = {}  # (pred, arity, k) -> set of body ids
+        self._indexed: list = []
+        self._joins: list = []
         for g, group in enumerate(groups):
             for body in group:
-                have = pred_counts(body)
-                for (p, a), n in have.items():
-                    for k in range(1, n + 1):
-                        self.postings.setdefault((p, a, k), set()).add(len(self.bodies))
-                self.bodies.append((g, body, have))
-        self._indexed: list = [None] * len(self.bodies)
-        self._joins: list = [None] * len(self.bodies)
+                self.put(len(self.bodies), g, body)
+
+    def put(self, bid: int, g: int, body: tuple):
+        """Make body `bid` of group g `body`: a new body if bid is the
+        next id, else a replacement whose forms are built again."""
+        if bid == len(self.bodies):
+            self.bodies.append(None)
+            self._indexed.append(None)
+            self._joins.append(None)
+        else:
+            for (p, a), n in self.bodies[bid][2].items():
+                for k in range(1, n + 1):
+                    self.postings[p, a, k].discard(bid)
+            self._indexed[bid] = self._joins[bid] = None
+        have = pred_counts(body)
+        for (p, a), n in have.items():
+            for k in range(1, n + 1):
+                self.postings.setdefault((p, a, k), set()).add(bid)
+        self.bodies[bid] = (g, body, have)
+
+    def drop_joins(self):
+        """Release the join tables; a later usage() builds them again."""
+        self._joins = [None] * len(self.bodies)
 
     def indexed(self, bid: int) -> IndexedBody:
         """The IndexedBody of body `bid`, built on the first call."""
@@ -374,6 +392,8 @@ def build_search_space(
             index=index,
             subbodies=subbodies if level == 1 else None,
         )
+        # only extraction reads the join tables
+        index.drop_joins()
         st.extracted = len(cands)
         if prune:
             cands = prune_unprofitable(cands)

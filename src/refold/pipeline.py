@@ -200,7 +200,8 @@ def _smaller_program(p: Program, cfg: RefactorConfig, report: RefactorReport) ->
     report.objective_value = assignment.objective_value
 
     out = decode(model, assignment, space, u)
-    if not syntactic_equiv(p, out):
+    # u is p's unfolding, so p is not unfolded again
+    if not syntactic_equiv(u, out):
         raise VerificationError(
             "decoded program is not syntactically equivalent to the input"
         )
@@ -223,15 +224,15 @@ def remove_redundancy_baseline(p: Program) -> Program:
     """One support clause, named red_<n> fresh against the input's
     predicates, per repeated sub-body of 2..RED_SUBBODY_MAX literals,
     greedily folded everywhere; no optimization. A clause's
-    sub-bodies are enumerated once, and again only after a fold changes
-    it."""
+    sub-bodies, and its forms in one UsageIndex over all rounds, are
+    built once, and again only after a fold changes it."""
     u = unfold(p)
     clauses = list(u.clauses)
     subbodies = [keyed_subsets(c.body, 2, RED_SUBBODY_MAX) for c in clauses]
+    index = UsageIndex([[c.body] for c in clauses])
     registry = u.registry.copy()
     counter = 0
     while counter < 1000:
-        index = UsageIndex([[c.body] for c in clauses])
         classes = variant_classes([c.body for c in clauses], subbodies, 2, RED_SUBBODY_MAX)
         shared = []
         for key, sub in classes.items():
@@ -252,6 +253,8 @@ def remove_redundancy_baseline(p: Program) -> Program:
             if chosen:
                 clauses[k] = apply_match_set(clauses[k], chosen)
                 subbodies[k] = keyed_subsets(clauses[k].body, 2, RED_SUBBODY_MAX)
+                index.put(k, k, clauses[k].body)
+        index.put(len(clauses), len(clauses), support.body)
         clauses.append(support)
         subbodies.append(keyed_subsets(support.body, 2, RED_SUBBODY_MAX))
     return Program(u.primitive_clauses + tuple(clauses), registry)

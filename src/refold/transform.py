@@ -73,15 +73,32 @@ def _subst(t: Term, s: dict, depth: int) -> Term:
         t = s[t]
     if isinstance(t, Compound):
         if depth == MAX_TERM_DEPTH:
-            raise TransformError(
-                f"unfolding nests compound terms deeper than {MAX_TERM_DEPTH} levels"
-            )
+            raise _too_deep()
         return Compound(t.functor, tuple(_subst(a, s, depth + 1) for a in t.args))
     return t
 
 
+def _too_deep() -> TransformError:
+    return TransformError(f"unfolding nests compound terms deeper than {MAX_TERM_DEPTH} levels")
+
+
 def subst_atom(a: Atom, s: dict) -> Atom:
     return Atom(a.pred, tuple(subst_term(t, s) for t in a.args))
+
+
+def _instance(t: Term, s: dict, depth: int) -> Term:
+    """t with each variable v replaced by s[v] in one pass: unlike _subst,
+    no binding chains into another, so s may map a variable to a term
+    that holds a variable s also maps. The images count toward the depth
+    check as _subst counts them."""
+    if isinstance(t, Var):
+        t = s[t]
+        return _subst(t, {}, depth) if isinstance(t, Compound) else t
+    if isinstance(t, Compound):
+        if depth == MAX_TERM_DEPTH:
+            raise _too_deep()
+        return Compound(t.functor, tuple(_instance(a, s, depth + 1) for a in t.args))
+    return t
 
 
 def occurs(v: Var, t: Term) -> bool:
@@ -132,6 +149,15 @@ def rename_apart(c: Clause) -> Clause:
     return rename_clause(c, mapping)
 
 
+def _local_vars(d: Clause) -> Optional[list]:
+    """The variables of d's body absent from its head, if the head's
+    arguments are distinct variables; None for any other head."""
+    args = d.head.args
+    if not all(isinstance(t, Var) for t in args) or len(set(args)) < len(args):
+        return None
+    return [v for v in dict.fromkeys(d.variables()) if v not in args]
+
+
 # ---------------------------------------------------------------------------
 # Unfold
 
@@ -149,7 +175,8 @@ def unfold(p: Program) -> UnfoldedProgram:
         for pred, cs in defs.items()
         if reg.role(pred) == "support"
     }
-    expanded: dict = {}  # support pred -> list of primitive-body clauses
+    # support pred -> (primitive-body clause, its _local_vars) pairs
+    expanded: dict = {}
 
     def expand_clause(c: Clause) -> list:
         # the primitive-body clauses c unfolds to, read off `expanded`;
@@ -178,17 +205,33 @@ def unfold(p: Program) -> UnfoldedProgram:
                 else:
                     done.append(r)
                     continue
-                for d in expanded[lit.pred]:
-                    d = rename_apart(d)
-                    s = unify_atoms(d.head, lit, {})
-                    if s is None:
-                        continue
-                    # the unifier may bind r's own variables too (d's head
-                    # has a constant, a compound or a repeated variable
-                    # where lit has a variable), so it applies to all of r
-                    u = Clause(subst_atom(r.head, s), tuple(
-                        subst_atom(b, s) for b in r.body[:idx] + d.body + r.body[idx + 1 :]
-                    ))
+                for d, local in expanded[lit.pred]:
+                    if local is not None and len(d.head.args) == len(lit.args):
+                        # the most general unifier binds each head
+                        # variable to lit's argument and nothing else, so
+                        # only d's body changes; its own variables get the
+                        # names rename_apart gives
+                        n = next(_fresh_counter)
+                        s = dict(zip(d.head.args, lit.args))
+                        for v in local:
+                            s[v] = Var(f"_R{n}~{v.name}")
+                        body = tuple(
+                            Atom(b.pred, tuple(_instance(t, s, 0) for t in b.args))
+                            for b in d.body
+                        )
+                        u = Clause(r.head, r.body[:idx] + body + r.body[idx + 1 :])
+                    else:
+                        d = rename_apart(d)
+                        s = unify_atoms(d.head, lit, {})
+                        if s is None:
+                            continue
+                        # the unifier may bind r's own variables too (d's
+                        # head has a constant, a compound or a repeated
+                        # variable where lit has a variable), so it
+                        # applies to all of r
+                        u = Clause(subst_atom(r.head, s), tuple(
+                            subst_atom(b, s) for b in r.body[:idx] + d.body + r.body[idx + 1 :]
+                        ))
                     nxt.append((u, idx + len(d.body)))
                 if len(nxt) > cap:
                     raise UnfoldExplosionError(
@@ -219,7 +262,7 @@ def unfold(p: Program) -> UnfoldedProgram:
         if pred in reached:
             if pred not in defs:
                 raise MissingDefinitionError(f"support predicate {pred} has no clauses")
-            expanded[pred] = [u for c in defs[pred] for u in expand_clause(c)]
+            expanded[pred] = [(u, _local_vars(u)) for c in defs[pred] for u in expand_clause(c)]
 
     out_clauses = []
     primitive_clauses = []
@@ -477,6 +520,11 @@ def fold_clause(c: Clause, s: Clause) -> list:
 def multiset_variant_equal(cs1: list, cs2: list) -> bool:
     if len(cs1) != len(cs2):
         return False
+    # an aligned pair of equal clauses takes one clause of one variant
+    # class from each side, which leaves the answer as it was; only the
+    # rest goes through the variant search
+    rest = [(a, b) for a, b in zip(cs1, cs2) if a != b]
+    cs1, cs2 = [a for a, _ in rest], [b for _, b in rest]
     buckets: dict = {}
     for c in cs2:
         key = (_atom_skeleton(c.head), tuple(sorted(map(_atom_skeleton, c.body))))
@@ -493,15 +541,16 @@ def multiset_variant_equal(cs1: list, cs2: list) -> bool:
     return True
 
 
-def syntactic_equiv(p1: Program, p2: Program) -> bool:
+def syntactic_equiv(p1: Program | UnfoldedProgram, p2: Program) -> bool:
     """True iff unfold(p1) and unfold(p2) have the same multisets of task
     clauses and of primitive-headed clauses, up to variable renaming and
-    clause order."""
+    clause order. p1 may be a Program or its UnfoldedProgram, which is
+    then not unfolded again."""
     t1 = set(p1.registry.by_role("task"))
     t2 = set(p2.registry.by_role("task"))
     if t1 != t2:
         return False
-    u1 = unfold(p1)
+    u1 = p1 if isinstance(p1, UnfoldedProgram) else unfold(p1)
     u2 = unfold(p2)
     return all(
         multiset_variant_equal(list(a), list(b))

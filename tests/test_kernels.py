@@ -7,15 +7,20 @@ usage index, the literal-count bound and the shared sub-body
 enumeration, against a reference copy of extraction that scans every
 body, matches every candidate and enumerates sub-bodies at each use; and
 the parser, which reads plain token strings and finds positions only for
-an error, against a reference copy that reads positioned tokens."""
+an error, against a reference copy that reads positioned tokens; and
+unfolding, which binds linear heads directly, and syntactic equivalence,
+which accepts aligned equal clauses before any variant search, against
+reference copies that unify every definition and search every clause."""
 
+import graphlib
 import itertools
 import random
 import re
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from refold import candidates, copmodel
+from refold import candidates, copmodel, pipeline, transform
 from refold.candidates import (
     CandidateSupportClause,
     build_search_space,
@@ -35,6 +40,7 @@ from refold.logic import (
     PredicateRegistry,
     Program,
     Var,
+    _atom_skeleton,
     canonicalize_clause,
     connected_index_subsets,
     is_variable_name,
@@ -43,9 +49,17 @@ from refold.logic import (
     variant_equal,
     variant_key,
 )
+from refold.pipeline import RefactorConfig, VerificationError, refactor
+from refold.solver import SolverBudget
 from refold.transform import (
+    DEFAULT_UNFOLD_CAP,
+    CycleError,
     IndexedBody,
+    MissingDefinitionError,
     Pattern,
+    TransformError,
+    UnfoldedProgram,
+    UnfoldExplosionError,
     _disjoint_subsets,
     _max_disjoint_count,
     apply_match_set,
@@ -55,6 +69,7 @@ from refold.transform import (
     rename_apart,
     subst_atom,
     subst_term,
+    syntactic_equiv,
     unfold,
     unify_atoms,
 )
@@ -383,6 +398,146 @@ def reference_parse_program(text: str) -> Program:
                 )
             registry.declare(pred, arity, "support")
     return Program(tuple(clauses), registry)
+
+
+def reference_unfold(p: Program) -> UnfoldedProgram:
+    """Inline every support predicate until task-clause bodies mention
+    primitives only. One output clause per complete inlining choice.
+    Primitive-headed clauses are kept as they are, so their bodies may
+    not call support predicates."""
+    reg, cap = p.registry, DEFAULT_UNFOLD_CAP
+    defs: dict = {}
+    for c in p.clauses:
+        defs.setdefault(c.head.pred, []).append(c)
+    calls = {
+        pred: [lit.pred for c in cs for lit in c.body if reg.role(lit.pred) == "support"]
+        for pred, cs in defs.items()
+        if reg.role(pred) == "support"
+    }
+    expanded: dict = {}  # support pred -> list of primitive-body clauses
+
+    def expand_clause(c: Clause) -> list:
+        # the primitive-body clauses c unfolds to, read off `expanded`;
+        # each round inlines the next support literal of every partial
+        # clause r, which comes with the position before which its body
+        # holds primitives only
+        done: list = []
+        todo = [(c, 0)]
+        while todo:
+            nxt = []
+            for r, start in todo:
+                for idx in range(start, len(r.body)):
+                    lit = r.body[idx]
+                    role = reg.role(lit.pred)
+                    if role == "support":
+                        break
+                    if role is None:
+                        raise MissingDefinitionError(
+                            f"predicate {lit.pred} in the body of {c.head.pred} is undefined"
+                        )
+                    if role == "task":
+                        raise TransformError(
+                            f"task predicate {lit.pred} occurs in a body; unfolding only "
+                            "inlines support predicates"
+                        )
+                else:
+                    done.append(r)
+                    continue
+                for d in expanded[lit.pred]:
+                    d = rename_apart(d)
+                    s = unify_atoms(d.head, lit, {})
+                    if s is None:
+                        continue
+                    # the unifier may bind r's own variables too (d's head
+                    # has a constant, a compound or a repeated variable
+                    # where lit has a variable), so it applies to all of r
+                    u = Clause(subst_atom(r.head, s), tuple(
+                        subst_atom(b, s) for b in r.body[:idx] + d.body + r.body[idx + 1 :]
+                    ))
+                    nxt.append((u, idx + len(d.body)))
+                if len(nxt) > cap:
+                    raise UnfoldExplosionError(
+                        f"unfolding exceeded the cap of {cap} clauses"
+                    )
+            todo = nxt
+        return done
+
+    # graphlib orders the support predicates callees first and finds any
+    # cycle among them, including those no task clause reaches, without
+    # Python recursion; one sweep from callers to callees marks the ones
+    # that task clauses reach, which are expanded in that order
+    tasks = [c for c in p.clauses if reg.role(c.head.pred) == "task"]
+    roots = [lit.pred for c in tasks for lit in c.body if reg.role(lit.pred) == "support"]
+    graph = graphlib.TopologicalSorter(calls)
+    for root in roots:
+        graph.add(root)
+    try:
+        order = list(graph.static_order())
+    except graphlib.CycleError as exc:
+        # graphlib's cycle lists each callee before its caller
+        raise CycleError(exc.args[1][::-1]) from None
+    reached = set(roots)
+    for pred in reversed(order):
+        if pred in reached:
+            reached.update(calls.get(pred, ()))
+    for pred in order:
+        if pred in reached:
+            if pred not in defs:
+                raise MissingDefinitionError(f"support predicate {pred} has no clauses")
+            expanded[pred] = [u for c in defs[pred] for u in expand_clause(c)]
+
+    out_clauses = []
+    primitive_clauses = []
+    for c in p.clauses:
+        if reg.role(c.head.pred) == "primitive":
+            for lit in c.body:
+                if reg.role(lit.pred) == "support":
+                    raise TransformError(
+                        f"support predicate {lit.pred} occurs in the body of "
+                        f"primitive {c.head.pred}"
+                    )
+            primitive_clauses.append(c)
+    for c in tasks:
+        for u in expand_clause(c):
+            out_clauses.append(u)
+            if len(out_clauses) > cap:
+                raise UnfoldExplosionError(f"unfolding exceeded the cap of {cap} clauses")
+    return UnfoldedProgram(tuple(out_clauses), reg.copy(), tuple(primitive_clauses))
+
+
+def reference_multiset_variant_equal(cs1: list, cs2: list) -> bool:
+    if len(cs1) != len(cs2):
+        return False
+    buckets: dict = {}
+    for c in cs2:
+        key = (_atom_skeleton(c.head), tuple(sorted(map(_atom_skeleton, c.body))))
+        buckets.setdefault(key, []).append(c)
+    for c in cs1:
+        key = (_atom_skeleton(c.head), tuple(sorted(map(_atom_skeleton, c.body))))
+        pool = buckets.get(key, [])
+        for i, other in enumerate(pool):
+            if variant_equal(c, other):
+                pool.pop(i)
+                break
+        else:
+            return False
+    return True
+
+
+def reference_syntactic_equiv(p1: Program, p2: Program) -> bool:
+    """True iff unfold(p1) and unfold(p2) have the same multisets of task
+    clauses and of primitive-headed clauses, up to variable renaming and
+    clause order."""
+    t1 = set(p1.registry.by_role("task"))
+    t2 = set(p2.registry.by_role("task"))
+    if t1 != t2:
+        return False
+    u1 = reference_unfold(p1)
+    u2 = reference_unfold(p2)
+    return all(
+        reference_multiset_variant_equal(list(a), list(b))
+        for a, b in [(u1.clauses, u2.clauses), (u1.primitive_clauses, u2.primitive_clauses)]
+    )
 
 
 def _unfresh(t):
@@ -746,3 +901,206 @@ class TestParser:
         st.text(max_size=40)))
     def test_equals_reference(self, text):
         assert _parsed(parse_program, text) == _parsed(reference_parse_program, text)
+
+
+# ---------------------------------------------------------------------------
+# Unfolding and syntactic equivalence. The reference unfolds by renaming
+# each definition apart, unifying its head with the call and substituting
+# into the whole clause, then searches a variant bijection for every
+# clause; unfold binds linear heads directly, and syntactic_equiv accepts
+# aligned equal clauses first. Both run from one fresh-name counter
+# state, so their clauses must be equal, variable names included.
+
+_PRIMITIVES = {"p": 1, "q": 2, "r": 3}
+_HEAD_VARS = [Var(n) for n in ("A", "B", "C", "X", "Y")]
+
+
+def _from_counter(fn, *args):
+    """fn(*args) with transform's fresh-name counter started at 0: its
+    result, or the type and message of the LogicError it raised."""
+    saved = transform._fresh_counter
+    transform._fresh_counter = itertools.count()
+    try:
+        return fn(*args)
+    except LogicError as exc:
+        return type(exc), str(exc)
+    finally:
+        transform._fresh_counter = saved
+
+
+@st.composite
+def _support_programs(draw, faults: bool = False):
+    """Task clauses over the primitives and support predicates s0, s1,
+    ..., whose clause heads are linear (distinct variables) or hold
+    constants, compound terms or repeated variables; s<k> calls only
+    s<j> with j > k, so chains of definitions form. Clause and body
+    variables share one pool of names. With `faults`, any support
+    predicate may call any (cycles), may have no clauses, and a
+    primitive clause may call one."""
+    support = {f"s{k}": draw(st.integers(0, 3)) for k in range(draw(st.integers(1, 4)))}
+    names = sorted(support)
+    reg = PredicateRegistry()
+    for pred, arity in {**_PRIMITIVES, **support}.items():
+        reg.declare(pred, arity, "primitive" if pred in _PRIMITIVES else "support")
+    reg.declare("t", 2, "task")
+
+    def body(callees: list, lo: int) -> tuple:
+        lits = []
+        for _ in range(draw(st.integers(lo, 3))):
+            pred = draw(st.sampled_from(sorted(_PRIMITIVES) + callees))
+            arity = _PRIMITIVES.get(pred, support.get(pred))
+            lits.append(Atom(pred, tuple(draw(_TERMS) for _ in range(arity))))
+        return tuple(lits)
+
+    clauses = []
+    for k, pred in enumerate(names):
+        for _ in range(draw(st.integers(0 if faults else 1, 2))):
+            if draw(st.booleans()):
+                args = tuple(draw(st.permutations(_HEAD_VARS))[: support[pred]])
+            else:
+                args = tuple(draw(_TERMS) for _ in range(support[pred]))
+            clauses.append(Clause(Atom(pred, args), body(names if faults else names[k + 1 :], 0)))
+    for _ in range(draw(st.integers(1, 3))):
+        clauses.append(Clause(Atom("t", (draw(_TERMS), draw(_TERMS))), body(names, 1)))
+    if faults and draw(st.booleans()):
+        clauses.append(Clause(Atom("q", (draw(_TERMS), draw(_TERMS))), body(names, 1)))
+    return Program(tuple(draw(st.permutations(clauses))), reg)
+
+
+def _wrap(t, n: int):
+    for _ in range(n):
+        t = Compound("f", (t,))
+    return t
+
+
+@st.composite
+def _deep_programs(draw):
+    """t(X,Y) :- s0(f^k0(X),Y), and s<i> defined from s<i+1> as
+    s(X,Y) :- s'(f^k(X),Y) (linear), s(X,X) :- s'(f^k(X),X) (repeated)
+    or s(f^k(X),Y) :- s'(X,Y) (compound), the last from primitive q:
+    the unfolded terms nest k0 + k1 + ... levels, drawn from two below
+    to two above MAX_TERM_DEPTH, while no written term passes it."""
+    total = draw(st.integers(MAX_TERM_DEPTH - 2, MAX_TERM_DEPTH + 2))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=1, max_size=4)))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    assume(max(parts) <= MAX_TERM_DEPTH)
+    reg = PredicateRegistry()
+    reg.declare("q", 2, "primitive")
+    reg.declare("t", 2, "task")
+    X, Y = Var("X"), Var("Y")
+    clauses = [Clause(Atom("t", (X, Y)), (Atom("s0", (_wrap(X, parts[0]), Y)),))]
+    for i, k in enumerate(parts[1:]):
+        reg.declare(f"s{i}", 2, "support")
+        callee = "q" if i == len(parts) - 2 else f"s{i + 1}"
+        style = draw(st.sampled_from(["linear", "repeated", "compound"]))
+        if style == "linear":
+            clauses.append(Clause(Atom(f"s{i}", (X, Y)), (Atom(callee, (_wrap(X, k), Y)),)))
+        elif style == "repeated":
+            clauses.append(Clause(Atom(f"s{i}", (X, X)), (Atom(callee, (_wrap(X, k), X)),)))
+        else:
+            clauses.append(Clause(Atom(f"s{i}", (_wrap(X, k), Y)), (Atom(callee, (X, Y)),)))
+    return Program(tuple(clauses), reg)
+
+
+def _edit(draw, c: Clause, edit: str) -> Clause:
+    """c with one body literal dropped, with one argument replaced by
+    another term, or with two unequal arguments swapped; c itself if it
+    has no such literal."""
+    need = {"drop": 0, "change": 1, "swap": 2}[edit]
+    ks = [k for k, lit in enumerate(c.body) if len(set(lit.args)) >= need]
+    if not ks:
+        return c
+    k = draw(st.sampled_from(ks))
+    if edit == "drop":
+        return Clause(c.head, c.body[:k] + c.body[k + 1 :])
+    lit = c.body[k]
+    args = list(lit.args)
+    if edit == "change":
+        i = draw(st.integers(0, len(args) - 1))
+        args[i] = draw(_TERMS.filter(lambda t: t != lit.args[i]))
+    else:
+        i, j = draw(st.permutations(range(len(args))).filter(
+            lambda ij: args[ij[0]] != args[ij[1]]))[:2]
+        args[i], args[j] = args[j], args[i]
+    return Clause(c.head, c.body[:k] + (Atom(lit.pred, tuple(args)),) + c.body[k + 1 :])
+
+
+@st.composite
+def _equiv_pairs(draw):
+    """A generated program and its copy with variables renamed, clauses
+    shuffled, one clause duplicated, or one literal dropped, changed or
+    with two arguments swapped."""
+    p = draw(_support_programs())
+    clauses = list(p.clauses)
+    edit = draw(st.sampled_from(
+        ["drop", "change", "swap", "renamed", "shuffled", "duplicated", "same"]))
+    if edit == "renamed":
+        clauses = [
+            transform.rename_clause(c, {v: Var(v.name + "1") for v in c.variables()})
+            for c in clauses
+        ]
+    elif edit == "shuffled":
+        clauses = draw(st.permutations(clauses))
+    elif edit == "duplicated":
+        clauses.append(draw(st.sampled_from(clauses)))
+    elif edit != "same":
+        # task clauses twice as often: an edit to a support clause that no
+        # call reaches changes no unfolding
+        tasks = [k for k, c in enumerate(clauses) if c.head.pred == "t"]
+        k = draw(st.sampled_from(tasks * 2 + list(range(len(clauses)))))
+        clauses[k] = _edit(draw, clauses[k], edit)
+    return p, Program(tuple(clauses), p.registry.copy())
+
+
+class TestUnfoldAndEquivalence:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(_support_programs(), _support_programs(faults=True), _deep_programs()))
+    def test_unfold_equals_reference(self, program):
+        assert _from_counter(unfold, program) == _from_counter(reference_unfold, program)
+
+    def test_nesting_at_and_past_the_depth_limit(self):
+        """A linear chain that nests MAX_TERM_DEPTH levels unfolds; one
+        more level raises the parser's depth message."""
+        for total, fails in ((MAX_TERM_DEPTH, False), (MAX_TERM_DEPTH + 1, True)):
+            reg = PredicateRegistry()
+            reg.declare("q", 1, "primitive")
+            reg.declare("s", 1, "support")
+            reg.declare("t", 1, "task")
+            X = Var("X")
+            program = Program((
+                Clause(Atom("t", (X,)), (Atom("s", (_wrap(X, total - 40),)),)),
+                Clause(Atom("s", (X,)), (Atom("q", (_wrap(X, 40),)),)),
+            ), reg)
+            got = _from_counter(unfold, program)
+            assert got == _from_counter(reference_unfold, program)
+            assert (got == (TransformError, "unfolding nests compound terms deeper than "
+                                            f"{MAX_TERM_DEPTH} levels")) == fails
+
+    @settings(max_examples=500, deadline=None)
+    @given(_equiv_pairs())
+    def test_syntactic_equiv_equals_reference(self, pair):
+        p, q = pair
+        want = _from_counter(reference_syntactic_equiv, p, q)
+        assert _from_counter(syntactic_equiv, p, q) == want
+        # the caller's own unfolding of p gives the same answer
+        u = _from_counter(unfold, p)
+        if isinstance(u, UnfoldedProgram):
+            assert _from_counter(syntactic_equiv, u, q) == want
+
+    @pytest.mark.parametrize("role", ["task", "support"])
+    def test_decode_that_drops_a_literal_fails_verification(self, monkeypatch, role):
+        real = pipeline.decode
+
+        def lossy(*args):
+            out = real(*args)
+            clauses = list(out.clauses)
+            k = next(k for k, c in enumerate(clauses)
+                     if out.registry.role(c.head.pred) == role and len(c.body) >= 2)
+            clauses[k] = Clause(clauses[k].head, clauses[k].body[:-1])
+            return Program(tuple(clauses), out.registry)
+
+        monkeypatch.setattr(pipeline, "decode", lossy)
+        cfg = RefactorConfig(max_levels=1, folding_cap=20,
+                             budget=SolverBudget(wall_time=5.0, max_decisions=2_000))
+        with pytest.raises(VerificationError):
+            refactor(dense_program(), cfg)
