@@ -439,184 +439,207 @@ def render_program(p: Program) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Variant equality
-
-def _match_terms(t1: Term, t2: Term, fwd: dict, bwd: dict, trail: list) -> bool:
-    """Extend the variable bijection fwd/bwd so that t1 maps onto t2; each
-    newly bound variable of t1 is appended to `trail`."""
-    if isinstance(t1, Var) and isinstance(t2, Var):
-        if t1 in fwd:
-            return fwd[t1] == t2
-        if t2 in bwd:
-            return False
-        fwd[t1] = t2
-        bwd[t2] = t1
-        trail.append(t1)
-        return True
-    if isinstance(t1, Const) and isinstance(t2, Const):
-        return t1.name == t2.name
-    if isinstance(t1, Compound) and isinstance(t2, Compound):
-        if t1.functor != t2.functor or len(t1.args) != len(t2.args):
-            return False
-        return all(_match_terms(a, b, fwd, bwd, trail) for a, b in zip(t1.args, t2.args))
-    return False
-
-
-def _match_atoms(a1: Atom, a2: Atom, fwd: dict, bwd: dict, trail: list) -> bool:
-    if a1.pred != a2.pred or a1.arity != a2.arity:
-        return False
-    return all(_match_terms(t1, t2, fwd, bwd, trail) for t1, t2 in zip(a1.args, a2.args))
-
-
-def _shape(t: Term) -> tuple:
-    # every shape is a tuple headed by a string, so skeletons of one
-    # predicate sort even when a variable and a compound share a position
-    if isinstance(t, Var):
-        return ("V",)
-    if isinstance(t, Const):
-        return ("c", t.name)
-    return ("f", t.functor, tuple(map(_shape, t.args)))
-
-
-def _atom_skeleton(a: Atom):
-    return (a.pred, tuple(map(_shape, a.args)))
-
-
-def variant_equal(c1: Clause, c2: Clause) -> bool:
-    """True iff some variable bijection maps c1 onto c2, treating bodies
-    as multisets of literals."""
-    if len(c1.body) != len(c2.body):
-        return False
-    if _atom_skeleton(c1.head) != _atom_skeleton(c2.head):
-        return False
-    sk1 = sorted(map(_atom_skeleton, c1.body))
-    sk2 = sorted(map(_atom_skeleton, c2.body))
-    if sk1 != sk2:
-        return False
-
-    fwd: dict = {}
-    bwd: dict = {}
-    trail: list = []
-    if not _match_atoms(c1.head, c2.head, fwd, bwd, trail):
-        return False
-    body1, body2 = c1.body, c2.body
-    used = [False] * len(body2)
-    # body2's literals by the name of each top-level variable they hold:
-    # a literal of body1 with a bound top-level variable can only map onto
-    # a holder of that variable's image
-    holders: dict = {}
-    for idx, lit in enumerate(body2):
-        for t in lit.args:
-            if isinstance(t, Var):
-                held = holders.setdefault(t.name, [])
-                if not held or held[-1] != idx:
-                    held.append(idx)
-    # depth-first search for the literal bijection without recursion, so
-    # that long bodies fit the stack: body1[k] is placed next, trying its
-    # options (the holders of its first bound top-level variable's image,
-    # or all of body2) from `start` on; `placed` holds each placed
-    # literal's (body2 index, position among its options, trail length
-    # before it)
-    placed: list = []
-    k = start = 0
-    while k < len(body1):
-        opts = range(len(body2))
-        for t in body1[k].args:
-            if isinstance(t, Var) and t in fwd:
-                opts = holders.get(fwd[t].name, ())
-                break
-        for pos in range(start, len(opts)):
-            idx = opts[pos]
-            if used[idx]:
-                continue
-            mark = len(trail)
-            if _match_atoms(body1[k], body2[idx], fwd, bwd, trail):
-                used[idx] = True
-                placed.append((idx, pos, mark))
-                k, start = k + 1, 0
-                break
-            _unbind(trail, mark, fwd, bwd)
-        else:
-            if not placed:
-                return False
-            idx, pos, mark = placed.pop()
-            used[idx] = False
-            # undoing body1[k-1]'s bindings restores the state its
-            # options were read in, so they are read again unchanged
-            _unbind(trail, mark, fwd, bwd)
-            k, start = k - 1, pos + 1
-    return True
-
-
-def _unbind(trail: list, mark: int, fwd: dict, bwd: dict):
-    """Undo the bindings made since the trail had `mark` entries."""
-    while len(trail) > mark:
-        del bwd[fwd.pop(trail.pop())]
-
-
-VARIANT_KEY_CAP = 6
-
-
-def variant_key(body: Iterable[Atom]) -> str:
-    """Exact canonical key for variant equality of small bodies: the
-    smallest, over all literal orderings, of the string that
-    render_clause(canonicalize_clause(...)) gives for the clause
-    `k :- body` in that order. Two bodies get the same key iff they are
-    variant-equal (as multisets).
-
-    Each literal is laid out once (_layout's format string and variable
-    names), and the smallest string is found by an ordering search, not
-    by rendering every permutation. A partial ordering renders to a
-    fixed prefix of each of its completions: its literals with the
-    canonical names of their variables in first occurrence order, each
-    followed by its separator (", ", or "." after the last literal).
-    Orderings grow one literal at a time, and after each step only those
-    whose rendering starts with the smallest one are kept: any other
-    differs from that smallest one at a position inside both, where it
-    is larger, so all its completions are larger than the smallest
-    one's. Exponential in the worst case (repeated literals keep every
-    ordering); meant for candidate-sized bodies.
-    """
-    return _ordered_key([_literal_layout(a) for a in body])
-
+# Variant forms: one canonical form per clause, equal for two clauses iff
+# they are variants (the head in place, bodies as multisets), found by
+# individualisation and refinement (McKay and Piperno, "Practical graph
+# isomorphism, II", 2014)
 
 def _literal_layout(a: Atom) -> tuple:
     names: list = []
     return _layout(a.pred, a.args, names), names
 
 
-def _ordered_key(layouts: list) -> str:
-    """variant_key of the literals whose _literal_layout forms are
-    `layouts`."""
-    n = len(layouts)
-    if n > VARIANT_KEY_CAP:
-        raise LogicError(f"variant_key limited to {VARIANT_KEY_CAP} literals, got {n}")
-    if not n:
-        return "k."
-    # (rendering so far, bitmask of the literals placed, variable name ->
-    # canonical name, the k-th new name being _canonical_name(k));
-    # a map is copied only when a literal adds to it
-    partials = [("", 0, {})]
-    for step in range(n):
-        sep = ", " if step < n - 1 else "."
-        grown = []
-        for text, used, rename in partials:
-            for i, (fmt, names) in enumerate(layouts):
-                if used >> i & 1:
-                    continue
-                r = rename
-                args = []
-                for v in names:
-                    c = r.get(v)
-                    if c is None:
-                        if r is rename:
-                            r = dict(rename)
-                        c = r[v] = _canonical_name(len(r))
-                    args.append(c)
-                grown.append((text + fmt.format(*args) + sep, used | 1 << i, r))
-        best = min(g[0] for g in grown)
-        partials = [g for g in grown if g[0].startswith(best)]
-    return "k :- " + best
+def clause_form(c: Clause) -> str:
+    """The canonical form of c, its head held in place."""
+    return _form(_literal_layout(c.head), [_literal_layout(a) for a in c.body])
+
+
+def variant_key(body: Iterable[Atom]) -> str:
+    """The canonical form of `k :- body`: equal for two bodies iff they
+    are variants as multisets of literals."""
+    return _form(("k", []), [_literal_layout(a) for a in body])
+
+
+def variant_equal(c1: Clause, c2: Clause) -> bool:
+    """True iff a variable bijection maps c1 onto c2, bodies as multisets."""
+    return len(c1.body) == len(c2.body) and clause_form(c1) == clause_form(c2)
+
+
+def _form(head: tuple, body: list) -> str:
+    """The clause with these _literal_layout forms, its body sorted under a
+    canonical labelling and its variables then named by first occurrence.
+    A body in components that share only head variables is formed by
+    component, as isomorphic components would each cost the search a
+    branch: their forms, sorted, are joined by "; "."""
+    lits = (head, *body)
+    occurrences: dict = {}
+    for k, (fmt, names) in enumerate(lits):
+        for i, v in enumerate(names):
+            occurrences.setdefault(v, []).append((k > 0, fmt, i))
+    colour = {v: tuple(sorted(o)) for v, o in occurrences.items()}
+    order = sorted(colour, key=colour.__getitem__)
+    n = len(order)
+
+    def labelled(order: list) -> list:  # each variable as its index in order
+        at = dict(zip(order, range(n)))
+        return [(fmt, [at[v] for v in names]) for fmt, names in lits]
+
+    if len(set(colour.values())) < n:
+        parts = _components(lits)
+        if len(parts) > 1:
+            return "; ".join(sorted(_form(head, [body[k - 1] for k in part]) for part in parts))
+        order = [order[k] for k in _search(labelled(order), [colour[v] for v in order])]
+    by_label = labelled(order)
+    ranked = [0] + sorted(range(1, len(lits)), key=by_label.__getitem__)
+    first = dict.fromkeys(v for k in ranked for v in lits[k][1])
+    name = dict(zip(first, map(_canonical_name, range(n))))
+    head_text, *rest = [lits[k][0].format(*[name[v] for v in lits[k][1]]) for k in ranked]
+    return f"{head_text} :- {', '.join(rest)}." if rest else f"{head_text}."
+
+
+def _components(lits: tuple) -> list:
+    """The body literals' indices, grouped as non-head variables link them."""
+    parent: dict = {}
+    ids = {v: -1 for v in lits[0][1]}  # head variables link nothing
+    for k, (_, names) in enumerate(lits[1:], 1):
+        for v in names:
+            if ids.setdefault(v, -2 - len(ids)) != -1:
+                _union(parent, k, ids[v])
+    parts: dict = {}
+    for k in range(1, len(lits)):
+        parts.setdefault(_find(parent, k), []).append(k)
+    return list(parts.values())
+
+
+def _refine(part: tuple, links: list, queue: list):
+    """Split cells until two variables share one only if they have equal
+    multisets of links into each cell, by the cells starting at `queue`
+    and the pieces of split cells, all but a largest one."""
+    order, pos, cell, size = part
+    queue = dict.fromkeys(queue)  # popped last in, first out
+    while queue:
+        s = queue.popitem()[0]
+        keys: dict = {}
+        for w in order[s:s + size[s]]:
+            for x, link in links[w]:
+                if size[cell[x]] > 1:
+                    keys.setdefault(x, []).append(link)
+        touched: dict = {}
+        for x, key in keys.items():
+            touched.setdefault(cell[x], []).append((sorted(key), x))
+        for c in sorted(touched):
+            group = sorted(touched[c])
+            if len(group) == size[c] and group[0][0] == group[-1][0]:
+                continue
+            # the linked variables move to the cell's end, a new cell per key
+            end = c + size[c]
+            at = end - len(group)
+            pieces = [c] if at > c else []
+            for k, (key, x) in enumerate(group):
+                if not k or key != group[k - 1][0]:
+                    pieces.append(at)
+                _place(part, x, at, pieces[-1])
+                at += 1
+            for a, b in zip(pieces, pieces[1:] + [end]):
+                size[a] = b - a
+            keep = c if c in queue else max(pieces, key=size.__getitem__)
+            queue.update((a, None) for a in pieces if a != keep)
+
+
+def _place(part: tuple, x: int, at: int, start: int):
+    """Swap x to index `at` of the order, in the cell starting at `start`."""
+    order, pos, cell, _ = part
+    y, i = order[at], pos[x]
+    order[i], order[at] = y, x
+    pos[y], pos[x], cell[x] = i, at, start
+
+
+def _find(parent: dict, x: int) -> int:
+    while x in parent:
+        parent[x] = parent.get(parent[x], parent[x])
+        x = parent[x]
+    return x
+
+
+def _union(parent: dict, x: int, y: int):
+    x, y = _find(parent, x), _find(parent, y)
+    if x != y:
+        parent[max(x, y)] = min(x, y)
+
+
+def _search(lits: list, colours: list) -> list:
+    """The variables of `lits`, numbered in the order of their `colours`,
+    refined and, where cells tie, searched for the leaf whose labelled body
+    sorts least. A child gives one class of twins (variables whose literals
+    coincide once it is blanked out) of the first tied cell cells of their
+    own. Leaves that render alike give an automorphism that fixes the node
+    N where their paths part: the search goes back to N, whose children in
+    one orbit of those found below it have equal leaves."""
+    # a partition: the order, each variable's index in it and cell start,
+    # and at each cell's start its size
+    n = len(colours)
+    order, pos, cell, size = list(range(n)), list(range(n)), [0] * n, [0] * n
+    for v in order:
+        cell[v] = v if not v or colours[v] != colours[v - 1] else cell[v - 1]
+        size[cell[v]] += 1
+    # links[w]: (x, (layout, x's position, w's position)) per body literal
+    links: list = [[] for _ in range(n)]
+    holders: list = [[] for _ in range(n)]
+    for k, (fmt, vs) in enumerate(lits[1:], 1):
+        for j, w in enumerate(vs):
+            links[w] += [(x, (fmt, i, j)) for i, x in enumerate(vs) if i != j]
+            holders[w] += [k] if holders[w][-1:] != [k] else []
+
+    def classes(part: tuple) -> list:
+        order, _, _, size = part
+        at = next(k for k in range(n) if size[k] > 1)
+        twins: dict = {}
+        for v in sorted(order[at:at + size[at]]):
+            blanked = [(lits[k][0], [-1 if u == v else u for u in lits[k][1]]) for k in holders[v]]
+            twins.setdefault(repr(sorted(blanked)), []).append(v)
+        return list(twins.values())
+
+    part = (order, pos, cell, size)
+    _refine(part, links, sorted(set(cell)))
+    if size.count(1) == n:
+        return order
+    best = None  # (rendering, path, order) of the best leaf so far
+    # each node: its partition, its children left, those searched, orbits
+    stack = [(part, iter(classes(part)), [], {})]
+    while stack:
+        node, todo, searched, orbits = stack[-1]
+        cls = next((c for c in todo if all(
+            _find(orbits, c[0]) != _find(orbits, u) for u in searched)), None)
+        if cls is None:
+            stack.pop()
+            for x in orbits if stack else ():  # automorphisms found below
+                _union(stack[-1][3], x, _find(orbits, x))
+            continue
+        searched.append(cls[0])
+        child = tuple(list(a) for a in node)
+        c = child[2][cls[0]]
+        at = c + child[3][c] - len(cls)
+        child[3][c] = at - c
+        for k, x in enumerate(cls, at):
+            _place(child, x, k, k)
+            child[3][k] = 1
+        _refine(child, links, list(range(at, at + len(cls))))
+        if child[3].count(1) < n:
+            stack.append((child, iter(classes(child)), [], {}))
+            continue
+        rendering = sorted((fmt, [child[1][v] for v in vs]) for fmt, vs in lits[1:])
+        path = [s[2][-1] for s in stack]
+        if best is None or rendering < best[0]:
+            best = (rendering, path, child[0])
+        elif rendering == best[0]:
+            d = next(k for k, (a, b) in enumerate(zip(path, best[1])) if a != b)
+            for x, y in zip(best[2], child[0]):
+                _union(stack[d][3], x, y)
+            while len(stack) > d + 1:
+                orbits = stack.pop()[3]
+                for x in orbits:
+                    _union(stack[-1][3], x, _find(orbits, x))
+    return best[2]
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +706,7 @@ def keyed_subsets(body: tuple, lo: int, hi: int) -> list:
     is laid out once for all the sub-bodies holding it."""
     layouts = [_literal_layout(a) for a in body]
     return [
-        (idxs, _ordered_key([layouts[k] for k in idxs]))
+        (idxs, _form(("k", []), [layouts[k] for k in idxs]))
         for idxs in connected_index_subsets(body, lo, hi)
     ]
 

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .logic import VARIANT_KEY_CAP, Program, keyed_subsets
+from .logic import Program, keyed_subsets
 from .transform import (
     Pattern,
     apply_match_set,
@@ -51,11 +51,8 @@ class RefactorConfig:
     model_dump_path: Optional[str] = None
 
     def __post_init__(self):
-        # candidate bodies are keyed by variant_key, which caps their length
-        if not 1 <= self.min_body <= self.max_body <= VARIANT_KEY_CAP:
-            raise ValueError(
-                f"need 1 <= min_body <= max_body <= {VARIANT_KEY_CAP}"
-            )
+        if not 1 <= self.min_body <= self.max_body:
+            raise ValueError("need 1 <= min_body <= max_body")
         if self.max_levels is not None and self.max_levels < 0:
             raise ValueError("need max_levels >= 0")
         if self.folding_cap < 1:

@@ -18,9 +18,8 @@ from .logic import (
     Program,
     Term,
     Var,
-    _atom_skeleton,
+    clause_form,
     rename_clause,
-    variant_equal,
 )
 
 
@@ -504,41 +503,25 @@ def fold_clause(c: Clause, s: Clause) -> list:
     subsets = _disjoint_subsets(matches)
     # keep maximal subsets only
     keys = [frozenset().union(*(m[0] for m in sub)) for sub in subsets]
-    results = []
+    results = {}
     for i, sub in enumerate(subsets):
         if any(j != i and keys[i] < keys[j] for j in range(len(subsets))):
             continue
         folded = apply_match_set(c, sub)
-        if not any(variant_equal(folded, r) for r in results):
-            results.append(folded)
-    return results
+        results.setdefault(clause_form(folded), folded)
+    return list(results.values())
 
 
 # ---------------------------------------------------------------------------
 # Syntactic equivalence
 
 def multiset_variant_equal(cs1: list, cs2: list) -> bool:
+    """True iff cs1 and cs2 are equal multisets of clauses up to variable
+    renaming; aligned equal clauses are taken out before any form."""
     if len(cs1) != len(cs2):
         return False
-    # an aligned pair of equal clauses takes one clause of one variant
-    # class from each side, which leaves the answer as it was; only the
-    # rest goes through the variant search
     rest = [(a, b) for a, b in zip(cs1, cs2) if a != b]
-    cs1, cs2 = [a for a, _ in rest], [b for _, b in rest]
-    buckets: dict = {}
-    for c in cs2:
-        key = (_atom_skeleton(c.head), tuple(sorted(map(_atom_skeleton, c.body))))
-        buckets.setdefault(key, []).append(c)
-    for c in cs1:
-        key = (_atom_skeleton(c.head), tuple(sorted(map(_atom_skeleton, c.body))))
-        pool = buckets.get(key, [])
-        for i, other in enumerate(pool):
-            if variant_equal(c, other):
-                pool.pop(i)
-                break
-        else:
-            return False
-    return True
+    return Counter(clause_form(a) for a, _ in rest) == Counter(clause_form(b) for _, b in rest)
 
 
 def syntactic_equiv(p1: Program | UnfoldedProgram, p2: Program) -> bool:

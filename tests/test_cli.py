@@ -65,17 +65,17 @@ def _support_chain(length: int, wraps: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _chain(length: int, swapped: int = -1, shuffled: bool = False) -> str:
-    """A task clause with a `length`-literal chain body; the literal at
-    `swapped` has its two arguments swapped, and a `shuffled` body is in
-    a fixed random order."""
+def _chain(length: int, swapped: int = -1, shuffled: bool = False, name: str = "X") -> str:
+    """A task clause with a `length`-literal chain body over the variables
+    <name>0, <name>1, ...; the literal at `swapped` has its two arguments
+    swapped, and a `shuffled` body is in a fixed random order."""
     lits = [
-        f"p(X{k + 1},X{k})" if k == swapped else f"p(X{k},X{k + 1})"
+        f"p({name}{k + 1},{name}{k})" if k == swapped else f"p({name}{k},{name}{k + 1})"
         for k in range(length)
     ]
     if shuffled:
         random.Random(0).shuffle(lits)
-    return f"#primitive p/2.\n#task t/2.\nt(X0,X{length}) :- {', '.join(lits)}.\n"
+    return f"#primitive p/2.\n#task t/2.\nt({name}0,{name}{length}) :- {', '.join(lits)}.\n"
 
 
 @pytest.fixture
@@ -245,12 +245,21 @@ class TestRefactorCommand:
         assert cli.main(["verify", str(path), str(out)]) == cli.EXIT_OK
 
     @pytest.mark.parametrize(
-        "flags", [["--max-body", "7"], ["--min-body", "0"], ["--min-body", "3", "--max-body", "2"]]
+        "flags", [["--min-body", "0"], ["--min-body", "3", "--max-body", "2"], ["--max-body", "1"]]
     )
     def test_out_of_range_body_window_is_an_input_error(self, kb_path, capsys, flags):
         code = cli.main(["refactor", str(kb_path), "--timeout-seconds", "2"] + flags)
         assert code == cli.EXIT_INPUT_ERROR
         assert "max_body" in capsys.readouterr().err
+
+    def test_body_window_above_six_refactors(self, tmp_path, kb_path):
+        # variant forms have no length cap, so neither has the window
+        out = tmp_path / "out.pl"
+        code = cli.main(
+            ["refactor", str(kb_path), "-o", str(out), "--max-body", "7", "--timeout-seconds", "5"]
+        )
+        assert code == cli.EXIT_OK
+        assert syntactic_equiv(parse_program(SHARED_KB), parse_program(out.read_text()))
 
     @pytest.mark.parametrize(
         "flags",
@@ -335,15 +344,16 @@ class TestNamesAlreadyTaken:
 
 class TestDeepInputs:
     def test_long_body_verifies(self, tmp_path):
-        # one search step per body literal, far more than Python's stack
+        # far more body literals than Python's stack has frames; the
+        # shuffled copies are renamed too
         path = tmp_path / "chain.pl"
         path.write_text(_chain(1500))
         changed = tmp_path / "changed.pl"
         changed.write_text(_chain(1500, swapped=750))
         shuffled = tmp_path / "shuffled.pl"
-        shuffled.write_text(_chain(1500, shuffled=True))
+        shuffled.write_text(_chain(1500, shuffled=True, name="Y"))
         both = tmp_path / "both.pl"
-        both.write_text(_chain(1500, swapped=750, shuffled=True))
+        both.write_text(_chain(1500, swapped=750, shuffled=True, name="Y"))
         assert cli.main(["verify", str(path), str(path)]) == cli.EXIT_OK
         assert cli.main(["verify", str(path), str(changed)]) == cli.EXIT_VERIFY_FAILED
         assert cli.main(["verify", str(path), str(shuffled)]) == cli.EXIT_OK

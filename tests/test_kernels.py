@@ -1,8 +1,8 @@
 """Differential tests of the sub-body kernels: the one-way indexed
-matcher, bitmask connectivity and directly rendered variant keys, each
-against a reference copy of the straightforward implementation it
-replaced (unify-based matching, union-find connectivity, rendering a
-canonicalized clause per ordering); and candidate extraction with the
+matcher, bitmask connectivity and canonical variant forms, each against
+a reference copy of the implementation it replaced (unify-based
+matching, union-find connectivity, the smallest rendering over literal
+orderings and a search for a variable bijection); and candidate extraction with the
 usage index, the literal-count bound and the shared sub-body
 enumeration, against a reference copy of extraction that scans every
 body, matches every candidate and enumerates sub-bodies at each use; and
@@ -29,7 +29,6 @@ from refold.candidates import (
 from refold.logic import (
     MAX_TERM_DEPTH,
     ROLES,
-    VARIANT_KEY_CAP,
     ArityError,
     Atom,
     Clause,
@@ -40,11 +39,13 @@ from refold.logic import (
     PredicateRegistry,
     Program,
     Var,
-    _atom_skeleton,
+    _canonical_name,
+    _layout,
     canonicalize_clause,
     connected_index_subsets,
     is_variable_name,
     parse_program,
+    rename_clause,
     render_clause,
     variant_equal,
     variant_key,
@@ -147,11 +148,142 @@ def reference_connected_subsets(body: tuple, min_size: int, max_size: int) -> li
     ]
 
 
-def reference_variant_key(body) -> str:
+def brute_force_variant_key(body) -> str:
     return min(
         render_clause(canonicalize_clause(Clause(Atom("k"), perm)))
         for perm in itertools.permutations(tuple(body))
     )
+
+
+def reference_variant_key(body) -> str:
+    """brute_force_variant_key by an ordering search. A partial ordering
+    renders to a fixed prefix of each of its completions, so orderings
+    grow one literal at a time, and after each step only those whose
+    rendering starts with the smallest one are kept."""
+    layouts = []
+    for a in body:
+        names: list = []
+        layouts.append((_layout(a.pred, a.args, names), names))
+    n = len(layouts)
+    if not n:
+        return "k."
+    # (rendering so far, bitmask of the literals placed, variable name ->
+    # canonical name)
+    partials = [("", 0, {})]
+    for step in range(n):
+        sep = ", " if step < n - 1 else "."
+        grown = []
+        for text, used, rename in partials:
+            for i, (fmt, names) in enumerate(layouts):
+                if used >> i & 1:
+                    continue
+                r = dict(rename)
+                args = [r.setdefault(v, _canonical_name(len(r))) for v in names]
+                grown.append((text + fmt.format(*args) + sep, used | 1 << i, r))
+        best = min(g[0] for g in grown)
+        partials = [g for g in grown if g[0].startswith(best)]
+    return "k :- " + best
+
+
+def _reference_match_terms(t1, t2, fwd: dict, bwd: dict, trail: list) -> bool:
+    """Extend the variable bijection fwd/bwd so that t1 maps onto t2; each
+    newly bound variable of t1 is appended to `trail`."""
+    if isinstance(t1, Var) and isinstance(t2, Var):
+        if t1 in fwd:
+            return fwd[t1] == t2
+        if t2 in bwd:
+            return False
+        fwd[t1] = t2
+        bwd[t2] = t1
+        trail.append(t1)
+        return True
+    if isinstance(t1, Const) and isinstance(t2, Const):
+        return t1.name == t2.name
+    if isinstance(t1, Compound) and isinstance(t2, Compound):
+        if t1.functor != t2.functor or len(t1.args) != len(t2.args):
+            return False
+        return all(_reference_match_terms(a, b, fwd, bwd, trail)
+                   for a, b in zip(t1.args, t2.args))
+    return False
+
+
+def reference_match_atoms(a1: Atom, a2: Atom, fwd: dict, bwd: dict, trail: list) -> bool:
+    if a1.pred != a2.pred or a1.arity != a2.arity:
+        return False
+    return all(_reference_match_terms(t1, t2, fwd, bwd, trail)
+               for t1, t2 in zip(a1.args, a2.args))
+
+
+def _reference_shape(t) -> tuple:
+    if isinstance(t, Var):
+        return ("V",)
+    if isinstance(t, Const):
+        return ("c", t.name)
+    return ("f", t.functor, tuple(map(_reference_shape, t.args)))
+
+
+def _reference_skeleton(a: Atom):
+    return (a.pred, tuple(map(_reference_shape, a.args)))
+
+
+def reference_variant_equal(c1: Clause, c2: Clause) -> bool:
+    """A depth-first search for a variable bijection that maps c1 onto c2,
+    placing c1's body literals in order; a literal with a bound top-level
+    variable is tried only against the holders of that variable's image."""
+    if len(c1.body) != len(c2.body):
+        return False
+    if _reference_skeleton(c1.head) != _reference_skeleton(c2.head):
+        return False
+    if sorted(map(_reference_skeleton, c1.body)) != sorted(map(_reference_skeleton, c2.body)):
+        return False
+    fwd: dict = {}
+    bwd: dict = {}
+    trail: list = []
+    if not reference_match_atoms(c1.head, c2.head, fwd, bwd, trail):
+        return False
+    body1, body2 = c1.body, c2.body
+    used = [False] * len(body2)
+    holders: dict = {}
+    for idx, lit in enumerate(body2):
+        for t in lit.args:
+            if isinstance(t, Var):
+                held = holders.setdefault(t.name, [])
+                if not held or held[-1] != idx:
+                    held.append(idx)
+
+    def unbind(mark):
+        while len(trail) > mark:
+            del bwd[fwd.pop(trail.pop())]
+
+    # placed: each placed literal's (body2 index, position among its
+    # options, trail length before it)
+    placed: list = []
+    k = start = 0
+    while k < len(body1):
+        opts = range(len(body2))
+        for t in body1[k].args:
+            if isinstance(t, Var) and t in fwd:
+                opts = holders.get(fwd[t].name, ())
+                break
+        for pos in range(start, len(opts)):
+            idx = opts[pos]
+            if used[idx]:
+                continue
+            mark = len(trail)
+            if reference_match_atoms(body1[k], body2[idx], fwd, bwd, trail):
+                used[idx] = True
+                placed.append((idx, pos, mark))
+                k, start = k + 1, 0
+                break
+            unbind(mark)
+        else:
+            if not placed:
+                return False
+            idx, pos, mark = placed.pop()
+            used[idx] = False
+            unbind(mark)
+            k, start = k - 1, pos + 1
+    return True
 
 
 def reference_fold(c: Clause, s: Clause) -> list:
@@ -163,7 +295,7 @@ def reference_fold(c: Clause, s: Clause) -> list:
         if any(j != i and keys[i] < keys[j] for j in range(len(subsets))):
             continue
         folded = apply_match_set(c, sub)
-        if not any(variant_equal(folded, r) for r in results):
+        if not any(reference_variant_equal(folded, r) for r in results):
             results.append(folded)
     return results
 
@@ -510,13 +642,13 @@ def reference_multiset_variant_equal(cs1: list, cs2: list) -> bool:
         return False
     buckets: dict = {}
     for c in cs2:
-        key = (_atom_skeleton(c.head), tuple(sorted(map(_atom_skeleton, c.body))))
+        key = (_reference_skeleton(c.head), tuple(sorted(map(_reference_skeleton, c.body))))
         buckets.setdefault(key, []).append(c)
     for c in cs1:
-        key = (_atom_skeleton(c.head), tuple(sorted(map(_atom_skeleton, c.body))))
+        key = (_reference_skeleton(c.head), tuple(sorted(map(_reference_skeleton, c.body))))
         pool = buckets.get(key, [])
         for i, other in enumerate(pool):
-            if variant_equal(c, other):
+            if reference_variant_equal(c, other):
                 pool.pop(i)
                 break
         else:
@@ -704,8 +836,8 @@ def _key_bodies(draw, min_size: int, max_size: int):
     return tuple(draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=max_size)))
 
 
-# few predicates over three variables: different literals often render
-# alike under their own canonical names, so the search keeps ties
+# few predicates over three variables: many variables tie on their
+# occurrences and links, so the labelling search branches
 _TIE_LITERALS = st.builds(
     lambda pred, args: Atom(pred, args[: 1 if pred == "q" else 2]),
     st.sampled_from(["p", "q"]),
@@ -713,42 +845,146 @@ _TIE_LITERALS = st.builds(
 )
 
 
-class TestVariantKey:
-    @settings(max_examples=500, deadline=None)
-    @given(body=_bodies(4, min_size=0))
-    def test_equals_rendered_canonical_clause(self, body):
-        assert variant_key(body) == reference_variant_key(body)
+@st.composite
+def _cycles(draw):
+    """Binary p and q literals around a cycle of 1 to 6 variables, each
+    literal running either way round, or, so that every variable ties
+    with every other, all of one predicate and one way round."""
+    n = draw(st.integers(1, 6))
+    vs = [Var(f"C{k}") for k in range(n)]
+    preds = st.sampled_from(["p", "q"])
+    ways = st.sampled_from([1, -1])
+    if draw(st.booleans()):
+        preds, ways = st.just(draw(preds)), st.just(draw(ways))
+    return tuple(Atom(draw(preds), (vs[k], vs[(k + 1) % n])[:: draw(ways)]) for k in range(n))
 
-    @settings(max_examples=400, deadline=None)
-    @given(body=_key_bodies(0, 4))
-    def test_prefix_names_braces_arity_0_and_repeats(self, body):
-        assert variant_key(body) == reference_variant_key(body)
+
+@st.composite
+def _stars(draw):
+    """1 to 6 binary literals that each join a centre variable to one of
+    four leaves, so that leaves are shared or twins."""
+    centre, leaves = Var("S"), [Var(f"L{k}") for k in range(4)]
+    return tuple(
+        Atom(draw(st.sampled_from(["p", "q"])),
+             (centre, draw(st.sampled_from(leaves)))[:: draw(st.sampled_from([1, -1]))])
+        for _ in range(draw(st.integers(1, 6)))
+    )
+
+
+def _renamed(c: Clause, rnd: random.Random) -> Clause:
+    """c with its body literals shuffled and its variables renamed apart."""
+    body = list(c.body)
+    rnd.shuffle(body)
+    old = list(dict.fromkeys(c.variables()))
+    new = [Var(f"R{k}") for k in range(len(old))]
+    rnd.shuffle(new)
+    return rename_clause(Clause(c.head, tuple(body)), dict(zip(old, new)))
+
+
+def _mutated(c: Clause, rnd: random.Random, atom: Atom, how: str = "") -> Clause:
+    """c with one body literal replaced by `atom`, its arguments reversed
+    or its predicate renamed, as `how` says, or else at random."""
+    body = list(c.body)
+    k = rnd.randrange(len(body))
+    lit = body[k]
+    body[k] = {
+        "atom": atom, "reverse": Atom(lit.pred, lit.args[::-1]), "rename": Atom(lit.pred + "x", lit.args)
+    }[how or rnd.choice(["atom", "reverse", "rename"])]
+    return Clause(c.head, tuple(body))
+
+
+@st.composite
+def _families(draw, bodies, atoms, size: int):
+    """`size` clauses: one drawn with a body from `bodies` and a head over
+    some of its variables, then renamed and reordered copies of it, half of
+    them with one literal mutated (see _mutated, `atoms` giving the
+    replacement): variants and near-variants."""
+    body = draw(bodies)
+    vs = list(dict.fromkeys(v for lit in body for v in lit.variables()))
+    head = Atom("h", tuple(draw(st.lists(st.sampled_from(vs), max_size=2)) if vs else ()))
+    rnd = draw(st.randoms(use_true_random=True))
+    base = Clause(head, body)
+    family = [base]
+    while len(family) < size:
+        c = base
+        if body and rnd.random() < 0.5:
+            c = _mutated(base, rnd, draw(atoms))
+        family.append(_renamed(c, rnd))
+    return family
+
+
+def _assert_same_partition(bodies: list, reference):
+    """variant_key puts two of `bodies` in one class iff `reference` does."""
+    got = [variant_key(b) for b in bodies]
+    want = [reference(b) for b in bodies]
+    assert len(set(zip(got, want))) == len(set(got)) == len(set(want))
+
+
+def _family_bodies(bodies, atoms, size: int = 4):
+    return _families(bodies, atoms, size).map(lambda cs: [c.body for c in cs])
+
+
+class TestVariantKey:
+    # each test checks that variant_key partitions bodies, variants and
+    # near-variants of each other, as a reference key does
 
     @settings(max_examples=300, deadline=None)
-    @given(body=st.lists(_TIE_LITERALS, min_size=2, max_size=4).map(tuple))
-    def test_tied_partial_orderings(self, body):
-        assert variant_key(body) == reference_variant_key(body)
+    @given(bodies=_family_bodies(_bodies(4, min_size=0), _atoms()))
+    def test_equals_rendered_canonical_clause(self, bodies):
+        _assert_same_partition(bodies, brute_force_variant_key)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bodies=_family_bodies(_key_bodies(0, 4), _key_atoms()))
+    def test_prefix_names_braces_arity_0_and_repeats(self, bodies):
+        _assert_same_partition(bodies, brute_force_variant_key)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bodies=_family_bodies(st.lists(_TIE_LITERALS, min_size=2, max_size=4).map(tuple),
+                                 _TIE_LITERALS))
+    def test_tied_partial_orderings(self, bodies):
+        _assert_same_partition(bodies, brute_force_variant_key)
 
     def test_a_tie_is_settled_by_a_later_literal(self):
-        # both p literals open as "p(A,B)"; only the second one's naming
-        # makes q(X) render as q(A)
-        x, y = Var("X"), Var("Y")
+        # both p literals open as "p(A,B)" in the reference's ordering
+        # search; only the second one's naming makes q(X) render as q(A)
+        x, y, z = Var("X"), Var("Y"), Var("Z")
         body = (Atom("p", (y, x)), Atom("p", (x, y)), Atom("q", (x,)))
-        assert variant_key(body) == reference_variant_key(body) == "k :- p(A,B), p(B,A), q(A)."
+        assert reference_variant_key(body) == brute_force_variant_key(body)
+        assert reference_variant_key(body) == "k :- p(A,B), p(B,A), q(A)."
+        same = (Atom("q", (y,)), Atom("p", (x, y)), Atom("p", (y, x)))
+        other = (Atom("p", (y, x)), Atom("p", (x, y)), Atom("q", (z,)))
+        _assert_same_partition([body, same, other], brute_force_variant_key)
+        assert variant_key(body) == variant_key(same) != variant_key(other)
 
-    @settings(max_examples=60, deadline=None)
-    @given(body=st.one_of(_key_bodies(5, VARIANT_KEY_CAP), _bodies(VARIANT_KEY_CAP, 5)))
-    def test_bodies_up_to_the_cap(self, body):
-        assert variant_key(body) == reference_variant_key(body)
+    @settings(max_examples=100, deadline=None)
+    @given(bodies=_family_bodies(st.one_of(_key_bodies(5, 6), _bodies(6, 5)),
+                                 st.one_of(_key_atoms(), _atoms())))
+    def test_bodies_of_five_and_six_literals(self, bodies):
+        _assert_same_partition(bodies, reference_variant_key)
+
+    @settings(max_examples=500, deadline=None)
+    @given(families=st.lists(
+        _family_bodies(
+            st.one_of(_bodies(6), _key_bodies(1, 6), _cycles(), _stars(),
+                      st.lists(_TIE_LITERALS, min_size=1, max_size=6).map(tuple)),
+            st.one_of(_atoms(), _TIE_LITERALS), size=10),
+        min_size=4, max_size=4))
+    def test_twenty_thousand_bodies_partition_as_the_reference(self, families):
+        # 500 examples of 4 families of 10 bodies of 1 to 6 literals, with
+        # constants, compound terms, repeated literals, cycles and stars
+        _assert_same_partition([b for f in families for b in f], reference_variant_key)
 
     def test_prefix_names_order_as_rendered(self):
         x = Var("X")
-        for body in [
+        bodies = [
             (Atom("p10", (x,)), Atom("p1", (x,))),
             (Atom("p10"), Atom("p1")),
             (Atom("p1"), Atom("p10", (x,)), Atom("p", (x,))),
-        ]:
-            assert variant_key(body) == reference_variant_key(body)
+            (Atom("p1", (x,)), Atom("p10", (x,))),
+            (Atom("p1"), Atom("p10")),
+        ]
+        _assert_same_partition(bodies, brute_force_variant_key)
+        # the form's body literals are sorted as rendered
         assert variant_key((Atom("p10", (x,)), Atom("p1", (x,)))) == "k :- p1(A), p10(A)."
         assert variant_key((Atom("p10"), Atom("p1"))) == "k :- p1, p10."
 
@@ -756,7 +992,49 @@ class TestVariantKey:
         # 28 + 3 variables: canonical names run past Z to A1, B1, ...
         body = tuple(Atom("p", (Var(f"V{k}"), Var(f"W{k}"))) for k in range(3))
         wide = (Atom("w", tuple(Var(f"V{k}") for k in range(28))),) + body
-        assert variant_key(wide) == reference_variant_key(wide)
+        rnd = random.Random(0)
+        family = [wide] + [_renamed(Clause(Atom("k"), wide), rnd).body for _ in range(3)]
+        family += [_mutated(Clause(Atom("k"), b), rnd, body[0]).body for b in family]
+        _assert_same_partition(family, brute_force_variant_key)
+        assert "A1" in variant_key(wide)
+
+
+class TestVariantEqual:
+    @settings(max_examples=400, deadline=None)
+    @given(clauses=_families(
+        st.one_of(_bodies(6), _key_bodies(1, 6), _cycles(), _stars(),
+                  st.lists(_TIE_LITERALS, min_size=1, max_size=6).map(tuple)),
+        st.one_of(_atoms(), _TIE_LITERALS), size=4))
+    def test_agrees_with_reference(self, clauses):
+        for c1, c2 in itertools.combinations(clauses, 2):
+            assert variant_equal(c1, c2) == reference_variant_equal(c1, c2)
+
+    @settings(max_examples=16, deadline=None)
+    @given(shape=st.sampled_from(["chain", "cycle", "star", "copies"]),
+           n=st.integers(1000, 1100), how=st.sampled_from(["", "atom", "reverse", "rename"]),
+           rnd=st.randoms(use_true_random=True))
+    def test_long_clauses_agree_with_reference(self, shape, n, how, rnd):
+        # chains and stars anchored at the head, cycles and disjoint
+        # copies without a head variable, each against a renamed and
+        # shuffled copy, perhaps with one literal mutated; the reference
+        # search backtracks through the matches of a star's leaves or of
+        # the copies, so there it meets only mutations that its skeleton
+        # check rejects
+        assume(shape in ("chain", "cycle") or how in ("", "rename"))
+        x = [Var(f"X{k}") for k in range(n + 1)]
+        pred = [rnd.choice(["p", "q"]) for _ in range(n)]
+        head = Atom("h", (x[0],) if shape in ("chain", "star") else ())
+        body = {
+            "chain": [Atom(pred[k], (x[k], x[k + 1])) for k in range(n)],
+            "cycle": [Atom(pred[k], (x[k], x[(k + 1) % n])) for k in range(n)],
+            "star": [Atom(pred[k], (x[0], x[k + 1])) for k in range(n)],
+            "copies": [Atom(pred[k], (x[k - k % 2], x[k - k % 2 + 1])[:: 1 - 2 * (k % 2)])
+                       for k in range(n)],
+        }[shape]
+        c1 = Clause(head, tuple(body))
+        c2 = _renamed(_mutated(c1, rnd, body[0], how) if how else c1, rnd)
+        assert variant_equal(c1, c2) == reference_variant_equal(c1, c2)
+        assert variant_equal(c1, _renamed(c1, rnd))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
 import itertools
 import os
-import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refold import logic
 from refold.logic import (
     ArityError,
     Atom,
@@ -27,6 +25,8 @@ from refold.logic import (
     variant_equal,
     variant_key,
 )
+
+from tests.test_kernels import reference_match_atoms
 
 
 def cl(text):
@@ -210,7 +210,7 @@ class TestVariantEqual:
         assert variant_equal(cl("h(X) :- q(X,Y)."), cl("h(A) :- q(A,B)."))
 
     def test_variable_and_compound_in_one_position(self):
-        # the literals' skeletons must sort: ("V",) against ("f", ...)
+        # a variable and a compound term at the same position
         assert variant_equal(cl("h(X) :- p(X), p(f(X))."), cl("h(Y) :- p(f(Y)), p(Y)."))
         assert not variant_equal(cl("h(X) :- p(X), p(f(X))."), cl("h(Y) :- p(Y), p(g(Y))."))
 
@@ -228,37 +228,59 @@ class TestVariantEqual:
     def test_constant_mismatch(self):
         assert not variant_equal(cl("h(X) :- q(X, foo)."), cl("h(X) :- q(X, bar)."))
 
-    @pytest.mark.parametrize(
-        "swapped, shuffled", [(750, False), (-1, True), (750, True)]
-    )
-    def test_long_chain_takes_a_linear_number_of_matches(self, monkeypatch, swapped, shuffled):
-        # each literal of the chain shares a variable with the one before,
-        # so it is tried only against the holders of that variable's image
-        def chain(n, swapped=-1, shuffled=False):
-            lits = [
-                Atom("q", (Var(f"X{k + 1}"), Var(f"X{k}")) if k == swapped
-                     else (Var(f"X{k}"), Var(f"X{k + 1}")))
-                for k in range(n)
-            ]
-            if shuffled:
-                random.Random(0).shuffle(lits)
-            return Clause(Atom("h", (Var("X0"), Var(f"X{n}"))), tuple(lits))
-
-        calls = []
-        match_atoms = logic._match_atoms
-
-        def counted(*args):
-            calls.append(1)
-            return match_atoms(*args)
-
-        monkeypatch.setattr(logic, "_match_atoms", counted)
-        n = 1500
-        assert variant_equal(chain(n), chain(n, swapped, shuffled)) == (swapped < 0)
-        assert len(calls) <= 2 * n
+    @pytest.mark.parametrize("shape, expected", [
+        ("chain(1500)", "True"),
+        ("chain(1500, swap=750)", "False"),
+        ("star(1000, in_head=True)", "True"),
+        ("star(1000, in_head=False)", "True"),
+        ("cycle(200)", "True"),
+        ("cycle(1000)", "True"),
+        ("copies(40)", "True"),
+        ("repeated(1000)", "True"),
+    ])
+    def test_long_and_symmetric_clauses_end_within_seconds(self, shape, expected):
+        # each clause against a shuffled, renamed copy of itself, in which
+        # chain(..., swap=k) reverses literal k's arguments: a head-anchored
+        # chain, stars on a head and on a body-only variable, cycles and
+        # disjoint copies of p(A,B), r(B,A) without a head variable, and
+        # one literal repeated. A child process, so that a stall fails the
+        # test instead of hanging it
+        main = (
+            "import random\n"
+            "from refold.logic import Atom, Clause, Var, rename_clause, variant_equal\n"
+            "X = [Var(f'X{k}') for k in range(1501)]\n"
+            "def chain(n, swap=-1):\n"
+            "    lits = [Atom('q', (X[k], X[k + 1])) for k in range(n)]\n"
+            "    return Clause(Atom('h', (X[0], X[n])), tuple(lits)), swap\n"
+            "def star(n, in_head):\n"
+            "    lits = [Atom('q', (X[0], X[k + 1])) for k in range(n)]\n"
+            "    return Clause(Atom('h', (X[0],) if in_head else ()), tuple(lits)), -1\n"
+            "def cycle(n):\n"
+            "    return Clause(Atom('h'), tuple(Atom('q', (X[k], X[(k + 1) % n])) for k in range(n))), -1\n"
+            "def copies(n):\n"
+            "    lits = [Atom(p, (X[2 * k], X[2 * k + 1])[::d]) for k in range(n)\n"
+            "            for p, d in (('p', 1), ('r', -1))]\n"
+            "    return Clause(Atom('h'), tuple(lits)), -1\n"
+            "def repeated(n):\n"
+            "    return Clause(Atom('h', (X[0],)), (Atom('q', (X[0], X[1])),) * n), -1\n"
+            f"c, swap = {shape}\n"
+            "body = list(c.body)\n"
+            "if swap >= 0:\n"
+            "    body[swap] = Atom('q', body[swap].args[::-1])\n"
+            "random.Random(0).shuffle(body)\n"
+            "renaming = {x: Var(f'R{k}') for k, x in enumerate(reversed(X))}\n"
+            "print(variant_equal(c, rename_clause(Clause(c.head, tuple(body)), renaming)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", main], capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [expected]
 
     def test_backtracks_to_a_later_holder(self):
-        # q(D,A) is tried against A's holders, q(C,A) and then q(D,A); the
-        # first is a dead end, so the search resumes at the second
+        # two literals hold the head's A, q(C,A) and q(D,A); only the
+        # second pairs with q(D,A) once the rest of the body is matched
         assert variant_equal(
             cl("h(A) :- q(D,A), q(C,A), q(B,B), q(D,B), r(D,D)."),
             cl("h(A) :- q(D,B), q(C,A), q(B,B), r(D,D), q(D,A)."),
@@ -292,7 +314,7 @@ class TestVariantEqual:
         def reference(c1, c2):
             return len(c1.body) == len(c2.body) and any(
                 all(
-                    logic._match_atoms(a, b, fwd, bwd, [])
+                    reference_match_atoms(a, b, fwd, bwd, [])
                     for a, b in zip((c1.head,) + c1.body, (c2.head,) + order)
                 )
                 for order in itertools.permutations(c2.body)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,15 @@ FACTS_AND_CHAINS = "#primitive e/2.\ne(a,b).\ne(b,c).\n" + "".join(
 )
 
 
+# two tasks sharing a 7-literal chain of distinct predicates, each with
+# one more literal: one invented 7-literal predicate saves the most
+SHARED_SEVEN = "".join(f"#primitive {p}/2.\n" for p in "abcdefg") + (
+    "#primitive u/1.\n#primitive v/1.\n#task s/2.\n#task t/2.\n"
+    "s(X,Y) :- a(X,V1), b(V1,V2), c(V2,V3), d(V3,V4), e(V4,V5), f(V5,V6), g(V6,Y), u(X).\n"
+    "t(X,Y) :- a(X,V1), b(V1,V2), c(V2,V3), d(V3,V4), e(V4,V5), f(V5,V6), g(V6,Y), v(Y).\n"
+)
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "name, value",
@@ -42,6 +54,11 @@ class TestConfig:
     def test_out_of_range_setting_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             RefactorConfig(**{name: value})
+
+    @pytest.mark.parametrize("window", [(0, 3), (3, 2), (2, 1)])
+    def test_body_window_needs_one_to_max(self, window):
+        with pytest.raises(ValueError, match="max_body"):
+            RefactorConfig(min_body=window[0], max_body=window[1])
 
 
 class TestRefactor:
@@ -113,6 +130,18 @@ class TestRefactor:
         out, report = refactor(prog, RefactorConfig(budget=SolverBudget(wall_time=20)))
         assert report.refactored_predicates > report.original_predicates
         assert report.hyp_log_size_after < report.hyp_log_size_before
+
+    def test_shared_seven_literal_body_becomes_one_predicate(self):
+        # variant forms have no length cap, so max_body may pass 6
+        prog = parse_program(SHARED_SEVEN)
+        out, report = refactor(
+            prog, RefactorConfig(max_body=7, budget=SolverBudget(wall_time=20))
+        )
+        assert report.equivalence_verified and syntactic_equiv(prog, out)
+        [invented] = set(out.registry.by_role("support")) - set(prog.registry.entries)
+        [clause] = [c for c in out.clauses if c.head.pred == invented]
+        assert len(clause.body) == 7
+        assert out.size == prog.size - 4
 
     def test_report_counts_consistent(self):
         prog = chain_program(4)
@@ -203,3 +232,30 @@ class TestHypothesisSpaceSize:
         hi = hypothesis_space_size(p + 1, l, m)
         if lo != float("-inf"):
             assert hi >= lo
+
+
+class TestDeterminism:
+    def test_keys_and_output_do_not_depend_on_the_hash_seed(self):
+        # string hashing, and with it the order of sets and of dicts built
+        # from sets, changes with PYTHONHASHSEED; variant keys and the
+        # refactored program must not
+        main = (
+            "from refold import RefactorConfig, SolverBudget, refactor, render_program\n"
+            "from refold.logic import keyed_subsets\n"
+            "from tests.conftest import dense_program\n"
+            "prog = dense_program()\n"
+            "for c in prog.clauses:\n"
+            "    print(keyed_subsets(c.body, 1, 6))\n"
+            "budget = SolverBudget(wall_time=60, max_decisions=2000)\n"
+            "print(render_program(refactor(prog, RefactorConfig(budget=budget))[0]))\n"
+        )
+        outputs = set()
+        for seed in range(4):
+            done = subprocess.run(
+                [sys.executable, "-c", main], capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                     "PYTHONHASHSEED": str(seed)},
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
