@@ -21,9 +21,8 @@ from .logic import Atom, Clause, Program, Var
 #
 # Every binary predicate is a partial state transformer (None = inapplicable)
 # and every unary predicate is a test on the current state. Defined
-# predicates execute by running their body literals in order, threading the
-# state left to right; variable names are bookkeeping for the logic side and
-# are ignored by the interpreter.
+# predicates execute by running their body literals in chain order,
+# threading one state through them; variables only fix that order.
 
 
 @dataclass(frozen=True)
@@ -286,10 +285,39 @@ class ExecutionError(Exception):
     pass
 
 
+def _chain_order(clause: Clause) -> tuple:
+    """The body literals in the order the state flows through them, as
+    perfbench's oracle runs a clause: from the head's first argument, the
+    next literal is the first pending one, in text order, whose first
+    argument is already bound."""
+    # the usual case, checked first: each literal takes the state that
+    # the one before it made
+    state = clause.head.args[0]
+    for lit in clause.body:
+        if lit.args[0] is not state and lit.args[0] != state:
+            break
+        state = lit.args[-1]
+    else:
+        return clause.body
+    bound = {clause.head.args[0]}
+    order, pending = [], list(clause.body)
+    while pending:
+        for k, lit in enumerate(pending):
+            if lit.args[0] in bound:
+                break
+        else:
+            raise ExecutionError(f"the body of {clause.head.pred} does not chain its states")
+        del pending[k]
+        bound.update(lit.args[1:])
+        order.append(lit)
+    return tuple(order)
+
+
 def flatten_definitions(bk: Program) -> dict:
     """Every defined binary predicate as a flat primitive operation
     sequence. Defined bodies must be sequential chains of binary
-    predicates, which holds for everything this harness produces.
+    predicates, which holds for everything this harness produces; each
+    body runs in chain order (`_chain_order`), however it is written.
     Definitions are flattened callees first, in graphlib's order, so
     that deep chains of definitions need no recursion."""
     defs: dict = {}
@@ -311,38 +339,105 @@ def flatten_definitions(bk: Program) -> dict:
         if pred not in defs:
             raise ExecutionError(f"no definition for {pred}")
         seq: list = []
-        for l in defs[pred].body:
+        for l in _chain_order(defs[pred]):
             seq.extend((l.pred,) if l.pred in primitive else flat[l.pred])
         flat[pred] = tuple(seq)
     return flat
 
 
+def _test_step(test: Callable):
+    """A test as a step: it passes its state on, or blocks."""
+    return lambda s: s if test(s) else None
+
+
 class Interpreter:
-    """Executes operation sequences over one domain; defined predicates run
-    as their flattened primitive sequences."""
+    """Executes operations over one domain. Each operation runs as its
+    flattened primitive steps. The vocabulary's step sequences form one
+    prefix tree, so a step that several operations share runs once per
+    state."""
 
     def __init__(self, bk: Program, kind: str):
         domain = _DOMAINS[kind]
-        self.transforms, self.tests = domain.transforms, domain.tests
+        self.steps = dict(domain.transforms)
+        self.steps.update((name, _test_step(t)) for name, t in domain.tests.items())
         self.flat = flatten_definitions(bk)
         # vocabulary: learned definitions first, longest flattened
         # sequence first (prefer the biggest steps), then primitives in
         # canonical order
-        prim = [p for p in sorted(self.transforms) if p in bk.registry.entries]
+        prim = [p for p in sorted(domain.transforms) if p in bk.registry.entries]
         defined = [p for p in dict.fromkeys(c.head.pred for c in bk.clauses) if p not in prim]
         defined.sort(key=lambda p: -len(self.flat[p]))
         self.vocabulary = defined + prim
+        self._build_tree()
+
+    def _sequence(self, op: str) -> tuple:
+        return (op,) if op in self.steps else self.flat[op]
+
+    def _build_tree(self):
+        """The prefix tree of the vocabulary's step sequences, in preorder
+        with the root at 0: node p runs `_step[p]` on the state of node
+        `_parent[p]`, its subtree is the nodes before `_skip[p]`, and
+        vocabulary operation k ends at node `_end[k]`. Taken in sorted
+        order, each sequence adds the nodes past its common prefix with
+        the one before it."""
+        seqs = [self._sequence(op) for op in self.vocabulary]
+        step, parent, end = [None], [0], [0] * len(seqs)
+        path, prev = [0], ()  # the previous sequence's nodes, root first
+        for k in sorted(range(len(seqs)), key=seqs.__getitem__):
+            seq = seqs[k]
+            common = len(prev)
+            if seq[:common] != prev:
+                common = 0
+                while seq[common] == prev[common]:
+                    common += 1
+            del path[common + 1:]
+            for name in seq[common:]:
+                parent.append(path[-1])
+                path.append(len(step))
+                step.append(self.steps[name])
+            end[k] = path[-1]
+            prev = seq
+        skip = list(range(1, len(step) + 1))
+        for p in range(len(step) - 1, 0, -1):
+            skip[parent[p]] = max(skip[parent[p]], skip[p])
+        self._step, self._parent, self._skip, self._end = step, parent, skip, end
 
     def apply(self, op: str, state):
-        if op in self.transforms:
-            return self.transforms[op](state)
-        if op in self.tests:
-            return state if self.tests[op](state) else None
-        for prim in self.flat[op]:
-            state = self.apply(prim, state)
+        """One operation's result on `state`, None where it fails."""
+        for name in self._sequence(op):
+            state = self.steps[name](state)
             if state is None:
                 return None
         return state
+
+    def successors(self, state) -> list:
+        """Each vocabulary operation's result on `state`, None where it
+        fails, in vocabulary order, from one walk of the prefix tree. A
+        step that fails cuts its subtree: every operation that extends it
+        fails too."""
+        step, parent, skip = self._step, self._parent, self._skip
+        states = [None] * len(step)
+        states[0] = state
+        p, n = 1, len(step)
+        while p < n:
+            s = states[p] = step[p](states[parent[p]])
+            p = skip[p] if s is None else p + 1
+        return [states[p] for p in self._end]
+
+    def successor(self, k: int, known: dict):
+        """The result of vocabulary operation k, run on from the last node
+        of its path that `known` (node -> state, the root's at least)
+        holds. The nodes it runs are added to `known`, for the next
+        operation that shares them."""
+        p, todo = self._end[k], []
+        while p not in known:
+            todo.append(p)
+            p = self._parent[p]
+        s = known[p]
+        while todo and s is not None:
+            p = todo.pop()
+            s = known[p] = self._step[p](s)
+        return s
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +505,18 @@ def synthesize(task: SynthesisTask, bk: Program, limits: SynthesisLimits):
             nonlocal nodes
             if len(path) == depth:
                 return None
-            for op in vocab:
+            # the first example's successors in one walk; a later
+            # example runs an op only once the op has passed every
+            # earlier example
+            first = interp.successors(states[0])
+            later = [{0: s} for s in states[1:]]
+            for k, op in enumerate(vocab):
                 if nodes >= limits.max_nodes or time.monotonic() > deadline:
                     return None
                 nxt = []
                 ok = True
-                for s, g in zip(states, goals):
-                    s2 = interp.apply(op, s)
+                for e, g in enumerate(goals):
+                    s2 = interp.successor(k, later[e - 1]) if e else first[k]
                     if s2 is None or not viable(s2, g):
                         ok = False
                         break

@@ -1,5 +1,17 @@
-import pytest
+"""Tests of the synthesis benchmark: the two domains, the generators,
+flattening, the interpreter's prefix-tree walk against running each
+operation on its own, and the synthesizer against `reference_synthesize`,
+a copy of the synthesizer that ran every operation on every example
+through `Interpreter.apply`."""
 
+import random
+import time
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from refold import bench
 from refold.bench import (
     LEGO_TESTS,
     LEGO_TRANSFORMS,
@@ -31,6 +43,83 @@ from refold.logic import (
     render_program,
     variant_equal,
 )
+from refold.pipeline import RefactorConfig, refactor
+from refold.solver import SolverBudget
+
+# criterion 6's synthesis limits, with a wall time no run here comes near,
+# so that node counts do not depend on the machine's speed
+LIMITS = SynthesisLimits(max_depth=14, max_nodes=50_000, wall_time=120.0)
+
+
+def reference_synthesize(task: SynthesisTask, bk: Program, limits: SynthesisLimits):
+    """The synthesizer as it was before the prefix-tree walk: every
+    operation runs on its own, example by example, through `apply`."""
+    interp = Interpreter(bk, task.kind)
+    reached, viable = bench._DOMAINS[task.kind].reached, bench._DOMAINS[task.kind].viable
+    vocab = interp.vocabulary
+    starts = [inp for inp, _ in task.examples]
+    goals = [out for _, out in task.examples]
+    deadline = time.monotonic() + limits.wall_time
+    nodes = 0
+
+    if all(reached(s, g) for s, g in zip(starts, goals)):
+        return bench._sequence_to_program(task, [], bk), nodes
+
+    for depth in range(1, limits.max_depth + 1):
+        path: list = []
+        seen: dict = {tuple(starts): 0}
+
+        def dfs(states) -> Optional[list]:
+            nonlocal nodes
+            if len(path) == depth:
+                return None
+            for op in vocab:
+                if nodes >= limits.max_nodes or time.monotonic() > deadline:
+                    return None
+                nxt = []
+                ok = True
+                for s, g in zip(states, goals):
+                    s2 = interp.apply(op, s)
+                    if s2 is None or not viable(s2, g):
+                        ok = False
+                        break
+                    nxt.append(s2)
+                if not ok:
+                    continue
+                key = tuple(nxt)
+                prev = seen.get(key)
+                if prev is not None and prev <= len(path) + 1:
+                    continue
+                seen[key] = len(path) + 1
+                nodes += 1
+                path.append(op)
+                if all(reached(s, g) for s, g in zip(nxt, goals)):
+                    return list(path)
+                found = dfs(nxt)
+                if found is not None:
+                    return found
+                path.pop()
+            return None
+
+        solution = dfs(starts)
+        if solution is not None:
+            return bench._sequence_to_program(task, solution, bk), nodes
+        if nodes >= limits.max_nodes or time.monotonic() > deadline:
+            break
+    return None, nodes
+
+
+@pytest.fixture(scope="module")
+def lego_bk():
+    """Criterion 6's knowledge base: 50 lego tasks accumulated."""
+    bk, _ = accumulate_background(gen_lego_tasks(4, 50, seed=1, max_height=2), lego_primitives(), LIMITS)
+    return bk
+
+
+@pytest.fixture(scope="module")
+def tower_targets():
+    """Criterion 6's 50 synthesis targets."""
+    return gen_tower_tasks(4, 50, seed=2)
 
 
 class TestLegoSemantics:
@@ -188,6 +277,36 @@ class TestFlattening:
         assert interp.apply("edge_right", blank_board(3)) == LegoWorld((0, 0, 0), 1)
         assert interp.apply("edge_right", LegoWorld((0, 0, 0), 1)) is None
 
+    def test_bodies_run_in_chain_order_however_written(self):
+        prog = parse_program(
+            "#primitive place_brick/2.\n#primitive right/2.\n#primitive at_left/1.\n"
+            "#task t/2.\n"
+            "t(A,D) :- right(C,D), at_left(A), place_brick(B,C), right(A,B)."
+        )
+        assert flatten_definitions(prog)["t"] == ("at_left", "right", "place_brick", "right")
+
+    def test_body_that_does_not_chain_rejected(self):
+        prog = parse_program(
+            "#primitive place_brick/2.\n#primitive right/2.\n#task t/2.\n"
+            "t(A,B) :- place_brick(A,C), right(D,B)."
+        )
+        with pytest.raises(ExecutionError, match="the body of t does not chain"):
+            flatten_definitions(prog)
+
+    def test_shuffled_bodies_flatten_and_search_as_in_order(self, lego_bk, tower_targets):
+        rng = random.Random(0)
+        clauses = []
+        for c in lego_bk.clauses:
+            body = list(c.body)
+            rng.shuffle(body)
+            clauses.append(Clause(c.head, tuple(body)))
+        shuffled = Program(tuple(clauses), lego_bk.registry)
+        moved = sum(a.body != b.body for a, b in zip(shuffled.clauses, lego_bk.clauses))
+        assert moved >= 40
+        assert flatten_definitions(shuffled) == flatten_definitions(lego_bk)
+        nodes = [synthesize(t, lego_bk, LIMITS)[1] for t in tower_targets]
+        assert [synthesize(t, shuffled, LIMITS)[1] for t in tower_targets] == nodes
+
 
 class TestSynthesize:
     LIMITS = SynthesisLimits(max_depth=8, max_nodes=50_000, wall_time=10.0)
@@ -342,3 +461,167 @@ class TestRunBenchmark:
         assert agg["solved"] == sum(int(r["solved"]) for r in result.rows)
         text = result.render()
         assert "bk[a]:" in text
+
+
+# ---------------------------------------------------------------------------
+# The prefix-tree walk
+
+
+@st.composite
+def _shared_vocabularies(draw, kind: str) -> Program:
+    """A knowledge base whose definitions share prefixes, repeat each
+    other, are prefixes of one another or call an earlier one and go on,
+    with tests inside the bodies."""
+    domain = bench._DOMAINS[kind]
+    steps = st.sampled_from(sorted(domain.transforms) + sorted(domain.tests))
+    lines = [f"#primitive {p}/2." for p in domain.transforms]
+    lines += [f"#primitive {p}/1." for p in domain.tests]
+    flat: list = []  # each definition's primitive steps
+    for k in range(draw(st.integers(1, 7))):
+        how = draw(st.sampled_from(("fresh", "prefix", "repeat", "extend"))) if flat else "fresh"
+        j = draw(st.integers(0, len(flat) - 1)) if flat else 0
+        if how == "fresh":
+            body = draw(st.lists(steps, min_size=1, max_size=5))
+        elif how == "prefix":
+            body = flat[j][: draw(st.integers(1, len(flat[j])))]
+        elif how == "repeat":
+            body = list(flat[j])
+        else:
+            body = [f"d{j}"] + draw(st.lists(steps, min_size=1, max_size=3))
+        flat.append([op for name in body for op in (flat[j] if name == f"d{j}" else [name])])
+        lits, state = [], "A"
+        for n, name in enumerate(body):
+            if name in domain.tests:
+                lits.append(f"{name}({state})")
+            else:
+                lits.append(f"{name}({state},V{n})")
+                state = f"V{n}"
+        lines.append(f"#task d{k}/2.")
+        lines.append(f"d{k}(A,{state}) :- {', '.join(lits)}.")
+    return parse_program("\n".join(lines))
+
+
+def _lego_states():
+    def board(width):
+        heights = st.tuples(*[st.integers(0, 2)] * width)
+        cursor = st.sampled_from(sorted({0, width - 1})) | st.integers(0, width - 1)
+        return st.builds(LegoWorld, heights, cursor)
+
+    return st.integers(1, 4).flatmap(board)
+
+
+def _string_states():
+    def reading(text):
+        pos = st.sampled_from(sorted({0, len(text)})) | st.integers(0, len(text))
+        return st.builds(StringState, st.just(text), pos, st.text("aZ.", max_size=2))
+
+    return st.text("aZb 7", max_size=4).flatmap(reading)
+
+
+_STATES = {"lego": _lego_states(), "string": _string_states()}
+
+
+class TestPrefixTree:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(("lego", "string")))
+    def test_successors_equal_each_op_applied(self, data, kind):
+        interp = Interpreter(data.draw(_shared_vocabularies(kind)), kind)
+        for state in data.draw(st.lists(_STATES[kind], min_size=1, max_size=3)):
+            expected = [interp.apply(op, state) for op in interp.vocabulary]
+            assert interp.successors(state) == expected
+            # one op at a time, in a drawn order, each read running on
+            # from the nodes the reads before it ran
+            known = {0: state}
+            order = data.draw(st.permutations(range(len(expected))))
+            assert [interp.successor(k, known) for k in order] == [expected[k] for k in order]
+
+    def _counting(self, monkeypatch) -> list:
+        """Counts the lego transforms an interpreter built after this runs."""
+        calls = []
+        for name, fn in list(LEGO_TRANSFORMS.items()):
+            def counted(s, name=name, fn=fn):
+                calls.append(name)
+                return fn(s)
+
+            monkeypatch.setitem(LEGO_TRANSFORMS, name, counted)
+        return calls
+
+    BK = (
+        "#primitive left/2.\n#primitive right/2.\n#primitive place_brick/2.\n"
+        "#task pr/2.\n#task prp/2.\n#task pl/2.\n"
+        "pr(A,C) :- place_brick(A,B), right(B,C).\n"
+        "prp(A,D) :- place_brick(A,B), right(B,C), place_brick(C,D).\n"
+        "pl(A,C) :- place_brick(A,B), left(B,C)."
+    )
+
+    def test_shared_steps_run_once(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        interp = Interpreter(parse_program(self.BK), "lego")
+        state = LegoWorld((0, 0), 0)
+        out = interp.successors(state)
+        # the tree's 6 nodes: left, place_brick and right at the root,
+        # where the primitive place_brick ends; left and right after that
+        # place_brick; place_brick after that right. Run on their own, the
+        # six ops take 10 steps
+        assert len(calls) == 6
+        calls.clear()
+        assert out == [interp.apply(op, state) for op in interp.vocabulary]
+        assert len(calls) == 10
+
+    def test_failed_step_cuts_every_op_that_extends_it(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        interp = Interpreter(parse_program(self.BK), "lego")
+        calls.clear()
+        out = interp.successors(blank_board(1))
+        # right fails after place_brick, so prp's second place_brick
+        # never runs; left fails there and at the root
+        assert sorted(calls) == ["left", "left", "place_brick", "right", "right"]
+        assert dict(zip(interp.vocabulary, out)) == {
+            "prp": None, "pr": None, "pl": None,
+            "left": None, "place_brick": LegoWorld((1,), 0), "right": None,
+        }
+
+
+def _outcome(result) -> tuple:
+    solution, nodes = result
+    return (render_program(solution) if solution is not None else None, nodes)
+
+
+class TestSynthesisAgainstReference:
+    """`synthesize` returns what `reference_synthesize` returns: the same
+    rendered solution and the same node count."""
+
+    def assert_same(self, tasks, bk, limits=LIMITS):
+        for task in tasks:
+            want = _outcome(reference_synthesize(task, bk, limits))
+            assert _outcome(synthesize(task, bk, limits)) == want, task.name
+
+    def test_tower_targets_with_the_original_bk(self, lego_bk, tower_targets):
+        self.assert_same(tower_targets, lego_bk)
+
+    def test_tower_targets_with_a_refactored_bk(self, lego_bk, tower_targets):
+        # a decision cap instead of a wall-clock limit makes the
+        # refactored knowledge base the same on any machine
+        cfg = RefactorConfig(
+            max_levels=2, folding_cap=20, red_group_cap=300,
+            budget=SolverBudget(wall_time=600.0, max_decisions=2_000),
+        )
+        refactored, _ = refactor(lego_bk, cfg)
+        assert refactored.size < lego_bk.size
+        self.assert_same(tower_targets, refactored)
+
+    def test_two_example_string_tasks(self):
+        bk, solved = accumulate_background(
+            gen_string_tasks(50, seed=0, prefix="bg"), string_primitives(), LIMITS
+        )
+        assert len(solved) == 50
+        targets = gen_string_tasks(50, seed=1, prefix="tg")
+        self.assert_same(targets, bk)
+        self.assert_same(targets[:10], string_primitives())
+
+    def test_run_cut_short_by_max_nodes(self, lego_bk, tower_targets):
+        # the first target takes 10 nodes
+        tight = SynthesisLimits(max_depth=14, max_nodes=6, wall_time=120.0)
+        task = tower_targets[0]
+        assert synthesize(task, lego_bk, tight) == (None, 6)
+        self.assert_same([task], lego_bk, tight)
