@@ -286,30 +286,34 @@ class ExecutionError(Exception):
 
 
 def _chain_order(clause: Clause) -> tuple:
-    """The body literals in the order the state flows through them, as
-    perfbench's oracle runs a clause: from the head's first argument, the
-    next literal is the first pending one, in text order, whose first
-    argument is already bound."""
-    # the usual case, checked first: each literal takes the state that
-    # the one before it made
-    state = clause.head.args[0]
-    for lit in clause.body:
-        if lit.args[0] is not state and lit.args[0] != state:
-            break
-        state = lit.args[-1]
-    else:
-        return clause.body
-    bound = {clause.head.args[0]}
+    """The body literals in the order the state flows through them: from
+    the head's first argument, the next literal is the first pending one,
+    in text order, that takes the current state, and its last argument is
+    the state after it. perfbench's oracle runs such a body in this order.
+    A body it would run otherwise, as a flat sequence cannot, raises
+    ExecutionError: one that tests or branches off a state the chain has
+    moved past, binds a variable twice, or does not end at the head's
+    last argument."""
+    state, bound = clause.head.args[0], {clause.head.args[0]}
     order, pending = [], list(clause.body)
     while pending:
-        for k, lit in enumerate(pending):
-            if lit.args[0] in bound:
-                break
-        else:
+        lit = next((l for l in pending if l.args[0] == state), None)
+        if lit is None:
+            if any(l.args[0] in bound for l in pending):
+                raise ExecutionError(
+                    f"the body of {clause.head.pred} uses a state its chain has moved past"
+                )
             raise ExecutionError(f"the body of {clause.head.pred} does not chain its states")
-        del pending[k]
+        if bound.intersection(lit.args[1:]):
+            raise ExecutionError(f"the body of {clause.head.pred} binds a variable twice")
+        pending.remove(lit)
         bound.update(lit.args[1:])
         order.append(lit)
+        state = lit.args[-1]
+    if state != clause.head.args[-1]:
+        raise ExecutionError(
+            f"the body of {clause.head.pred} does not end at its head's last argument"
+        )
     return tuple(order)
 
 

@@ -1,17 +1,30 @@
 """Exhaustive oracles for the tests: the optimum of a small model by
 enumerating every support-clause selection that can complete, and the
 task atoms a program derives bottom-up within a bounded number of
-rounds."""
+rounds; and a loader for the benchmark's own oracle."""
 
 from __future__ import annotations
 
+import importlib.util
 from graphlib import TopologicalSorter
+from pathlib import Path
 from typing import Optional
 
 from refold.copmodel import Assignment, CopModel, check_assignment
 from refold.logic import Atom, Compound, Program, Var
 from refold.solver import SolverError, assignment_from_selection
 from refold.transform import TransformError
+
+
+def benchmark_oracle():
+    """perfbench/oracle.py, loaded by path: it compares two programs'
+    task answers on seeded random fact bases and runs lego solutions,
+    sharing no code with refold."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class InstanceTooLarge(SolverError):

@@ -2,11 +2,9 @@
 single PASS/FAIL line. These are end-to-end checks over the public API;
 unit-level coverage lives in the per-module test files."""
 
-import importlib.util
 import math
 import random
 import time
-from pathlib import Path
 
 from refold.bench import (
     SynthesisLimits,
@@ -29,7 +27,7 @@ from tests.conftest import (
     dense_program,
     random_program,
 )
-from tests.oracles import InstanceTooLarge, brute_force_solve
+from tests.oracles import InstanceTooLarge, benchmark_oracle, brute_force_solve
 from tests.test_copmodel import chain_program
 from tests.test_solver import exhaustive_optimum, random_model
 
@@ -43,19 +41,8 @@ def _report(capsys, criterion: int, label: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {criterion} ({label}) failed: {detail}"
 
 
-def _benchmark_oracle():
-    """perfbench/oracle.py, loaded by path: it compares two programs'
-    task answers on seeded random fact bases, sharing no code with
-    refold.transform."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
-    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_criterion_1_equivalence_preservation(capsys):
-    agree = _benchmark_oracle().agree
+    agree = benchmark_oracle().agree
     rng = random.Random(20260826)
     cfg = RefactorConfig(
         max_levels=1, folding_cap=20, budget=SolverBudget(wall_time=1.0)

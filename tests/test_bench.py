@@ -46,9 +46,13 @@ from refold.logic import (
 from refold.pipeline import RefactorConfig, refactor
 from refold.solver import SolverBudget
 
+from tests.oracles import benchmark_oracle
+
 # criterion 6's synthesis limits, with a wall time no run here comes near,
 # so that node counts do not depend on the machine's speed
 LIMITS = SynthesisLimits(max_depth=14, max_nodes=50_000, wall_time=120.0)
+
+_ORACLE = benchmark_oracle()
 
 
 def reference_synthesize(task: SynthesisTask, bk: Program, limits: SynthesisLimits):
@@ -292,6 +296,71 @@ class TestFlattening:
         )
         with pytest.raises(ExecutionError, match="the body of t does not chain"):
             flatten_definitions(prog)
+
+    @pytest.mark.parametrize(
+        "body, why",
+        [
+            # the oracle tests A's board; a flat sequence would test B's
+            ("t(A,B) :- right(A,B), at_left(A).", "moved past"),
+            # the oracle runs left on A's board; a flat sequence after right
+            ("t(A,C) :- right(A,B), left(A,C).", "moved past"),
+            # the oracle requires left to give A's board back
+            ("t(A,B) :- right(A,B), left(B,A).", "binds a variable twice"),
+            # the oracle answers with C's board, before the last right
+            ("t(A,C) :- right(A,B), left(B,C), right(C,D).", "does not end"),
+        ],
+        ids=["stale-test", "branch", "rebind", "past-the-head"],
+    )
+    def test_body_the_oracle_runs_otherwise_rejected(self, body, why):
+        prog = parse_program(
+            "#primitive left/2.\n#primitive right/2.\n#primitive at_left/1.\n"
+            f"#task t/2.\n{body}"
+        )
+        with pytest.raises(ExecutionError, match=f"the body of t .*{why}"):
+            flatten_definitions(prog)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_flattened_body_runs_as_the_oracle_runs_it(self, data):
+        # a body that threads its states through its literals, sometimes
+        # off an earlier state or into a bound variable, sometimes written
+        # shuffled; flattening either rejects it or runs it as
+        # perfbench/oracle.py's lego_run does, and takes every chain
+        # written in order
+        names = sorted(LEGO_TRANSFORMS) + sorted(LEGO_TESTS)
+        bound, lits, chain = ["A"], [], True
+        for n in range(data.draw(st.integers(0, 5))):
+            src = data.draw(st.sampled_from([bound[-1]] * 3 + bound))
+            chain &= src == bound[-1]
+            name = data.draw(st.sampled_from(names))
+            if name in LEGO_TESTS:
+                lits.append(f"{name}({src})")
+                continue
+            out = data.draw(st.sampled_from([f"V{n}"] * 4 + bound))
+            chain &= out not in bound
+            lits.append(f"{name}({src},{out})")
+            if out not in bound:
+                bound.append(out)
+        last = data.draw(st.sampled_from([bound[-1]] * 3 + bound))
+        chain &= last == bound[-1]
+        # shuffled, a test can move to after a step off its own state
+        if data.draw(st.booleans()):
+            lits, chain = data.draw(st.permutations(lits)), False
+        bk = parse_program(
+            "".join(f"#primitive {p}/2.\n" for p in LEGO_TRANSFORMS)
+            + "".join(f"#primitive {p}/1.\n" for p in LEGO_TESTS)
+            + f"#task t/2.\nt(A,{last})" + (f" :- {', '.join(lits)}." if lits else ".")
+        )
+        try:
+            interp = Interpreter(bk, "lego")
+        except ExecutionError:
+            assert not chain
+            return
+        solution = parse_program("#task t/2.\n#task s/2.\ns(A,B) :- t(A,B).")
+        for state in data.draw(st.lists(_lego_states(), min_size=1, max_size=3)):
+            out = interp.apply("t", state)
+            want = _ORACLE.lego_run(solution, bk, state.heights, state.cursor)
+            assert (None if out is None else (out.heights, out.cursor)) == want
 
     def test_shuffled_bodies_flatten_and_search_as_in_order(self, lego_bk, tower_targets):
         rng = random.Random(0)
