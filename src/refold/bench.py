@@ -565,15 +565,18 @@ def accumulate_background(tasks: list, base: Program, limits: SynthesisLimits):
     solution is flattened to primitives and added as a reusable
     definition. Returns (knowledge base Program, solved task names)."""
     bk = Program(tuple(base.clauses), base.registry.copy())
+    # bk's definitions flattened, grown with bk: an added clause calls
+    # primitives only, and an earlier definition of its name wins
+    flat = flatten_definitions(bk)
     solved = []
     for task in tasks:
         solution, _ = synthesize(task, bk, limits)
         if solution is None:
             continue
-        flat = flatten_definitions(bk)
         seq = [op for lit in solution.clauses[0].body for op in flat.get(lit.pred, (lit.pred,))]
         flat_prog = _sequence_to_program(task, seq, bk)
         bk = Program(bk.clauses + flat_prog.clauses, flat_prog.registry)
+        flat.setdefault(task.name, tuple(seq))
         solved.append(task.name)
     return bk, solved
 
