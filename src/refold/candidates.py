@@ -86,6 +86,18 @@ class LevelledSearchSpace:
     subbodies: list = field(default_factory=list)
 
 
+class Run:
+    """What the stages of one refactor() or remove_redundancy_baseline
+    call share, dropped when the call returns: `forms`, keyed_subsets's
+    memo of variant keys by sub-body signature."""
+
+    def __init__(self):
+        self.forms: dict = {}
+
+    def keyed_subsets(self, body: tuple, lo: int, hi: int) -> list:
+        return keyed_subsets(body, lo, hi, self.forms)
+
+
 def fresh_name(name: str, taken) -> str:
     """`name`, with "_" appended until it is not in `taken`. Invented
     names end in a digit, so a lengthened one cannot be invented again."""
@@ -253,6 +265,8 @@ class UsageIndex:
         join_table count for each of pattern_joins(pattern). Only bodies
         whose cap exceeds their group's count so far are matched."""
         need = pred_counts(pattern)
+        # cap()'s two bounds, inline: this runs for every gated body of
+        # every candidate, where a method call per body shows on small inputs
         caps: dict = {}  # body id -> cap
         for bid in self.gated(need):
             _, body, have = self.bodies[bid]
@@ -275,9 +289,23 @@ class UsageIndex:
         for bid, cap in caps.items():
             g = self.bodies[bid][0]
             if cap > exact.get(g, 0):
-                found = _max_disjoint_count(find_body_matches(self.indexed(bid), form))
-                exact[g] = max(exact.get(g, 0), min(cap, found))
+                exact[g] = max(exact.get(g, 0), self.count(bid, form, cap))
         return sum(exact.values())
+
+    def cap(self, bid: int, need: dict, size: int, joins: set = frozenset()) -> int:
+        """Body bid's literal-count cap (see usage) for a pattern of
+        `size` literals with pred_counts `need`, lowered to its join cap
+        for `joins`, the pattern's pattern_joins."""
+        _, body, have = self.bodies[bid]
+        cap = min(len(body) // size, *(have[pa] // n for pa, n in need.items()))
+        if joins and cap:
+            table = self.joins(bid)
+            cap = min(cap, *(table.get(sig, 0) for sig in joins))
+        return cap
+
+    def count(self, bid: int, form: Pattern, cap: int) -> int:
+        """The most disjoint matches of `form` in body bid, at most `cap`."""
+        return min(cap, _max_disjoint_count(find_body_matches(self.indexed(bid), form)))
 
     def _bound(self, caps: dict) -> int:
         """The sum over groups of the largest of their bodies' caps."""
@@ -296,6 +324,7 @@ def extract_candidates(
     invented: Optional[dict] = None,
     index: Optional[UsageIndex] = None,
     subbodies: Optional[list] = None,
+    run: Optional[Run] = None,
 ) -> list:
     """One candidate per variant class of connected body subsets of size
     in [i, j], with ids 0, 1, ... and usage counts.
@@ -305,7 +334,8 @@ def extract_candidates(
     depends on the ids of its literals. `index` counts usage over its
     groups (defaults to one group per input clause). `subbodies` may give
     each (filtered) body's keyed_subsets over a window holding [i, j], so
-    that an enumeration made for other uses is not repeated.
+    that an enumeration made for other uses is not repeated; else they
+    are keyed with `run`'s forms (defaults to a new Run).
     """
     if i < 1 or j < i:
         raise ValueError(f"invalid size window [{i}, {j}]")
@@ -315,7 +345,8 @@ def extract_candidates(
     if invented is not None:
         bodies = [tuple(l for l in b if l.pred in invented) for b in bodies]
     if subbodies is None:
-        subbodies = [keyed_subsets(b, i, j) for b in bodies]
+        run = run or Run()
+        subbodies = [run.keyed_subsets(b, i, j) for b in bodies]
     out = []
     for ordinal, subset in enumerate(variant_classes(bodies, subbodies, i, j).values()):
         clause = make_candidate_clause(subset, f"inv_{level}_{ordinal}")
@@ -341,17 +372,20 @@ def build_search_space(
     max_levels: Optional[int] = None,
     folding_cap: int = DEFAULT_FOLDING_CAP,
     prune: bool = True,
+    run: Optional[Run] = None,
 ) -> LevelledSearchSpace:
     """Alternate extract -> prune -> fold per level, starting from the
     unfolded program. Level 0 holds the raw clauses. Each level's
     UsageIndex, with one group per clause over its options at the level
     below, serves that level's extraction, usage counts and folding.
     Kept candidates are named inv_<level>_<k>, made fresh against the
-    input's predicates."""
+    input's predicates. Every level keys its sub-bodies with `run`'s
+    forms (defaults to a new Run)."""
+    run = run or Run()
     # one enumeration of the raw bodies serves level-1 extraction and the
     # redundancy penalty
     subbodies = [
-        keyed_subsets(c.body, min(i, 2), max(j, RED_SUBBODY_MAX)) for c in u.clauses
+        run.keyed_subsets(c.body, min(i, 2), max(j, RED_SUBBODY_MAX)) for c in u.clauses
     ]
     foldings: dict = {
         idx: {0: [FoldingOption(literals=c.body, required=frozenset())]}
@@ -391,6 +425,7 @@ def build_search_space(
             },
             index=index,
             subbodies=subbodies if level == 1 else None,
+            run=run,
         )
         # only extraction reads the join tables
         index.drop_joins()

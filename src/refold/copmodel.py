@@ -34,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .logic import Clause, Program, keyed_subsets
+from .logic import Clause, Program
 from .transform import UnfoldedProgram
-from .candidates import RED_SUBBODY_MAX, LevelledSearchSpace
+from .candidates import RED_SUBBODY_MAX, LevelledSearchSpace, Run
 
 DEFAULT_RED_GROUP_CAP = 2000
 # a model over either size makes refactor() return its input
@@ -100,11 +100,13 @@ def encode(
     unfolded: UnfoldedProgram,
     red_group_cap: int = DEFAULT_RED_GROUP_CAP,
     original_predicates: Optional[int] = None,
+    run: Optional[Run] = None,
 ) -> CopModel:
     """The model of `space`, with at most `red_group_cap` RED groups.
     Given `original_predicates`, the input's predicate count, the output
-    may use no more predicates than that. Raises ModelError for a model
-    over MAX_VARIABLES or MAX_CONSTRAINTS."""
+    may use no more predicates than that. Candidate bodies are keyed
+    with `run`'s forms (defaults to a new Run). Raises ModelError for a
+    model over MAX_VARIABLES or MAX_CONSTRAINTS."""
     m = CopModel(vars=[], constraints=[], objective={})
 
     def new_var(tag) -> int:
@@ -146,7 +148,7 @@ def encode(
         add([(-1, p) for p in picks], -1, "pick-hi")
         m.clause_picks[cl] = picks
 
-    _encode_redundancy(m, space, red_group_cap, new_var, add)
+    _encode_redundancy(m, space, red_group_cap, new_var, add, run or Run())
 
     if original_predicates is not None:
         base = len(
@@ -167,7 +169,7 @@ def encode(
     return m
 
 
-def _encode_redundancy(m: CopModel, space, red_group_cap: int, new_var, add):
+def _encode_redundancy(m: CopModel, space, red_group_cap: int, new_var, add, run: Run):
     """One RED var per variant class of connected sub-bodies (size >= 2)
     that a selection can make occur in two or more clauses: its base, the
     input clauses holding it, is 0 or 1, and its base plus the candidates
@@ -185,7 +187,7 @@ def _encode_redundancy(m: CopModel, space, red_group_cap: int, new_var, add):
         svar = m.sc_vars[cand.id]
         sizes = {
             key: len(idxs)
-            for idxs, key in keyed_subsets(cand.clause.body, 2, RED_SUBBODY_MAX)
+            for idxs, key in run.keyed_subsets(cand.clause.body, 2, RED_SUBBODY_MAX)
         }
         for key, size in sizes.items():
             classes.setdefault(key, [size, set(), []])[2].append(svar)

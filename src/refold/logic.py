@@ -700,15 +700,29 @@ def _indices(mask: int) -> tuple:
     return tuple(out)
 
 
-def keyed_subsets(body: tuple, lo: int, hi: int) -> list:
+def keyed_subsets(body: tuple, lo: int, hi: int, forms: Optional[dict] = None) -> list:
     """(index tuple, variant key) of each connected sub-body of `body`
     with lo..hi literals, in connected_index_subsets order. Each literal
-    is laid out once for all the sub-bodies holding it."""
+    is laid out once for all the sub-bodies holding it. `forms` maps a
+    sub-body's signature, its literal formats in order and its variables
+    numbered by first occurrence, to its key: two sub-bodies with one
+    signature are renamings of each other, literal for literal, so each
+    signature is formed once per dict, which many calls may share."""
     layouts = [_literal_layout(a) for a in body]
-    return [
-        (idxs, _form(("k", []), [layouts[k] for k in idxs]))
-        for idxs in connected_index_subsets(body, lo, hi)
-    ]
+    forms = {} if forms is None else forms
+    out = []
+    for idxs in connected_index_subsets(body, lo, hi):
+        sub = [layouts[k] for k in idxs]
+        number: dict = {}
+        signature = (
+            tuple(fmt for fmt, _ in sub),
+            tuple(number.setdefault(v, len(number)) for _, names in sub for v in names),
+        )
+        key = forms.get(signature)
+        if key is None:
+            key = forms[signature] = _form(("k", []), sub)
+        out.append((idxs, key))
+    return out
 
 
 def first_occurrence_vars(lits: Iterable[Atom]) -> list:

@@ -1,11 +1,12 @@
 """Exhaustive oracles for the tests: the optimum of a small model by
 enumerating every support-clause selection that can complete, and the
 task atoms a program derives bottom-up within a bounded number of
-rounds; and a loader for the benchmark's own oracle."""
+rounds; and loaders for the benchmark's own oracle and workloads."""
 
 from __future__ import annotations
 
 import importlib.util
+import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
 from typing import Optional
@@ -24,6 +25,21 @@ def benchmark_oracle():
     spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, loaded by path, for the benchmark's inputs
+    and their seeded variants; perfbench/ is on sys.path while it loads,
+    for its own imports."""
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    sys.path.insert(0, str(root))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "workloads.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(root))
     return module
 
 

@@ -10,7 +10,10 @@ the parser, which reads plain token strings and finds positions only for
 an error, against a reference copy that reads positioned tokens; and
 unfolding, which binds linear heads directly, and syntactic equivalence,
 which accepts aligned equal clauses before any variant search, against
-reference copies that unify every definition and search every clause."""
+reference copies that unify every definition and search every clause;
+and keyed_subsets with a shared memo of forms, and the greedy baseline,
+which keeps each class's counts across its rounds, against reference
+copies that form every sub-body and count every class in every round."""
 
 import graphlib
 import itertools
@@ -20,11 +23,16 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import refold
 from refold import candidates, copmodel, pipeline, transform
 from refold.candidates import (
+    RED_SUBBODY_MAX,
     CandidateSupportClause,
+    UsageIndex,
     build_search_space,
+    fresh_name,
     make_candidate_clause,
+    variant_classes,
 )
 from refold.logic import (
     MAX_TERM_DEPTH,
@@ -40,13 +48,17 @@ from refold.logic import (
     Program,
     Var,
     _canonical_name,
+    _form,
     _layout,
+    _literal_layout,
     canonicalize_clause,
     connected_index_subsets,
     is_variable_name,
+    keyed_subsets,
     parse_program,
     rename_clause,
     render_clause,
+    render_program,
     variant_equal,
     variant_key,
 )
@@ -76,6 +88,8 @@ from refold.transform import (
 )
 
 from tests.conftest import dense_program, random_program
+from tests.oracles import benchmark_workloads
+from tests.test_copmodel import lego_bk_program
 
 # ---------------------------------------------------------------------------
 # Reference implementations
@@ -316,9 +330,9 @@ def reference_count_usage(body: tuple, head: Atom, clause_groups: list) -> int:
 
 
 def reference_extract_candidates(clauses, i, j, level, invented=None, index=None,
-                                 subbodies=None):
-    """Takes, and ignores, the precomputed `subbodies` of the new code; of
-    `index`, reads only which group each body belongs to."""
+                                 subbodies=None, run=None):
+    """Takes, and ignores, the precomputed `subbodies` and the `run` of the
+    new code; of `index`, reads only which group each body belongs to."""
     if i < 1 or j < i:
         raise ValueError(f"invalid size window [{i}, {j}]")
     bodies = [c.body if isinstance(c, Clause) else tuple(c) for c in clauses]
@@ -351,7 +365,7 @@ def reference_extract_candidates(clauses, i, j, level, invented=None, index=None
     return out
 
 
-def reference_encode_redundancy(m, space, red_group_cap, new_var, add):
+def reference_encode_redundancy(m, space, red_group_cap, new_var, add, run=None):
     def subbody_keys(literals):
         if len(literals) < 2:
             return ()
@@ -1038,6 +1052,68 @@ class TestVariantEqual:
 
 
 # ---------------------------------------------------------------------------
+# keyed_subsets with one memo shared across many bodies, against its
+# reference copy, which forms every sub-body on its own
+
+def reference_keyed_subsets(body: tuple, lo: int, hi: int) -> list:
+    layouts = [_literal_layout(a) for a in body]
+    return [
+        (idxs, _form(("k", []), [layouts[k] for k in idxs]))
+        for idxs in connected_index_subsets(body, lo, hi)
+    ]
+
+
+def _revaried(t, pool: list, rnd: random.Random):
+    """t with each variable occurrence replaced by one drawn from `pool`."""
+    if isinstance(t, Var):
+        return rnd.choice(pool)
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_revaried(a, pool, rnd) for a in t.args))
+    return t
+
+
+@st.composite
+def _layout_families(draw):
+    """Bodies that repeat one body's literal layouts, in order, with its
+    variable occurrences drawn again from pools of one to four variables:
+    one layout under many variable-equality patterns."""
+    template = draw(_bodies(5, min_size=1))
+    rnd = draw(st.randoms(use_true_random=False))
+    family = [template]
+    for _ in range(draw(st.integers(1, 6))):
+        pool = [Var(n) for n in "ABCD"[: rnd.randint(1, 4)]]
+        family.append(tuple(
+            Atom(lit.pred, tuple(_revaried(t, pool, rnd) for t in lit.args)) for lit in template
+        ))
+    return family
+
+
+class TestKeyedSubsetsMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(families=st.lists(_layout_families(), min_size=1, max_size=3),
+           lo=st.integers(1, 3), span=st.integers(0, 3))
+    def test_shared_memo_equals_reference(self, families, lo, span):
+        forms: dict = {}
+        for body in [b for f in families for b in f] * 2:
+            assert keyed_subsets(body, lo, lo + span, forms) == \
+                reference_keyed_subsets(body, lo, lo + span)
+
+    def test_equality_patterns_key_apart(self):
+        a, b, c = Var("A"), Var("B"), Var("C")
+        bodies = [
+            (Atom("p", (a, b)), Atom("p", (b, c))),
+            (Atom("p", (a, b)), Atom("p", (c, b))),
+            (Atom("p", (a, a)), Atom("p", (a, b))),
+            (Atom("p", (a, b)), Atom("p", (c, a))),
+        ]
+        forms: dict = {}
+        keys = [keyed_subsets(body, 1, 2, forms) for body in bodies]
+        assert keys == [reference_keyed_subsets(body, 1, 2) for body in bodies]
+        assert len({k[-1][1] for k in keys}) == 3  # the first and last are variants
+        assert keys[2][0][1] != keys[2][1][1]  # p(A,A) against p(A,B)
+
+
+# ---------------------------------------------------------------------------
 # Extraction and the redundancy encoding against their reference copies
 
 # two levels of candidates over literals with constants; the two clauses
@@ -1081,6 +1157,120 @@ def test_extraction_and_model_equal_reference(monkeypatch):
         assert got[:3] == want[:3], name
         levels.add(got[3].max_level)
     assert levels >= {1, 2}
+
+
+# ---------------------------------------------------------------------------
+# The greedy baseline, which keeps each class's counts across its rounds,
+# against its reference copy, which counts every class in every clause
+# in every round
+
+def reference_remove_redundancy_baseline(p: Program) -> Program:
+    u = unfold(p)
+    clauses = list(u.clauses)
+    subbodies = [reference_keyed_subsets(c.body, 2, RED_SUBBODY_MAX) for c in clauses]
+    index = UsageIndex([[c.body] for c in clauses])
+    registry = u.registry.copy()
+    counter = 0
+    while counter < 1000:
+        classes = variant_classes([c.body for c in clauses], subbodies, 2, RED_SUBBODY_MAX)
+        shared = []
+        for key, sub in classes.items():
+            occ = index.usage(sub, make_candidate_clause(sub, "probe").head, lambda u: u >= 2)
+            if occ >= 2:
+                shared.append((-len(sub), -occ, key, sub))
+        if not shared:
+            break
+        sub = min(shared)[3]
+        support = make_candidate_clause(sub, fresh_name(f"red_{counter}", registry.entries))
+        counter += 1
+        registry.declare(support.head.pred, support.head.arity, "support")
+        form = Pattern(sub, support.head)
+        for k in sorted(index.gated(form.need)):
+            chosen = pipeline._greedy_disjoint(find_body_matches(index.indexed(k), form))
+            if chosen:
+                clauses[k] = apply_match_set(clauses[k], chosen)
+                subbodies[k] = reference_keyed_subsets(clauses[k].body, 2, RED_SUBBODY_MAX)
+                index.put(k, k, clauses[k].body)
+        index.put(len(clauses), len(clauses), support.body)
+        clauses.append(support)
+        subbodies.append(reference_keyed_subsets(support.body, 2, RED_SUBBODY_MAX))
+    return Program(u.primitive_clauses + tuple(clauses), registry)
+
+
+def _assert_baseline_equals_reference(program: Program):
+    want = render_program(reference_remove_redundancy_baseline(program))
+    assert render_program(pipeline.remove_redundancy_baseline(program)) == want
+
+
+# task clauses over two binary predicates, a unary one and a constant,
+# with few variables each: cycles and repeated variables make classes
+# match clauses that do not hold their key
+_FEW_VARS = st.sampled_from([Var("A"), Var("B"), Var("C"), Var("D")])
+_BASELINE_LITERALS = st.one_of(
+    st.builds(lambda pred, x, y: Atom(pred, (x, y)), st.sampled_from(["p", "q"]),
+              _FEW_VARS, st.one_of(_FEW_VARS, _FEW_VARS, st.just(Const("a")))),
+    st.builds(lambda x: Atom("r", (x,)), _FEW_VARS),
+)
+
+
+@st.composite
+def _baseline_programs(draw):
+    bodies = draw(st.lists(st.lists(_BASELINE_LITERALS, min_size=2, max_size=7),
+                           min_size=2, max_size=8))
+    lines = ["#primitive p/2.", "#primitive q/2.", "#primitive r/1."]
+    for k, body in enumerate(bodies):
+        head = next(iter(Clause(Atom("h"), tuple(body)).variables()))
+        lines += [f"#task t{k}/1.", render_clause(Clause(Atom(f"t{k}", (head,)), tuple(body)))]
+    return parse_program("\n".join(lines))
+
+
+class TestBaselineEqualsReference:
+    @settings(max_examples=200, deadline=None)
+    @given(program=_baseline_programs())
+    def test_generated_programs(self, program):
+        _assert_baseline_equals_reference(program)
+
+    def test_criterion_1_programs(self):
+        rng = random.Random(20260826)
+        for _ in range(60):
+            _assert_baseline_equals_reference(random_program(rng))
+
+    def test_a_class_counts_a_clause_without_its_key(self):
+        # p(A,B), q(B,C) matches t1's p(X,Y), q(Y,X), whose own key is a
+        # cycle's, and only with that occurrence is the class shared
+        program = parse_program(
+            "#primitive p/2.\n#primitive q/2.\n#task t0/2.\n#task t1/1.\n"
+            "t0(A,C) :- p(A,B), q(B,C).\nt1(X) :- p(X,Y), q(Y,X)."
+        )
+        out = pipeline.remove_redundancy_baseline(program)
+        assert render_clause(out.clauses[1]) == "t1(X) :- red_0(X,Y,X)."
+        _assert_baseline_equals_reference(program)
+
+    def test_chain_past_the_disjoint_node_cap(self):
+        # in a 30-literal chain of one predicate the 3-literal class has
+        # 28 overlapping matches, too many for _max_disjoint_count to
+        # search, and the folds leave chains of red_<n> literals as long
+        body = tuple(Atom("p", (Var(f"X{k}"), Var(f"X{k + 1}"))) for k in range(30))
+        pattern = body[:3]
+        form = Pattern(pattern, make_candidate_clause(pattern, "h").head)
+        matches = find_body_matches(IndexedBody(body), form)
+        # past its node cap, the count is the number of matches, not 10
+        assert len(matches) == 28 and _max_disjoint_count(matches) == 28
+        program = parse_program(
+            "#primitive p/2.\n#task t/2.\n"
+            + render_clause(Clause(Atom("t", (Var("X0"), Var("X30"))), body))
+        )
+        _assert_baseline_equals_reference(program)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_dense_default(self, seed):
+        workloads = benchmark_workloads()
+        text = workloads.criterion5_text()
+        [program] = workloads._parse_variants(refold, [text], seed, {})
+        _assert_baseline_equals_reference(program)
+
+    def test_criterion_6_lego_bk(self):
+        _assert_baseline_equals_reference(lego_bk_program())
 
 
 # ---------------------------------------------------------------------------
