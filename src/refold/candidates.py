@@ -186,6 +186,39 @@ def pattern_joins(pattern: tuple) -> set:
     }
 
 
+class _Counts:
+    """What a UsageIndex keeps of one pattern (see usage), as of its
+    `mark`-th put: each gated body's literal-count cap, its join cap once
+    the literal bound has passed, its count once matched, and the sums of
+    these as far as the last call got. Made bare, so that usage can look
+    a pattern up with one setdefault, and set up by `start`."""
+
+    __slots__ = ("mark", "need", "joins", "caps", "joined", "counts", "form", "sums")
+
+    def start(self, pattern: tuple):
+        self.need = pred_counts(pattern)
+        self.joins: Optional[set] = None  # pattern_joins, once needed
+        self.caps: dict = {}  # body id -> literal-count cap
+        self.joined: dict = {}  # body id -> cap lowered to the join cap
+        self.counts: dict = {}  # body id -> its most disjoint matches
+        self.form: Optional[Pattern] = None
+        self.sums: list = []  # literal-count bound, join bound, count
+
+    def forget(self, bids: list, bodies: list) -> list:
+        """Drop what is kept for the bodies `bids`, which were put since;
+        return those of them that hold every (pred, arity) of the pattern."""
+        caps, joined, counts, need = self.caps, self.joined, self.counts, self.need
+        held = []
+        for bid in bids:
+            if caps.pop(bid, None) is not None:
+                joined.pop(bid, None)
+                counts.pop(bid, None)
+                self.sums.clear()
+            if need.keys() <= bodies[bid][2].keys():
+                held.append(bid)
+        return held
+
+
 class UsageIndex:
     """Inverted gate index over groups of alternative bodies (a group is
     one clause's bodies). A pattern matches a body only if
@@ -195,20 +228,25 @@ class UsageIndex:
     the only bodies a pattern can match are an intersection of posting
     sets, found without a scan. A body's IndexedBody and its join_table
     are built on first use and serve every later pattern, until `put`
-    replaces the body or `drop_joins` the tables."""
+    replaces the body or `drop_joins` the tables. Each pattern's caps and
+    counts serve its later usage calls, for every body not put since."""
 
     def __init__(self, groups: list):
         self.bodies: list = []  # (group, body, pred_counts of body)
         self.postings: dict = {}  # (pred, arity, k) -> set of body ids
         self._indexed: list = []
         self._joins: list = []
+        self._puts: list = []  # the id of each body put, in order
+        self._alone = True  # each body is the only one of its group, g == bid
+        self._counts: dict = {}  # pattern -> its _Counts
         for g, group in enumerate(groups):
             for body in group:
                 self.put(len(self.bodies), g, body)
 
     def put(self, bid: int, g: int, body: tuple):
         """Make body `bid` of group g `body`: a new body if bid is the
-        next id, else a replacement whose forms are built again."""
+        next id, else a replacement whose forms, caps and counts are
+        built again."""
         if bid == len(self.bodies):
             self.bodies.append(None)
             self._indexed.append(None)
@@ -223,6 +261,8 @@ class UsageIndex:
             for k in range(1, n + 1):
                 self.postings.setdefault((p, a, k), set()).add(bid)
         self.bodies[bid] = (g, body, have)
+        self._puts.append(bid)
+        self._alone = self._alone and g == bid
 
     def drop_joins(self):
         """Release the join tables; a later usage() builds them again."""
@@ -249,7 +289,7 @@ class UsageIndex:
         )
         return sets[0].intersection(*sets[1:])
 
-    def usage(self, pattern: tuple, head: Atom, worth) -> int:
+    def usage(self, pattern: tuple, worth) -> int:
         """Foldable occurrences of `pattern`: per group, the most disjoint
         matches in one of its bodies, summed. Counting occurrences, not
         clauses, keeps the profitability prune loss-free.
@@ -263,56 +303,71 @@ class UsageIndex:
         literals to two body literals sharing a term there, and disjoint
         matches use distinct literals, so a body holds at most its
         join_table count for each of pattern_joins(pattern). Only bodies
-        whose cap exceeds their group's count so far are matched."""
-        need = pred_counts(pattern)
-        # cap()'s two bounds, inline: this runs for every gated body of
-        # every candidate, where a method call per body shows on small inputs
-        caps: dict = {}  # body id -> cap
-        for bid in self.gated(need):
-            _, body, have = self.bodies[bid]
-            caps[bid] = min(
-                len(body) // len(pattern), *(have[pa] // n for pa, n in need.items())
-            )
-        bound = self._bound(caps)
-        if not worth(bound):
-            return bound
-        joins = pattern_joins(pattern)
-        if joins:
+        whose cap exceeds their group's count so far are matched.
+
+        The index keeps each pattern's caps, counts and sums, so a later
+        call with an equal pattern works only on the bodies put since.
+        They are kept per pattern, not per variant class: the pattern's
+        own match order decides _max_disjoint_count past its node cap."""
+        # one lookup: hashing the pattern's literals is a cost per call
+        memo = self._counts.setdefault(pattern, new := _Counts())
+        if memo is new:
+            memo.start(pattern)
+            stale = self.gated(memo.need)
+        else:
+            stale = memo.forget(self._puts[memo.mark:], self.bodies)
+        memo.mark = len(self._puts)
+        caps, joined, counts, sums = memo.caps, memo.joined, memo.counts, memo.sums
+        if stale:
+            sums.clear()
+            need, size = memo.need, len(pattern)
+            for bid in stale:
+                _, body, have = self.bodies[bid]
+                # the literal-count cap, positive exactly on the gated bodies
+                cap = min(len(body) // size, *(have[pa] // n for pa, n in need.items()))
+                if cap:
+                    caps[bid] = cap
+        if not sums:
+            sums.append(self._bound(caps))
+        if not worth(sums[0]):
+            return sums[0]
+        if memo.joins is None:
+            memo.joins = pattern_joins(pattern)
+        if not memo.joins:
+            joined = caps  # no join lowers a cap
+        if len(sums) == 1:
             for bid, cap in caps.items():
-                table = self.joins(bid)
-                caps[bid] = min(cap, *(table.get(sig, 0) for sig in joins))
-            bound = self._bound(caps)
-            if not worth(bound):
-                return bound
-        form = Pattern(pattern, head)
-        exact: dict = {}
-        for bid, cap in caps.items():
-            g = self.bodies[bid][0]
-            if cap > exact.get(g, 0):
-                exact[g] = max(exact.get(g, 0), self.count(bid, form, cap))
-        return sum(exact.values())
-
-    def cap(self, bid: int, need: dict, size: int, joins: set = frozenset()) -> int:
-        """Body bid's literal-count cap (see usage) for a pattern of
-        `size` literals with pred_counts `need`, lowered to its join cap
-        for `joins`, the pattern's pattern_joins."""
-        _, body, have = self.bodies[bid]
-        cap = min(len(body) // size, *(have[pa] // n for pa, n in need.items()))
-        if joins and cap:
-            table = self.joins(bid)
-            cap = min(cap, *(table.get(sig, 0) for sig in joins))
-        return cap
-
-    def count(self, bid: int, form: Pattern, cap: int) -> int:
-        """The most disjoint matches of `form` in body bid, at most `cap`."""
-        return min(cap, _max_disjoint_count(find_body_matches(self.indexed(bid), form)))
+                if bid not in joined:
+                    table = self.joins(bid)
+                    joined[bid] = min(cap, *(table.get(sig, 0) for sig in memo.joins))
+            sums.append(self._bound(joined))
+        if memo.joins and not worth(sums[1]):
+            return sums[1]
+        if len(sums) == 2:
+            if memo.form is None:
+                memo.form = Pattern(pattern, make_candidate_clause(pattern, "probe").head)
+            exact: dict = {}
+            for bid, n in counts.items():
+                g = self.bodies[bid][0]
+                exact[g] = max(exact.get(g, 0), n)
+            for bid, cap in joined.items():
+                g = self.bodies[bid][0]
+                if bid not in counts and cap > exact.get(g, 0):
+                    matches = find_body_matches(self.indexed(bid), memo.form)
+                    counts[bid] = n = min(cap, _max_disjoint_count(matches))
+                    exact[g] = max(exact.get(g, 0), n)
+            sums.append(sum(exact.values()))
+        return sums[2]
 
     def _bound(self, caps: dict) -> int:
         """The sum over groups of the largest of their bodies' caps."""
+        if self._alone:
+            return sum(caps.values())
         best: dict = {}
         for bid, cap in caps.items():
             g = self.bodies[bid][0]
-            best[g] = max(best.get(g, 0), cap)
+            if cap > best.get(g, 0):
+                best[g] = cap
         return sum(best.values())
 
 
@@ -352,7 +407,7 @@ def extract_candidates(
         clause = make_candidate_clause(subset, f"inv_{level}_{ordinal}")
         deps = frozenset(invented[l.pred] for l in subset) if invented else frozenset()
         size = len(subset) + 1
-        usage = index.usage(subset, clause.head, lambda u: is_profitable(size, u))
+        usage = index.usage(subset, lambda u: is_profitable(size, u))
         out.append(
             CandidateSupportClause(
                 id=ordinal,

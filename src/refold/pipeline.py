@@ -12,7 +12,6 @@ from .transform import (
     Pattern,
     apply_match_set,
     find_body_matches,
-    pred_counts,
     syntactic_equiv,
     unfold,
 )
@@ -24,7 +23,6 @@ from .candidates import (
     build_search_space,
     fresh_name,
     make_candidate_clause,
-    pattern_joins,
     variant_classes,
 )
 from .copmodel import DEFAULT_RED_GROUP_CAP, ModelError, decode, encode, render_model
@@ -234,19 +232,12 @@ def remove_redundancy_baseline(p: Program) -> Program:
     subbodies = [run.keyed_subsets(c.body, 2, RED_SUBBODY_MAX) for c in clauses]
     index = UsageIndex([[c.body] for c in clauses])
     registry = u.registry.copy()
-    tallies: dict = {}  # variant key -> its class's _Tally
-    changed: list = []  # the clauses the last round rewrote or added
     counter = 0
     while counter < 1000:
         classes = variant_classes([c.body for c in clauses], subbodies, 2, RED_SUBBODY_MAX)
-        tallies = {
-            key: tallies[key].recount(sub, index, changed) if key in tallies
-            else _Tally(sub, index)
-            for key, sub in classes.items()
-        }
         shared = []
         for key, sub in classes.items():
-            occ = tallies[key].usage(index)
+            occ = index.usage(sub, lambda u: u >= 2)
             if occ >= 2:
                 shared.append((-len(sub), -occ, key, sub))
         if not shared:
@@ -258,66 +249,16 @@ def remove_redundancy_baseline(p: Program) -> Program:
         counter += 1
         registry.declare(support.head.pred, support.head.arity, "support")
         form = Pattern(sub, support.head)
-        changed = []
         for k in sorted(index.gated(form.need)):
             chosen = _greedy_disjoint(find_body_matches(index.indexed(k), form))
             if chosen:
                 clauses[k] = apply_match_set(clauses[k], chosen)
                 subbodies[k] = run.keyed_subsets(clauses[k].body, 2, RED_SUBBODY_MAX)
                 index.put(k, k, clauses[k].body)
-                changed.append(k)
-        changed.append(len(clauses))
         index.put(len(clauses), len(clauses), support.body)
         clauses.append(support)
         subbodies.append(run.keyed_subsets(support.body, 2, RED_SUBBODY_MAX))
     return Program(u.primitive_clauses + tuple(clauses), registry)
-
-
-class _Tally:
-    """One variant class's foldable occurrences in each clause of the
-    baseline's UsageIndex, as UsageIndex.usage counts them, kept across
-    rounds: each clause's cap, and its exact count once the caps sum to
-    2 or more. A count is matched against the class's first sub-body,
-    whose match order decides _max_disjoint_count past its node cap."""
-
-    __slots__ = ("need", "joins", "sub", "form", "caps", "counts")
-
-    def __init__(self, sub: tuple, index: UsageIndex):
-        self.need = pred_counts(sub)
-        self.joins = pattern_joins(sub)
-        self.sub: tuple = ()
-        self.caps: dict = {}  # clause -> its positive cap
-        self.counts: dict = {}  # clause -> its count, once matched
-        self.recount(sub, index, index.gated(self.need))
-
-    def recount(self, sub: tuple, index: UsageIndex, clauses) -> "_Tally":
-        """Take `sub` as the class's first sub-body, and count it again in
-        `clauses`, which the index holds anew."""
-        if sub != self.sub:
-            self.sub, self.form, self.counts = sub, None, {}
-        for k in clauses:
-            self.counts.pop(k, None)
-            have = index.bodies[k][2]
-            cap = 0
-            if all(have[pa] >= n for pa, n in self.need.items()):  # the gate
-                cap = index.cap(k, self.need, len(sub), self.joins)
-            if cap > 0:
-                self.caps[k] = cap
-            else:
-                self.caps.pop(k, None)
-        return self
-
-    def usage(self, index: UsageIndex) -> int:
-        """The class's occurrences, or its caps' sum where that is under 2."""
-        bound = sum(self.caps.values())
-        if bound < 2:
-            return bound
-        if self.form is None:
-            self.form = Pattern(self.sub, make_candidate_clause(self.sub, "probe").head)
-        for k, cap in self.caps.items():
-            if k not in self.counts:
-                self.counts[k] = index.count(k, self.form, cap)
-        return sum(self.counts.values())
 
 
 def _greedy_disjoint(matches: list) -> list:

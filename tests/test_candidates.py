@@ -178,7 +178,7 @@ class TestMatcherGate:
         index = UsageIndex(groups)
         for c in cands:
             reference = _reference_usage(c.clause.body, c.clause.head, groups)
-            assert index.usage(c.clause.body, c.clause.head, lambda u: True) == reference
+            assert index.usage(c.clause.body, lambda u: True) == reference
         gated = [index.gated(pred_counts(c.clause.body)) for c in cands]
         pred_to_id = {c.pred: c.id for c in cands}
         forms = [(c.id, Pattern(c.clause.body, c.clause.head)) for c in cands]
@@ -214,9 +214,56 @@ class TestMatcherGate:
         assert done.stdout.split() == ["2099"]
 
 
+# a put step: replace a body, append one, or move one to another group;
+# the integers pick the body and the group
+_PUT_STEPS = st.tuples(
+    st.sampled_from(["replace", "append", "move"]),
+    st.integers(0, 50),
+    st.integers(0, 50),
+    _gate_bodies(5),
+)
+
+
+def _worths(order: tuple) -> list:
+    """One fresh worth each: 0 fails at the literal-count bound, 1 passes
+    it and fails at the join bound, 2 never fails."""
+    def second_fails():
+        asked = []
+        return lambda u: asked.append(u) or len(asked) == 1
+
+    make = {0: lambda: (lambda u: False), 1: second_fails, 2: lambda: (lambda u: True)}
+    return [make[k]() for k in order]
+
+
 class TestUsageIndex:
     """The posting intersection and the literal-count bound against the
-    scan and the matcher they stand in for."""
+    scan and the matcher they stand in for, and the caps and counts the
+    index keeps across calls against a fresh index."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(groups=_gate_groups(5), patterns=st.lists(_gate_bodies(3), min_size=1, max_size=3),
+           steps=st.lists(_PUT_STEPS, max_size=6), order=st.permutations([0, 1, 2]))
+    def test_kept_counts_equal_a_fresh_index(self, groups, patterns, steps, order):
+        index = UsageIndex(groups)
+        placed = [(g, body) for g, group in enumerate(groups) for body in group]
+        for step in [None, *steps]:
+            if step is not None:
+                kind, pick, to, body = step
+                bid = pick % len(placed)
+                g = to % (len(groups) + 1)  # an existing group or a new one
+                if kind == "replace":
+                    placed[bid] = (placed[bid][0], body)
+                elif kind == "append":
+                    bid = len(placed)
+                    placed.append((g, body))
+                else:
+                    placed[bid] = (g, placed[bid][1])
+                index.put(bid, *placed[bid])
+                groups = [[b for h, b in placed if h == k] for k in range(len(groups) + 1)]
+            for pattern in patterns:
+                for kept, fresh in zip(_worths(order), _worths(order)):
+                    want = UsageIndex([gr for gr in groups if gr]).usage(pattern, fresh)
+                    assert index.usage(pattern, kept) == want
 
     @settings(max_examples=300, deadline=None)
     @given(pattern=_gate_bodies(3), groups=_gate_groups(5))
@@ -229,15 +276,14 @@ class TestUsageIndex:
     @given(pattern=_gate_bodies(3), groups=_gate_groups(6))
     def test_bound_never_below_exact_usage(self, pattern, groups):
         head = make_candidate_clause(pattern, "inv").head
-        bound = UsageIndex(groups).usage(pattern, head, lambda u: False)
+        bound = UsageIndex(groups).usage(pattern, lambda u: False)
         assert bound >= _reference_usage(pattern, head, groups)
 
     def test_group_counts_its_best_body(self):
         # the first body of the group holds one occurrence, the second two
         a, b = Atom("p", (Var("A"),)), Atom("p", (Var("B"),))
         index = UsageIndex([[(a,), (a, b)], [(b,)]])
-        head = make_candidate_clause((a,), "inv").head
-        assert index.usage((a,), head, lambda u: True) == 3
+        assert index.usage((a,), lambda u: True) == 3
 
     def test_usage_stays_within_the_bound_when_the_disjoint_search_gives_up(self):
         # 56 ordered pairs of 8 literals: the disjoint search passes its
@@ -247,7 +293,7 @@ class TestUsageIndex:
         head = make_candidate_clause(pattern, "inv").head
         matches = find_body_matches(IndexedBody(body), Pattern(pattern, head))
         assert _max_disjoint_count(matches) == 56
-        assert UsageIndex([[body]]).usage(pattern, head, lambda u: True) == 4
+        assert UsageIndex([[body]]).usage(pattern, lambda u: True) == 4
 
     def test_long_chain_passes_the_node_cap_without_recursing(self):
         # a recursion one level per chosen match would pass Python's stack
@@ -270,10 +316,9 @@ class TestUsageIndex:
         prog = parse_program(SHARED_CHAIN)
         index = UsageIndex([[c.body] for c in prog.clauses])
         pattern = prog.clauses[0].body
-        head = make_candidate_clause(pattern, "inv").head
-        assert index.usage(pattern, head, lambda u: False) == 2
+        assert index.usage(pattern, lambda u: False) == 2
         assert calls == []
-        assert index.usage(pattern, head, lambda u: True) == 2
+        assert index.usage(pattern, lambda u: True) == 2
         assert len(calls) == 2
 
     @settings(max_examples=300, deadline=None)
@@ -297,7 +342,7 @@ class TestUsageIndex:
         saved = candidates.find_body_matches
         candidates.find_body_matches = counting
         try:
-            got = UsageIndex(groups).usage(pattern, head, worth)
+            got = UsageIndex(groups).usage(pattern, worth)
         finally:
             candidates.find_body_matches = saved
         if len(asked) == 2:
@@ -333,9 +378,8 @@ class TestUsageIndex:
         apart = body_of("#primitive p/2.\n#primitive q/2.\nh(A) :- p(A,B), q(C,A).")
         index = UsageIndex([[joined], [apart]])
         pattern = joined
-        head = make_candidate_clause(pattern, "inv").head
         assert index.gated(pred_counts(pattern)) == {0, 1}
-        assert index.usage(pattern, head, lambda u: True) == 1
+        assert index.usage(pattern, lambda u: True) == 1
         assert [a[0].literals for a in calls] == [joined]
 
     def test_shared_constant_builds_the_join_table_within_seconds(self):
@@ -358,7 +402,7 @@ class TestUsageIndex:
             "a, b, c = Var('A'), Var('B'), Var('C')\n"
             "pattern = (Atom('p', (a, b)), Atom('p', (b, c)))\n"
             "index = UsageIndex([[body]] * 5)\n"
-            "print(index.usage(pattern, Atom('inv', (a, b, c)), lambda u: is_profitable(3, u)))\n"
+            "print(index.usage(pattern, lambda u: is_profitable(3, u)))\n"
             "print(index.joins(0))"
         )
         done = subprocess.run(

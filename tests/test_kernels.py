@@ -1160,9 +1160,46 @@ def test_extraction_and_model_equal_reference(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The greedy baseline, which keeps each class's counts across its rounds,
-# against its reference copy, which counts every class in every clause
-# in every round
+# The greedy baseline, whose index keeps each class's counts across its
+# rounds, against its reference copy, which counts every class in every
+# clause in every round
+
+def _reference_bound(index: UsageIndex, caps: dict) -> int:
+    best: dict = {}
+    for bid, cap in caps.items():
+        g = index.bodies[bid][0]
+        best[g] = max(best.get(g, 0), cap)
+    return sum(best.values())
+
+
+def reference_usage(index: UsageIndex, pattern: tuple, head: Atom, worth) -> int:
+    """UsageIndex.usage as it was before the index kept counts: both
+    bounds and every count made afresh on each call."""
+    need = pred_counts(pattern)
+    caps: dict = {}
+    for bid in index.gated(need):
+        _, body, have = index.bodies[bid]
+        caps[bid] = min(len(body) // len(pattern), *(have[pa] // n for pa, n in need.items()))
+    bound = _reference_bound(index, caps)
+    if not worth(bound):
+        return bound
+    joins = candidates.pattern_joins(pattern)
+    if joins:
+        for bid, cap in caps.items():
+            table = index.joins(bid)
+            caps[bid] = min(cap, *(table.get(sig, 0) for sig in joins))
+        bound = _reference_bound(index, caps)
+        if not worth(bound):
+            return bound
+    form = Pattern(pattern, head)
+    exact: dict = {}
+    for bid, cap in caps.items():
+        g = index.bodies[bid][0]
+        if cap > exact.get(g, 0):
+            count = _max_disjoint_count(find_body_matches(index.indexed(bid), form))
+            exact[g] = max(exact.get(g, 0), min(cap, count))
+    return sum(exact.values())
+
 
 def reference_remove_redundancy_baseline(p: Program) -> Program:
     u = unfold(p)
@@ -1175,7 +1212,8 @@ def reference_remove_redundancy_baseline(p: Program) -> Program:
         classes = variant_classes([c.body for c in clauses], subbodies, 2, RED_SUBBODY_MAX)
         shared = []
         for key, sub in classes.items():
-            occ = index.usage(sub, make_candidate_clause(sub, "probe").head, lambda u: u >= 2)
+            head = make_candidate_clause(sub, "probe").head
+            occ = reference_usage(index, sub, head, lambda u: u >= 2)
             if occ >= 2:
                 shared.append((-len(sub), -occ, key, sub))
         if not shared:

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import refold
 from refold import cli, copmodel
-from refold.logic import parse_program, render_program
+from refold.logic import parse_program, render_program, variant_equal
 from refold.pipeline import (
     RefactorConfig,
     hypothesis_space_size,
@@ -18,6 +20,8 @@ from refold.pipeline import (
 from refold.solver import SolverBudget
 from refold.transform import syntactic_equiv
 
+from tests.conftest import random_program
+from tests.oracles import benchmark_workloads
 from tests.test_copmodel import chain_program
 
 # three towers sharing the vertical 3-stack make inventing it pay off
@@ -259,3 +263,49 @@ class TestDeterminism:
             assert done.returncode == 0, done.stderr
             outputs.add(done.stdout)
         assert len(outputs) == 1
+
+
+class TestSameInputWrittenAnotherWay:
+    """Criterion 1's first 150 programs under random-batch's config, with a
+    budget every solve meets: an isomorphic variant of a program, made by
+    the benchmark's own generator, gets an output of the same size, and
+    an output reads back and refactors to a program equivalent to the
+    input."""
+
+    CFG = RefactorConfig(max_levels=1, folding_cap=20, budget=SolverBudget(wall_time=5.0))
+
+    @staticmethod
+    def _programs():
+        rng = random.Random(20260826)
+        return [random_program(rng) for _ in range(150)]
+
+    def test_isomorphic_variants_get_outputs_of_one_size(self):
+        # variables renamed, clauses shuffled and predicates permuted
+        # within role and arity; sizes are compared wherever every solve
+        # proved its optimum
+        workloads = benchmark_workloads()
+        compared, differ = 0, []
+        for k, program in enumerate(self._programs()):
+            variants = [program] + [
+                parse_program(workloads.variant_text(
+                    refold, program, random.Random(1000 * k + v), permute=True))
+                for v in (1, 2)
+            ]
+            results = [refactor(p, self.CFG) for p in variants]
+            if all(report.solver_status == "optimal" for _, report in results):
+                compared += 1
+                sizes = [out.size for out, _ in results]
+                if len(set(sizes)) > 1:
+                    differ.append((k, sizes))
+        assert not differ
+        assert compared >= 140
+
+    def test_output_reads_back_and_refactors_to_the_input(self):
+        for program in self._programs():
+            out, _ = refactor(program, self.CFG)
+            back = parse_program(render_program(out))
+            assert back.registry.entries == out.registry.entries
+            assert len(back.clauses) == len(out.clauses)
+            assert all(variant_equal(a, b) for a, b in zip(back.clauses, out.clauses))
+            again, _ = refactor(out, self.CFG)
+            assert syntactic_equiv(program, again)
