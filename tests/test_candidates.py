@@ -224,15 +224,13 @@ _PUT_STEPS = st.tuples(
 )
 
 
-def _worths(order: tuple) -> list:
-    """One fresh worth each: 0 fails at the literal-count bound, 1 passes
-    it and fails at the join bound, 2 never fails."""
-    def second_fails():
-        asked = []
-        return lambda u: asked.append(u) or len(asked) == 1
-
-    make = {0: lambda: (lambda u: False), 1: second_fails, 2: lambda: (lambda u: True)}
-    return [make[k]() for k in order]
+def _worth(kind: int) -> tuple:
+    """A fresh worth and the list of the bounds it is asked about: kind 0
+    fails at the literal-count bound, 1 passes it and fails at the join
+    bound, 2 never fails."""
+    asked: list = []
+    answer = {0: lambda: False, 1: lambda: len(asked) == 1, 2: lambda: True}[kind]
+    return (lambda u: asked.append(u) or answer()), asked
 
 
 class TestUsageIndex:
@@ -261,9 +259,11 @@ class TestUsageIndex:
                 index.put(bid, *placed[bid])
                 groups = [[b for h, b in placed if h == k] for k in range(len(groups) + 1)]
             for pattern in patterns:
-                for kept, fresh in zip(_worths(order), _worths(order)):
+                for kind in order:
+                    (kept, kept_asked), (fresh, fresh_asked) = _worth(kind), _worth(kind)
                     want = UsageIndex([gr for gr in groups if gr]).usage(pattern, fresh)
                     assert index.usage(pattern, kept) == want
+                    assert kept_asked == fresh_asked
 
     @settings(max_examples=300, deadline=None)
     @given(pattern=_gate_bodies(3), groups=_gate_groups(5))
