@@ -188,19 +188,18 @@ def pattern_joins(pattern: tuple) -> set:
 
 class _Counts:
     """What a UsageIndex keeps of one pattern (see usage), as of its
-    `mark`-th put: each gated body's literal-count cap, its join cap where
-    lower (for every body, once a call has passed the literal-count
-    bound), its count once matched, and the sums of these as far as the
-    last call got. Made bare, so that usage can look a pattern up with
-    one setdefault, and set up by `start`."""
+    `mark`-th put: each gated body's literal-count cap, its join cap once
+    the literal bound has passed, its count once matched, and the sums of
+    these as far as the last call got. Made bare, so that usage can look
+    a pattern up with one setdefault, and set up by `start`."""
 
-    __slots__ = ("mark", "need", "joins", "caps", "lower", "counts", "sums")
+    __slots__ = ("mark", "need", "joins", "caps", "joined", "counts", "sums")
 
     def start(self, pattern: tuple):
         self.need = pred_counts(pattern)
-        self.joins: Optional[tuple] = None  # pattern_joins, once a call passed bound 1
+        self.joins: Optional[tuple] = None  # pattern_joins, once needed
         self.caps: dict = {}  # body id -> literal-count cap
-        self.lower: dict = {}  # body id -> its join cap, where below its cap
+        self.joined: dict = {}  # body id -> cap lowered to the join cap
         self.counts: dict = {}  # body id -> its most disjoint matches
         self.sums: list = []  # literal-count bound, join bound, count
 
@@ -304,34 +303,37 @@ class UsageIndex:
             stale = []
             for bid in self._puts[memo.mark:]:
                 if memo.caps.pop(bid, None) is not None:
-                    memo.lower.pop(bid, None)
+                    memo.joined.pop(bid, None)
                     memo.counts.pop(bid, None)
                     memo.sums.clear()
                 if memo.need.keys() <= self.bodies[bid][2].keys():
                     stale.append(bid)
         memo.mark = len(self._puts)
-        caps, lower, counts, sums = memo.caps, memo.lower, memo.counts, memo.sums
-        joins = memo.joins
-        for bid in stale:
-            _, body, have = self.bodies[bid]
-            # the literal-count cap, positive exactly on the gated bodies
-            cap = min(len(body) // len(pattern), *(have[pa] // n for pa, n in memo.need.items()))
-            if cap:
-                caps[bid] = cap
-                sums.clear()
-                if joins:
-                    self._lower(lower, bid, cap, joins)
+        caps, joined, counts, sums = memo.caps, memo.joined, memo.counts, memo.sums
+        if stale:
+            sums.clear()
+            need, size = memo.need, len(pattern)
+            for bid in stale:
+                _, body, have = self.bodies[bid]
+                # the literal-count cap, positive exactly on the gated bodies
+                cap = min(len(body) // size, *(have[pa] // n for pa, n in need.items()))
+                if cap:
+                    caps[bid] = cap
         if not sums:
-            sums.append(self._bound(caps, {}))
+            sums.append(self._bound(caps))
         if not worth(sums[0]):
             return sums[0]
-        if joins is None:
-            joins = memo.joins = tuple(pattern_joins(pattern))
-            for bid, cap in caps.items() if joins else ():
-                self._lower(lower, bid, cap, joins)
+        if memo.joins is None:
+            memo.joins = tuple(pattern_joins(pattern))
+        if not memo.joins:
+            joined = caps  # no join lowers a cap
         if len(sums) == 1:
-            sums.append(self._bound(caps, lower))
-        if joins and not worth(sums[1]):
+            for bid, cap in caps.items():
+                if bid not in joined:
+                    table = self.joins(bid)
+                    joined[bid] = min(cap, *(table.get(sig, 0) for sig in memo.joins))
+            sums.append(self._bound(joined))
+        if memo.joins and not worth(sums[1]):
             return sums[1]
         if len(sums) == 2:
             form = None  # built only if a body is matched
@@ -339,8 +341,8 @@ class UsageIndex:
             for bid, n in counts.items():
                 g = self.bodies[bid][0]
                 exact[g] = max(exact.get(g, 0), n)
-            for bid, cap in caps.items():
-                cap, g = lower.get(bid, cap), self.bodies[bid][0]
+            for bid, cap in joined.items():
+                g = self.bodies[bid][0]
                 if bid not in counts and cap > exact.get(g, 0):
                     if form is None:
                         form = Pattern(pattern, make_candidate_clause(pattern, "probe").head)
@@ -350,22 +352,13 @@ class UsageIndex:
             sums.append(sum(exact.values()))
         return sums[2]
 
-    def _lower(self, lower: dict, bid: int, cap: int, joins: tuple):
-        """Set lower[bid] to body bid's join cap, its join_table count for
-        each of `joins` (a pattern's pattern_joins), if below `cap`."""
-        table = self.joins(bid)
-        joined = min(table.get(sig, 0) for sig in joins)
-        if joined < cap:
-            lower[bid] = joined
-
-    def _bound(self, caps: dict, lower: dict) -> int:
-        """The sum over groups of the largest of their bodies' caps, each
-        lowered to its entry in `lower` where it has one."""
-        if self._alone:  # each group holds one body
-            return sum(caps.values()) - sum(caps[bid] - cap for bid, cap in lower.items())
+    def _bound(self, caps: dict) -> int:
+        """The sum over groups of the largest of their bodies' caps."""
+        if self._alone:
+            return sum(caps.values())
         best: dict = {}
         for bid, cap in caps.items():
-            cap, g = lower.get(bid, cap), self.bodies[bid][0]
+            g = self.bodies[bid][0]
             if cap > best.get(g, 0):
                 best[g] = cap
         return sum(best.values())
@@ -402,8 +395,10 @@ def extract_candidates(
     if subbodies is None:
         run = run or Run()
         subbodies = [run.keyed_subsets(b, i, j) for b in bodies]
+    classes = variant_classes(bodies, subbodies, i, j)
+    del subbodies  # freed before counting, whose kept caps and counts add to the peak
     out = []
-    for ordinal, subset in enumerate(variant_classes(bodies, subbodies, i, j).values()):
+    for ordinal, subset in enumerate(classes.values()):
         clause = make_candidate_clause(subset, f"inv_{level}_{ordinal}")
         deps = frozenset(invented[l.pred] for l in subset) if invented else frozenset()
         size = len(subset) + 1
