@@ -186,18 +186,18 @@ def pattern_joins(pattern: tuple) -> set:
     }
 
 
-class _Counts:
+class _Usage:
     """What a UsageIndex keeps of one pattern (see usage), as of its
-    `mark`-th put: each gated body's literal-count cap, its join cap once
-    the literal bound has passed, its count once matched, and the sums of
-    these as far as the last call got. Made bare, so that usage can look
-    a pattern up with one setdefault, and set up by `start`."""
+    `seen`-th put: each gated body's literal-count cap, its join cap once
+    the literal-count bound has passed, its count once matched, and the
+    bounds and the count as far as a call got."""
 
-    __slots__ = ("mark", "need", "joins", "caps", "joined", "counts", "sums")
+    __slots__ = ("need", "joins", "seen", "caps", "joined", "counts", "sums")
 
-    def start(self, pattern: tuple):
-        self.need = pred_counts(pattern)
+    def __init__(self):
+        self.need: dict = {}  # pred_counts of the pattern, set on its first call
         self.joins: Optional[tuple] = None  # pattern_joins, once needed
+        self.seen = 0
         self.caps: dict = {}  # body id -> literal-count cap
         self.joined: dict = {}  # body id -> cap lowered to the join cap
         self.counts: dict = {}  # body id -> its most disjoint matches
@@ -222,16 +222,14 @@ class UsageIndex:
         self._indexed: list = []
         self._joins: list = []
         self._puts: list = []  # the id of each body put, in order
-        self._alone = True  # each body is the only one of its group, g == bid
-        self._counts: dict = {}  # pattern -> its _Counts
+        self._usage: dict = {}  # pattern -> what usage keeps of it
         for g, group in enumerate(groups):
             for body in group:
                 self.put(len(self.bodies), g, body)
 
     def put(self, bid: int, g: int, body: tuple):
         """Make body `bid` of group g `body`: a new body if bid is the
-        next id, else a replacement whose forms, caps and counts are
-        built again."""
+        next id, else a replacement whose forms are built again."""
         if bid == len(self.bodies):
             self.bodies.append(None)
             self._indexed.append(None)
@@ -247,7 +245,6 @@ class UsageIndex:
                 self.postings.setdefault((p, a, k), set()).add(bid)
         self.bodies[bid] = (g, body, have)
         self._puts.append(bid)
-        self._alone = self._alone and g == bid
 
     def drop_joins(self):
         """Release the join tables; a later usage() builds them again."""
@@ -294,53 +291,54 @@ class UsageIndex:
         call with an equal pattern works only on the bodies put since.
         They are kept per pattern, not per variant class: the pattern's
         own match order decides _max_disjoint_count past its node cap."""
-        # one lookup: hashing the pattern's literals is a cost per call
-        memo = self._counts.setdefault(pattern, new := _Counts())
-        if memo is new:
-            memo.start(pattern)
-            stale = self.gated(memo.need)
-        else:  # drop what is kept for the bodies put since
+        # one lookup, as a pattern's literals are slow to hash
+        kept = self._usage.setdefault(pattern, new := _Usage())
+        if kept is new:
+            kept.need = pred_counts(pattern)
+            stale = self.gated(kept.need)
+        else:  # drop what is kept of the bodies put since
             stale = []
-            for bid in self._puts[memo.mark:]:
-                if memo.caps.pop(bid, None) is not None:
-                    memo.joined.pop(bid, None)
-                    memo.counts.pop(bid, None)
-                    memo.sums.clear()
-                if memo.need.keys() <= self.bodies[bid][2].keys():
+            for bid in self._puts[kept.seen:]:
+                if kept.caps.pop(bid, None) is not None:
+                    kept.joined.pop(bid, None)
+                    kept.counts.pop(bid, None)
+                    kept.sums = []
+                if kept.need.keys() <= self.bodies[bid][2].keys():
                     stale.append(bid)
-        memo.mark = len(self._puts)
-        caps, joined, counts, sums = memo.caps, memo.joined, memo.counts, memo.sums
+        kept.seen = len(self._puts)
+        caps = kept.caps
         if stale:
-            sums.clear()
-            need, size = memo.need, len(pattern)
+            need = kept.need
             for bid in stale:
                 _, body, have = self.bodies[bid]
                 # the literal-count cap, positive exactly on the gated bodies
-                cap = min(len(body) // size, *(have[pa] // n for pa, n in need.items()))
+                cap = min(len(body) // len(pattern), *(have[pa] // n for pa, n in need.items()))
                 if cap:
                     caps[bid] = cap
+            kept.sums = []
+        sums = kept.sums
         if not sums:
             sums.append(self._bound(caps))
         if not worth(sums[0]):
             return sums[0]
-        if memo.joins is None:
-            memo.joins = tuple(pattern_joins(pattern))
-        if not memo.joins:
-            joined = caps  # no join lowers a cap
+        if kept.joins is None:
+            kept.joins = tuple(pattern_joins(pattern))
+        joined = kept.joined if kept.joins else caps  # no join lowers a cap
         if len(sums) == 1:
             for bid, cap in caps.items():
                 if bid not in joined:
                     table = self.joins(bid)
-                    joined[bid] = min(cap, *(table.get(sig, 0) for sig in memo.joins))
+                    joined[bid] = min(cap, *(table.get(sig, 0) for sig in kept.joins))
             sums.append(self._bound(joined))
-        if memo.joins and not worth(sums[1]):
+        if kept.joins and not worth(sums[1]):
             return sums[1]
         if len(sums) == 2:
-            form = None  # built only if a body is matched
+            counts = kept.counts
             exact: dict = {}
             for bid, n in counts.items():
                 g = self.bodies[bid][0]
                 exact[g] = max(exact.get(g, 0), n)
+            form = None  # built only if a body is matched
             for bid, cap in joined.items():
                 g = self.bodies[bid][0]
                 if bid not in counts and cap > exact.get(g, 0):
@@ -354,8 +352,6 @@ class UsageIndex:
 
     def _bound(self, caps: dict) -> int:
         """The sum over groups of the largest of their bodies' caps."""
-        if self._alone:
-            return sum(caps.values())
         best: dict = {}
         for bid, cap in caps.items():
             g = self.bodies[bid][0]
@@ -396,7 +392,9 @@ def extract_candidates(
         run = run or Run()
         subbodies = [run.keyed_subsets(b, i, j) for b in bodies]
     classes = variant_classes(bodies, subbodies, i, j)
-    del subbodies  # freed before counting, whose kept caps and counts add to the peak
+    # sub-bodies made here (levels 2 and up) are freed before counting,
+    # whose kept caps and counts add to the peak; a caller's stay alive
+    del subbodies
     out = []
     for ordinal, subset in enumerate(classes.values()):
         clause = make_candidate_clause(subset, f"inv_{level}_{ordinal}")
